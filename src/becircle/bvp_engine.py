@@ -1,13 +1,14 @@
 """Generic numerical machinery: grids, quadrature, damped Newton for the
 semilinear two-point problem, tridiagonal solves, and a symmetric-tridiagonal
-eigensolver based on Sturm-sequence bisection (bordered counting for the
-corner-coupled periodic case, dense fallback below dimension 64).
+eigensolver based on Sturm-sequence bisection in LAPACK (stebz), with
+bordered Schur-complement counting for the corner-coupled periodic case and
+a dense fallback below dimension 64.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .errors import DomainError, NonConvergence, SingularJacobian
 from .scalar_field import potential_d1, potential_d2
@@ -218,47 +219,51 @@ def newton_semilinear(grid, eps, bc, tol=1e-12, max_iter=100):
     return GridFunction(a=grid.a, b=grid.b, n=grid.n, values=u)
 
 
-def _sturm_count(diag, offdiag2, shifts):
-    """Number of eigenvalues of the tridiagonal matrix below each shift.
+def _stebz(diag, offdiag, select, select_range, tol):
+    """LAPACK bisection (Kahan's Sturm counts) on a symmetric tridiagonal matrix."""
+    try:
+        return eigvalsh_tridiagonal(diag, offdiag, select=select,
+                                    select_range=select_range,
+                                    lapack_driver="stebz", tol=tol)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"stebz bisection failed: {exc}") from exc
 
-    Vectorized over shifts; offdiag2 holds the squared off-diagonal entries.
+
+def _count_at_most(diag, offdiag, x, bounds):
+    """Number of eigenvalues at or below x, given Gershgorin bounds (lo, hi).
+
+    stebz takes the count from the Sturm counts at the ends of the interval;
+    a tolerance as wide as the spectrum stops it from refining the
+    eigenvalues inside, which would cost a bisection per eigenvalue.
     """
-    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    q = diag[0] - shifts
-    tiny = _EPS_MACH * (np.abs(diag).max() + np.abs(offdiag2).max() + 1.0)
-    count = (q < 0).astype(int)
-    for i in range(1, len(diag)):
-        q = np.where(np.abs(q) < tiny, np.where(q < 0, -tiny, tiny), q)
-        q = diag[i] - shifts - offdiag2[i - 1] / q
-        count += q < 0
-    return count
+    lo, hi = bounds
+    floor = lo - 1.0 - abs(lo)
+    if x <= floor:
+        return 0
+    return len(_stebz(diag, offdiag, "v", (floor, x), hi - floor))
 
 
-def _count_below_dirichlet(op, shifts):
-    return _sturm_count(op.diag, op.offdiag ** 2, shifts)
-
-
-def _count_below_periodic(op, shifts):
+def _count_below_periodic(op, shifts, block_counts):
     """Eigenvalue counting for the corner-coupled matrix by bordering.
 
-    Inertia additivity: count(A - xI) equals the tridiagonal count of the
-    leading (n-1) block plus one when the scalar Schur complement of the
-    last row/column is negative.
+    Inertia additivity: count(A - xI) equals the count of the leading (n-1)
+    block, given in block_counts for each shift, plus one when the scalar
+    Schur complement of the last row/column is negative.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     n = op.dim
     d, e, c = op.diag, op.offdiag, op.corner
-    counts = _sturm_count(d[:-1], e[:-1] ** 2, shifts)
+    counts = np.array(block_counts, dtype=int)
     w = np.zeros(n - 1)
     w[0] = c
     w[-1] = e[-1]
+    ab = np.zeros((3, n - 1))
+    ab[0, 1:] = e[:-1]
+    ab[2, :-1] = e[:-1]
     for j, x in enumerate(shifts):
         xs = x
         for attempt in range(4):
-            ab = np.zeros((3, n - 1))
-            ab[0, 1:] = e[:-1]
             ab[1] = d[:-1] - xs
-            ab[2, :-1] = e[:-1]
             try:
                 y = solve_banded((1, 1), ab, w)
             except np.linalg.LinAlgError:
@@ -274,17 +279,16 @@ def _count_below_periodic(op, shifts):
     return counts
 
 
-def _count_below(op, shifts):
-    if op.boundary == "periodic":
-        return _count_below_periodic(op, shifts)
-    return _count_below_dirichlet(op, shifts)
-
-
 def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
     """Lowest eigenvalues by Sturm bisection, with exact global sign counts.
 
-    For periodic operators of dimension below 64 a dense solve is used.
-    The zero threshold defaults to 1e-8 times the largest returned magnitude.
+    The bisection is LAPACK's stebz.  A Dirichlet operator is handed to it
+    whole.  For a periodic operator, stebz gives the leading (n-1) block's
+    eigenvalues, which bracket the full matrix's by interlacing; inside each
+    bracket the sign of the bordered Schur complement, one banded solve per
+    bisection shift, decides the count.  Periodic operators of dimension
+    below 64 are solved dense.  The zero threshold defaults to 1e-8 times the
+    largest returned magnitude.
     """
     n = op.dim
     if how_many > n:
@@ -300,33 +304,43 @@ def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
                               n_negative=n_neg, n_zero=n_zero,
                               n_positive=n - n_neg - n_zero)
 
+    periodic = op.boundary == "periodic"
     # Gershgorin bounds
     radius = np.zeros(n)
     radius[:-1] += np.abs(op.offdiag)
     radius[1:] += np.abs(op.offdiag)
-    if op.boundary == "periodic":
+    if periodic:
         radius[0] += abs(op.corner)
         radius[-1] += abs(op.corner)
-    glo = float(np.min(op.diag - radius))
-    ghi = float(np.max(op.diag + radius))
+    bounds = (float(np.min(op.diag - radius)), float(np.max(op.diag + radius)))
 
-    los = np.full(how_many, glo)
-    his = np.full(how_many, ghi)
-    targets = np.arange(1, how_many + 1)
-    while np.max(his - los) > tol:
-        mids = 0.5 * (los + his)
-        counts = _count_below(op, mids)
-        above = counts >= targets
-        his = np.where(above, mids, his)
-        los = np.where(above, los, mids)
-    evals = 0.5 * (los + his)
+    # stebz sees the whole Dirichlet operator, or the periodic one's leading block
+    td, te = (op.diag[:-1], op.offdiag[:-1]) if periodic else (op.diag, op.offdiag)
+    if periodic:
+        # interlacing puts the j-th eigenvalue between the block's (j-1)-th
+        # and j-th, where the block count is j - 1; the bracket ends carry the
+        # block's bisection error into the result, so it is bisected finer
+        block_low = _stebz(td, te, "i", (0, min(how_many, n - 1) - 1), tol / 8.0)
+        los = np.concatenate(([bounds[0]], block_low))[:how_many]
+        his = np.concatenate((block_low, [bounds[1]]))[:how_many]
+        targets = np.arange(1, how_many + 1)
+        while np.max(his - los) > tol:
+            mids = 0.5 * (los + his)
+            above = _count_below_periodic(op, mids, targets - 1) >= targets
+            his = np.where(above, mids, his)
+            los = np.where(above, los, mids)
+        evals = 0.5 * (los + his)
+    else:
+        evals = _stebz(td, te, "i", (0, how_many - 1), tol)
 
     tau = zero_threshold if zero_threshold is not None else 1e-8 * np.max(np.abs(evals))
-    below_neg = int(_count_below(op, [-tau])[0])
-    below_pos = int(_count_below(op, [tau])[0])
+    below = [_count_at_most(td, te, x, bounds) for x in (-tau, tau)]
+    if periodic:
+        below = _count_below_periodic(op, [-tau, tau], below)
+    below_neg, below_pos = below
     return SpectrumReport(eigenvalues=evals, zero_threshold=tau,
-                          n_negative=below_neg, n_zero=below_pos - below_neg,
-                          n_positive=n - below_pos)
+                          n_negative=int(below_neg), n_zero=int(below_pos - below_neg),
+                          n_positive=int(n - below_pos))
 
 
 def norm_h1_eps(f, eps):

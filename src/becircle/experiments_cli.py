@@ -1,11 +1,11 @@
 """Reproducible experiment driver: gamma-convergence sweeps, index tables,
 profile dumps, non-existence scans.  JSON records (sorted keys, 17 significant
-digits) and CSV tables; golden files regenerate byte-identically under --regen.
+digits) and CSV tables; golden files regenerate byte-identically with
+``BECIRCLE_REGEN=1 pytest tests/test_cli.py``.
 """
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -337,7 +337,6 @@ def _add_common(sp):
     sp.add_argument("--T", type=float, default=DEFAULT_T)
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--regen", action="store_true")
 
 
 def build_parser():
@@ -412,7 +411,6 @@ def build_parser():
 
 
 def main(argv=None):
-    os.environ.setdefault("BEL_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

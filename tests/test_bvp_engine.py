@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from becircle import (DomainError, GridFunction, TridiagonalOperator,
                       cumulative_simpson, eig_sturm, heteroclinic,
@@ -165,6 +165,81 @@ def test_eig_dense_fallback_periodic_small():
                              boundary="periodic", corner=-1.0)
     rep = eig_sturm(op, 2)
     assert np.allclose(rep.eigenvalues, [0.0, 4.0], atol=1e-12)
+
+
+def _sturm_count(diag, offdiag, shifts):
+    """Eigenvalues of the tridiagonal matrix below each shift, by the
+    pure-Python Sturm recurrence; vectorized over shifts."""
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    offdiag2 = offdiag ** 2
+    q = diag[0] - shifts
+    tiny = np.finfo(float).eps * (np.abs(diag).max() + offdiag2.max(initial=0.0) + 1.0)
+    count = (q < 0).astype(int)
+    for i in range(1, len(diag)):
+        q = np.where(np.abs(q) < tiny, np.where(q < 0, -tiny, tiny), q)
+        q = diag[i] - shifts - offdiag2[i - 1] / q
+        count += q < 0
+    return count
+
+
+def _oracle_eig(op, how_many, tol, tau):
+    """Lowest eigenvalues and (negative, zero, positive) counts at +-tau.
+
+    A Dirichlet operator is bisected on the Sturm count to tol / 8, so that
+    the oracle's own error stays well inside tol.  A periodic operator is
+    solved dense, by an algorithm that shares nothing with Sturm counting.
+    """
+    if op.boundary == "periodic":
+        evals = np.linalg.eigvalsh(op.dense())
+        below_neg, below_pos = np.sum(evals < -tau), np.sum(evals <= tau)
+        return evals[:how_many], (below_neg, below_pos - below_neg, op.dim - below_pos)
+    d, e = op.diag, op.offdiag
+    radius = np.zeros(op.dim)
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    los = np.full(how_many, np.min(d - radius))
+    his = np.full(how_many, np.max(d + radius))
+    targets = np.arange(1, how_many + 1)
+    while np.max(his - los) > tol / 8.0:
+        mids = 0.5 * (los + his)
+        above = _sturm_count(d, e, mids) >= targets
+        his = np.where(above, mids, his)
+        los = np.where(above, los, mids)
+    below_neg, below_pos = _sturm_count(d, e, [-tau, tau])
+    return 0.5 * (los + his), (below_neg, below_pos - below_neg, op.dim - below_pos)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 300), periodic=st.booleans(), laplacian=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), how_many=st.integers(1, 40),
+       tol=st.sampled_from([1e-10, 1e-12]))
+@example(n=63, periodic=True, laplacian=True, seed=0, how_many=5, tol=1e-10)
+@example(n=66, periodic=True, laplacian=True, seed=0, how_many=34, tol=1e-10)
+@example(n=64, periodic=True, laplacian=False, seed=1, how_many=6, tol=1e-12)
+@example(n=2, periodic=True, laplacian=False, seed=2, how_many=2, tol=1e-10)
+def test_eig_sturm_matches_oracle(n, periodic, laplacian, seed, how_many, tol):
+    # the periodic Laplacian has a simple zero and double eigenvalues
+    # 2 - 2 cos(2 pi k / n); at n = 66 a bisection midpoint falls exactly on
+    # the leading block's eigenvalue 2, between the 33rd and 34th of the
+    # full matrix.  Random operators cover both signs of the spectrum.
+    rng = np.random.default_rng(seed)
+    if laplacian:
+        diag, off, corner = np.full(n, 2.0), np.full(n - 1, -1.0), -1.0
+    else:
+        diag, off, corner = (rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n - 1),
+                             rng.uniform(-1.0, 1.0))
+    op = TridiagonalOperator(diag=diag, offdiag=off,
+                             boundary="periodic" if periodic else "dirichlet",
+                             corner=corner if periodic else 0.0)
+    how_many = min(how_many, n)
+    tau = 1e-6
+    rep = eig_sturm(op, how_many, tol=tol, zero_threshold=tau)
+    evals, counts = _oracle_eig(op, how_many, tol, tau)
+    assert (rep.n_negative, rep.n_zero, rep.n_positive) == counts
+    assert np.max(np.abs(rep.eigenvalues - evals)) <= tol
+    again = eig_sturm(op, how_many, tol=tol, zero_threshold=tau)
+    assert np.array_equal(again.eigenvalues, rep.eigenvalues)
+    assert (again.n_negative, again.n_zero, again.n_positive) == counts
 
 
 def test_norm_h1_eps():
