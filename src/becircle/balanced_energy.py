@@ -15,9 +15,11 @@ import mpmath as mp
 import numpy as np
 
 from .bvp_engine import GridFunction, SpectrumReport, TridiagonalOperator, eig_sturm
+from .elliptic_oracle import modulus_for
 from .errors import ArcTooShort, DomainError, NotCritical, SingularSystem
 from .scalar_field import potential_d2
-from .solver_1d import existence_threshold, solve_dirichlet
+from .solver_1d import (_intervals_for, _solve_at, arc_energy, existence_threshold,
+                        solve_dirichlet)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -277,8 +279,6 @@ def _pinned_be(config, eps, f, t, points_per_eps):
     only the smooth energy landscape; this is the finite-difference oracle
     route for the variation formulas.
     """
-    from .solver_1d import _intervals_for, _solve_at, arc_energy
-
     base_lengths = config.arc_lengths()
     nodes = config.nodes + t * np.asarray(f, dtype=float)
     lengths = np.diff(np.append(nodes, nodes[0] + 1.0))
@@ -287,8 +287,9 @@ def _pinned_be(config, eps, f, t, points_per_eps):
         if ell <= math.pi * eps:
             raise ArcTooShort(f"perturbed arc length {ell:.6g} inadmissible")
         m = _intervals_for(ell0, eps, points_per_eps)
-        e1 = arc_energy(_solve_at(ell, eps, m, 1e-12), eps)
-        e2 = arc_energy(_solve_at(ell, eps, 2 * m, 1e-12), eps)
+        mod = modulus_for(eps, ell)
+        e1 = arc_energy(_solve_at(ell, eps, m, 1e-12, mod), eps)
+        e2 = arc_energy(_solve_at(ell, eps, 2 * m, 1e-12, mod), eps)
         total += (4.0 * e2 - e1) / 3.0
     return total
 

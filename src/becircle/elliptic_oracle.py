@@ -8,9 +8,20 @@ All internals are parameterized by the complementary modulus kp = sqrt(1-k^2)
 so that moduli exponentially close to 1 (the interesting regime) keep full
 relative accuracy; k itself rounds to 1.0 in double precision long before
 the underlying solution family degenerates.
+
+`ac_family_mod` and `_sn_cn_dn_kp` take a float or a numpy array of
+abscissae: the Landen chain and K are built once per call and the ascent runs
+elementwise, through `math` for a float (which returns a float) and through
+numpy for an array.  Both paths do the same arithmetic in the same order, and
+numpy's float64 sin, cos and sqrt round as `math`'s do, so an array result of
+`ac_family_mod` equals the per-element scalar calls bit for bit (the tests
+check this).  Only the k = 1 limit of `_sn_cn_dn_kp` differs: numpy's tanh and
+cosh are within 2 ulps of `math`'s, not equal.
 """
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NoPositiveSolution
 
@@ -64,18 +75,22 @@ def _landen_chain(kp):
 
 
 def _sn_cn_dn_kp(x, kp):
-    """Jacobi sn, cn, dn at modulus k = sqrt(1 - kp^2), kp-parameterized."""
+    """Jacobi sn, cn, dn at modulus k = sqrt(1 - kp^2), kp-parameterized.
+
+    x is a float or an array; the Landen ascent runs elementwise over it.
+    """
+    xp = np if isinstance(x, np.ndarray) else math
     if kp >= 1.0:  # k == 0
-        return math.sin(x), math.cos(x), 1.0
+        return xp.sin(x), xp.cos(x), 1.0 if xp is math else np.ones_like(x, dtype=float)
     if kp <= 0.0:  # k == 1
-        s = math.tanh(x)
-        c = 1.0 / math.cosh(x)
+        s = xp.tanh(x)
+        c = 1.0 / xp.cosh(x)
         return s, c, c
     chain = _landen_chain(kp)
     u = x
     for k_j, _ in chain:
-        u /= 1.0 + k_j
-    s, c, d = math.sin(u), math.cos(u), 1.0
+        u = u / (1.0 + k_j)
+    s, c, d = xp.sin(u), xp.cos(u), 1.0
     k_orig = math.sqrt((1.0 - kp) * (1.0 + kp))
     # moduli of the level being ascended into: original on the last step
     uppers = [(k_orig, kp)] + list(chain[:-1])
@@ -83,8 +98,37 @@ def _sn_cn_dn_kp(x, kp):
         denom = 1.0 + k_low * s * s
         c = c * d / denom
         s = (1.0 + k_low) * s / denom
-        d = math.sqrt(kp_up * kp_up + k_up * k_up * c * c)
+        d = xp.sqrt(kp_up * kp_up + k_up * k_up * c * c)
     return s, c, d
+
+
+def _fold(x, K):
+    """Reduce x into [0, K] by sn(x + 2K) = -sn(x) and sn(2K - x) = sn(x).
+
+    Returns (x, flip_s, flip_c): sn(x_in) = flip_s sn(x), and
+    cn(x_in) = flip_s flip_c cn(x).  x is a float or an array.
+    """
+    period = 4.0 * K
+    if isinstance(x, np.ndarray):
+        x = np.fmod(x, period)
+        x = np.where(x < 0, x + period, x)
+        upper = x > 2.0 * K
+        x = np.where(upper, x - 2.0 * K, x)
+        back = x > K
+        x = np.where(back, 2.0 * K - x, x)
+        return x, np.where(upper, -1.0, 1.0), np.where(back, -1.0, 1.0)
+    x = math.fmod(x, period)
+    if x < 0:
+        x += period
+    flip_s = 1.0
+    if x > 2.0 * K:
+        x -= 2.0 * K
+        flip_s = -1.0
+    flip_c = 1.0
+    if x > K:
+        x = 2.0 * K - x
+        flip_c = -1.0
+    return x, flip_s, flip_c
 
 
 def jacobi_sn(x, k):
@@ -100,20 +144,7 @@ def jacobi_sn(x, k):
         c = 1.0 / math.cosh(x)
         return s, c, c
     kp = math.sqrt((1.0 - k) * (1.0 + k))
-    K = _complete_K_from_kp(kp)
-    period = 4.0 * K
-    x = math.fmod(x, period)
-    if x < 0:
-        x += period
-    # fold into [0, K] using sn(2K - u) = sn(u), sn(u + 2K) = -sn(u)
-    flip_s = 1.0
-    if x > 2.0 * K:
-        x = x - 2.0 * K
-        flip_s = -1.0
-    flip_c = 1.0
-    if x > K:
-        x = 2.0 * K - x
-        flip_c = -1.0
+    x, flip_s, flip_c = _fold(x, _complete_K_from_kp(kp))
     s, c, d = _sn_cn_dn_kp(x, kp)
     return flip_s * s, flip_s * flip_c * c, d
 
@@ -153,20 +184,12 @@ def _amplitude_from_mod(mod):
 
 
 def ac_family_mod(x, mod):
-    """ac_family evaluated through an EllipticModulus (kp-safe near k = 1)."""
-    scale = math.sqrt(2.0 - mod.kp * mod.kp)
-    t = x / scale
-    K = _complete_K_from_kp(mod.kp)
-    period = 4.0 * K
-    t = math.fmod(t, period)
-    if t < 0:
-        t += period
-    sign = 1.0
-    if t > 2.0 * K:
-        t -= 2.0 * K
-        sign = -1.0
-    if t > K:
-        t = 2.0 * K - t
+    """ac_family evaluated through an EllipticModulus (kp-safe near k = 1).
+
+    x is a float or an array; one call evaluates a whole grid.
+    """
+    t = x / math.sqrt(2.0 - mod.kp * mod.kp)
+    t, sign, _ = _fold(t, _complete_K_from_kp(mod.kp))
     s, _, _ = _sn_cn_dn_kp(t, mod.kp)
     return sign * _amplitude_from_mod(mod) * s
 
@@ -190,9 +213,13 @@ def modulus_for(eps, L):
     lo, hi = math.log(_KP_FLOOR), -1e-18  # kp in (1e-300, ~1)
     if zero_spacing_from_kp(math.exp(lo)) < target:
         raise DomainError("rescaled length beyond representable moduli")
-    # zero_spacing decreases in kp: keep spacing(lo) > target > spacing(hi)
+    # zero_spacing decreases in kp: keep spacing(lo) > target >= spacing(hi);
+    # once mid rounds onto an end, lo and hi are adjacent doubles and every
+    # further step would leave them unchanged
     for _ in range(140):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if zero_spacing_from_kp(math.exp(mid)) > target:
             lo = mid
         else:

@@ -333,8 +333,6 @@ def _float_list(text):
 
 def _add_common(sp):
     sp.add_argument("--grid-per-eps", dest="grid_per_eps", type=int, default=50)
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--T", type=float, default=DEFAULT_T)
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -347,6 +345,8 @@ def build_parser():
     sp = sub.add_parser("solve")
     sp.add_argument("--L", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--tol", type=float, default=1e-12,
+                    help="Newton residual tolerance")
     _add_common(sp)
     sp.set_defaults(func=_cmd_solve)
 
@@ -378,6 +378,8 @@ def build_parser():
     sp = sub.add_parser("profiles")
     sp.add_argument("--stride", type=float, default=0.1,
                     help="output sampling step in t")
+    sp.add_argument("--T", type=float, default=DEFAULT_T,
+                    help="half-line truncation length")
     _add_common(sp)
     sp.set_defaults(func=_cmd_profiles)
 

@@ -61,10 +61,10 @@ def arc_energy(u, eps):
     return 0.5 * eps * grad + pot / eps
 
 
-def _solve_at(L, eps, m, tol):
-    mod = modulus_for(eps, L)
+def _solve_at(L, eps, m, tol, mod):
+    """Newton on m intervals of [0, L], started from the closed form at mod."""
     x = np.linspace(0.0, L, m + 1)
-    vals = np.array([ac_family_mod(xi / eps, mod) for xi in x])
+    vals = ac_family_mod(x / eps, mod)
     vals[0] = 0.0
     vals[-1] = 0.0
     guess = GridFunction(a=0.0, b=L, n=m - 1, values=vals)
@@ -87,8 +87,9 @@ def solve_dirichlet(L, eps, points_per_eps=50, tol=1e-12, refine_values=False):
             f"eps={eps} >= L/pi = {existence_threshold(L):.6g}: only u = 0 remains"
         )
     m = _intervals_for(L, eps, points_per_eps)
-    sol = _solve_at(L, eps, m, tol)
-    sol2 = _solve_at(L, eps, 2 * m, tol)
+    mod = modulus_for(eps, L)
+    sol = _solve_at(L, eps, m, tol, mod)
+    sol2 = _solve_at(L, eps, 2 * m, tol, mod)
 
     lam_pair = [potential(float(np.max(s.values))) for s in (sol, sol2)]
     lam = (4.0 * lam_pair[1] - lam_pair[0]) / 3.0

@@ -75,6 +75,12 @@ def test_usage_error_exit_code():
     assert main(["solve", "--L", "0.5", "--eps", "0.05", "--bogus-flag"]) == 1
 
 
+def test_flags_only_where_read():
+    # --tol belongs to solve and --T to profiles; elsewhere they are usage errors
+    assert main(["be", "--nodes", "0,0.5", "--eps", "0.05", "--tol", "1e-3"]) == 1
+    assert main(["solve", "--L", "0.5", "--eps", "0.05", "--T", "20"]) == 1
+
+
 def test_domain_error_exit_code(capsys):
     assert main(["solve", "--L", "0.5", "--eps", "0.2"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import ellipj
 
 from becircle import (DomainError, NoPositiveSolution, ac_family, ac_family_mod,
                       complete_K, jacobi_sn, lambda_of_eps, modulus_for,
                       potential, potential_d1, zero_spacing_from_kp)
+from becircle.elliptic_oracle import (EllipticModulus, _complete_K_from_kp, _fold,
+                                      _sn_cn_dn_kp)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -132,3 +136,60 @@ def test_lambda_slope_relation():
     pair = lambda_of_eps(0.03, 0.5)
     slope = math.sqrt(2.0 * (potential(0.0) - pair.lam))
     assert abs(slope**2 / 2.0 - potential(0.0) + pair.lam) < 1e-8
+
+
+def _bits(values):
+    """Bit patterns of float64 values, so that -0.0 and 0.0 differ too."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+# moduli as the arc solves meet them (L/eps in [3.2, 650]), plus k = 0
+_MODULI = st.one_of(
+    st.floats(3.2, 650.0).map(lambda r: modulus_for(0.5 / r, 0.5)),
+    st.just(EllipticModulus(k=0.0, kp=1.0, zero_spacing=zero_spacing_from_kp(1.0))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mod=_MODULI, data=st.data())
+def test_ac_family_mod_array_equals_scalar_calls(mod, data):
+    K = _complete_K_from_kp(mod.kp)
+    scale = math.sqrt(2.0 - mod.kp * mod.kp)
+    reach = 12.0 * K                    # three periods of sn on either side
+    t = data.draw(st.lists(st.floats(-reach, reach), min_size=1, max_size=40))
+    t += [j * K for j in range(-12, 13)] + [2.0 * j * K for j in range(-6, 7)]
+    # abscissae on and next to the fold points K, 2K, ... of the rescaled t
+    x = np.array(t) * scale
+    x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+    scalar = [ac_family_mod(float(xi), mod) for xi in x]
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(_bits(ac_family_mod(x, mod)), _bits(scalar))
+    # the fold alone, at exact multiples of K and 2K
+    folded = _fold(np.array(t), K)
+    for i, ti in enumerate(t):
+        assert np.array_equal(_bits([f[i] for f in folded]), _bits(_fold(ti, K)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(xs=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=30),
+       kp=st.sampled_from([-0.5, 0.0, 1.0, 1.5]))
+def test_sn_cn_dn_kp_degenerate_moduli_on_arrays(xs, kp):
+    arrays = _sn_cn_dn_kp(np.array(xs), kp)
+    for j, values in enumerate(arrays):
+        scalar = [_sn_cn_dn_kp(x, kp)[j] for x in xs]
+        assert all(type(v) is float for v in scalar)
+        if kp >= 1.0:                   # sin and cos: bit for bit
+            assert np.array_equal(_bits(values), _bits(scalar))
+        else:                           # numpy's tanh and cosh are not libm's
+            np.testing.assert_array_max_ulp(values, np.array(scalar), maxulp=2)
+
+
+@pytest.mark.parametrize("k", [0.0, 0.1, 0.3, 0.5, 0.7, 0.8, 0.9])
+def test_sn_cn_dn_kp_matches_scipy_ellipj(k):
+    # ellipj takes m = k^2 and loses accuracy as k -> 1, hence k <= 0.9
+    kp = math.sqrt((1.0 - k) * (1.0 + k))
+    x = np.linspace(0.0, _complete_K_from_kp(kp), 2001)
+    ours = _sn_cn_dn_kp(x, kp)
+    ref = ellipj(x, k * k)[:3]
+    for a, b in zip(ours, ref):
+        assert np.max(np.abs(a - b)) < 1e-13
