@@ -2,24 +2,27 @@
 the second-variation Hessian over node perturbations, the Dirichlet-to-Neumann
 quantity v(eps), Morse index and nullity, and the periodic spectrum cross-check.
 
-The linearized arc solves run in extended precision (mpmath): the transmitted
-Neumann responses scale with the conserved quantity lambda ~ 16 e^{-sqrt2 L/eps},
-which sits far below double-precision resolution of unit boundary data for the
-interesting eps.  Orientation and sign conventions are calibrated once against
-centered finite differences of the energy itself (the criterion the spec pins).
+The linearized arc solves are float64 banded solves.  The transmitted Neumann
+responses scale with the conserved quantity lambda ~ 16 e^{-sqrt2 L/eps}, far
+below the O(1) boundary data, so each endpoint slope is taken from a solve
+whose data vanish at that end.  They stay resolved to the rounding floor until
+they underflow near L/eps = 505; past that a typed DomainError is raised.
+Orientation and sign conventions are calibrated once against centered finite
+differences of the energy itself (the criterion the spec pins).
 """
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
-from .bvp_engine import GridFunction, SpectrumReport, TridiagonalOperator, eig_sturm
+from .bvp_engine import (GridFunction, SpectrumReport, TridiagonalOperator, eig_sturm,
+                         solve_tridiagonal)
 from .elliptic_oracle import modulus_for
-from .errors import ArcTooShort, DomainError, NotCritical, SingularSystem
+from .errors import (ArcTooShort, DomainError, NotCritical, SingularJacobian,
+                     SingularSystem)
 from .scalar_field import potential_d2
 from .solver_1d import (_intervals_for, _solve_at, arc_energy, existence_threshold,
-                        solve_dirichlet)
+                        solve_dirichlet, stencil_slope)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -112,83 +115,56 @@ def first_variation(config, eps, f, points_per_eps=50, transition=None):
     return float(np.sum(f * (np.roll(lam, 1) - lam)) / eps)
 
 
-def _mp_dps(eps, L):
-    return max(30, int(0.62 * L / eps) + 25)
-
-
-def _mp_linearized(u_values, eps, h, left, right, dps):
-    """Thomas solve of eps^2 v'' = W''(u) v with Dirichlet data, in mpmath.
-
-    Returns the interior solution and both one-sided fourth-order endpoint
-    derivatives, evaluated before any rounding to double precision.
-    """
-    n = len(u_values) - 2
-    with mp.workdps(dps):
-        c2 = (mp.mpf(eps) / mp.mpf(h)) ** 2
-        diag = [-2 * c2 - mp.mpf(potential_d2(float(u_values[i + 1]))) for i in range(n)]
-        off = c2
-        rhs = [mp.mpf(0)] * n
-        rhs[0] -= off * mp.mpf(left)
-        rhs[-1] -= off * mp.mpf(right)
-        beta = [mp.mpf(0)] * n
-        y = [mp.mpf(0)] * n
-        beta[0] = diag[0]
-        if beta[0] == 0:
-            raise SingularSystem("zero pivot in linearized solve")
-        y[0] = rhs[0] / beta[0]
-        for i in range(1, n):
-            beta[i] = diag[i] - off * (off / beta[i - 1])
-            if beta[i] == 0:
-                raise SingularSystem("zero pivot in linearized solve")
-            y[i] = (rhs[i] - off * y[i - 1]) / beta[i]
-        x = [mp.mpf(0)] * n
-        x[-1] = y[-1]
-        for i in range(n - 2, -1, -1):
-            x[i] = y[i] - (off / beta[i]) * x[i + 1]
-        full = [mp.mpf(left)] + x + [mp.mpf(right)]
-        hh = mp.mpf(h)
-        d_left = (-25 * full[0] + 48 * full[1] - 36 * full[2]
-                  + 16 * full[3] - 3 * full[4]) / (12 * hh)
-        d_right = -(-25 * full[-1] + 48 * full[-2] - 36 * full[-3]
-                    + 16 * full[-4] - 3 * full[-5]) / (12 * hh)
-        vals = np.array([float(v) for v in full])
-        return vals, float(d_left), float(d_right)
-
-
 def linearized_bvp(arc, left_value, right_value):
-    """Solve eps^2 udot'' = W''(u) udot on the arc with the given Dirichlet data."""
-    vals, d_left, d_right = _mp_linearized(
-        arc.u.values, arc.eps, arc.u.h, left_value, right_value,
-        _mp_dps(arc.eps, arc.L),
-    )
-    u = GridFunction(a=arc.u.a, b=arc.u.b, n=arc.u.n, values=vals)
-    return LinearizedSolution(u=u, d_left=d_left, d_right=d_right)
+    """Solve eps^2 udot'' = W''(u) udot on the arc with the given Dirichlet data.
 
-
-def _unit_response(arc):
-    """Endpoint responses (a, b) of the data-(1, 0) linearized solve.
-
-    a is the near-end slope, b the transmitted far-end slope; the continuum
-    translation identity forces a + b = 0, so the discrete defect d = a + b
-    measures pure grid error and (b - a)/2 is the defect-free transmission.
+    The endpoint slopes sit far below the O(1) data (the transmitted one is
+    of order lambda/eps), so each one is read off the solve for udot minus
+    that end's value: next to that end its values are small, and the
+    five-point stencil cancels nothing.  The values returned are those of
+    the plain solve.
     """
-    sol = _mp_linearized(arc.u.values, arc.eps, arc.u.h, 1.0, 0.0,
-                         _mp_dps(arc.eps, arc.L))
-    _, a, b = sol
-    return a, b
+    c2 = (arc.eps / arc.u.h) ** 2
+    w2 = potential_d2(arc.u.values[1:-1])
+    diag = -2.0 * c2 - w2
+    off = np.full(arc.u.n - 1, c2)
+
+    def shifted(s):
+        rhs = w2 * s
+        rhs[0] -= c2 * (left_value - s)
+        rhs[-1] -= c2 * (right_value - s)
+        try:
+            x = solve_tridiagonal(diag, off, rhs)
+        except SingularJacobian as exc:
+            raise SingularSystem(f"linearized solve: {exc}") from exc
+        vals = np.concatenate(([left_value - s], x, [right_value - s]))
+        return GridFunction(a=arc.u.a, b=arc.u.b, n=arc.u.n, values=vals)
+
+    solves = {s: shifted(s) for s in {0.0, left_value, right_value}}
+    return LinearizedSolution(u=solves[0.0],
+                              d_left=stencil_slope(solves[left_value], "left"),
+                              d_right=stencil_slope(solves[right_value], "right"))
 
 
 def _transmission(L, eps, points_per_eps=50):
-    """Transmitted far-end slope b with one step of h^2 Richardson.
+    """Transmitted far-end slope b of the data-(1, 0) solve, h^2-Richardson paired.
 
-    b is extracted at the far endpoint only: the near-end slope a carries the
-    discrete translation defect d = a + b, while b converges cleanly at
-    second order (verified against the closed-form lambda asymptotics).
+    The continuum translation identity forces the near-end slope a = -b; the
+    near-end extraction carries the discrete defect a + b, while b converges
+    cleanly at second order (verified against the closed-form lambda
+    asymptotics).  b ~ lambda/eps underflows float64 near L/eps = 505, so a
+    b that is not a normal number raises DomainError instead of passing a
+    zero or a subnormal on as v or Q.
     """
     vals = []
     for ppe in (points_per_eps, 2 * points_per_eps):
         arc = solve_dirichlet(L, eps, points_per_eps=ppe)
-        _, b = _unit_response(arc)
+        b = linearized_bvp(arc, 1.0, 0.0).d_right
+        if not abs(b) >= np.finfo(float).tiny:
+            raise DomainError(
+                f"transmission {b:.3g} at L/eps = {L / eps:.6g} is not a normal "
+                "float64 (underflow)"
+            )
         vals.append(b)
     return (4.0 * vals[1] - vals[0]) / 3.0
 
@@ -225,26 +201,22 @@ def hessian(config, eps, points_per_eps=100, crit_tol=1e-7):
     lengths = config.arc_lengths()
     c = bt.pieces[0].slope_left
 
-    # Per-arc unit responses, Richardson-paired over halved grids.  The
-    # translation identity forces a = -b exactly (unit antisymmetric data
-    # reproduce u_x / c, whose endpoint second derivatives vanish), and the
-    # near-end extraction of a carries a pure discretization defect, so the
-    # far-end transmission b is the one measured quantity: a := -b.  This
-    # pins the rotation mode of Q at exactly zero.
-    responses = {}
+    # One transmission b per distinct arc length.  The translation identity
+    # forces a = -b exactly (unit antisymmetric data reproduce u_x / c, whose
+    # endpoint second derivatives vanish), and the near-end extraction of a
+    # carries a pure discretization defect, so the far-end b is the one
+    # measured quantity: a := -b.  This pins the rotation mode of Q at
+    # exactly zero.
+    transmissions = {}
     for ell in lengths:
         key = round(ell, 14)
-        if key not in responses:
-            pair = []
-            for ppe in (points_per_eps, 2 * points_per_eps):
-                arc = solve_dirichlet(ell, eps, points_per_eps=ppe)
-                pair.append(_unit_response(arc))
-            b = (4.0 * pair[1][1] - pair[0][1]) / 3.0
-            responses[key] = (-b, b)
+        if key not in transmissions:
+            transmissions[key] = _transmission(ell, eps, points_per_eps)
 
     Q = np.zeros((m, m))
     for i, ell in enumerate(lengths):
-        a, b = responses[round(ell, 14)]
+        b = transmissions[round(ell, 14)]
+        a = -b
         j = (i + 1) % m
         # arc contribution -eps c [f_i udot_x(left) + f_j udot_x(right)]
         # with udot = c f_i A - c f_j B:
@@ -261,9 +233,8 @@ def hessian(config, eps, points_per_eps=100, crit_tol=1e-7):
     spectrum = SpectrumReport(eigenvalues=evals, zero_threshold=tau,
                               n_negative=n_neg, n_zero=n_zero,
                               n_positive=m - n_neg - n_zero)
-    b0 = responses[round(lengths[0], 14)][1]
-    return HessianReport(Q=Q, c=c, v=b0, spectrum=spectrum,
-                         index=n_neg, nullity=n_zero)
+    return HessianReport(Q=Q, c=c, v=transmissions[round(lengths[0], 14)],
+                         spectrum=spectrum, index=n_neg, nullity=n_zero)
 
 
 def morse_index(config, eps, points_per_eps=100):

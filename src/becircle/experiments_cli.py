@@ -334,7 +334,6 @@ def _float_list(text):
 def _add_common(sp):
     sp.add_argument("--grid-per-eps", dest="grid_per_eps", type=int, default=50)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser():
@@ -380,13 +379,14 @@ def build_parser():
                     help="output sampling step in t")
     sp.add_argument("--T", type=float, default=DEFAULT_T,
                     help="half-line truncation length")
-    _add_common(sp)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_profiles)
 
     sp = sub.add_parser("two-node-scan")
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--grid", type=_float_list, required=True)
     _add_common(sp)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_two_node_scan)
 
     sp = sub.add_parser("cutoff-nd")
@@ -394,7 +394,7 @@ def build_parser():
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--delta", type=float, default=None)
-    _add_common(sp)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_cutoff_nd)
 
     sp = sub.add_parser("gap-sweep")
@@ -407,6 +407,7 @@ def build_parser():
     sp.add_argument("--L", type=float, required=True)
     sp.add_argument("--eps", type=_float_list, required=True)
     _add_common(sp)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_lipschitz)
 
     return ap

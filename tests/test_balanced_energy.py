@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from becircle import (ArcTooShort, DomainError, NodeConfig, NotCritical,
                       ac_spectrum, broken_transition, circle_operator,
@@ -10,6 +16,7 @@ from becircle import (ArcTooShort, DomainError, NodeConfig, NotCritical,
                       lambda_of_eps, linearized_bvp, morse_index,
                       nodal_solution, profile_constants, solve_dirichlet,
                       translation_mode)
+from becircle.scalar_field import potential_d2
 
 SQRT2 = math.sqrt(2.0)
 
@@ -81,6 +88,88 @@ def test_linearized_bvp_basics():
     v = sym.u.values
     assert np.max(np.abs(v - v[::-1])) < 1e-9      # even about the midpoint
     assert abs(sym.d_left + sym.d_right) < 1e-12   # slopes mirror
+
+
+def _mp_linearized(arc, left, right):
+    """Thomas solve of eps^2 v'' = W''(u) v with Dirichlet data, in mpmath.
+
+    The oracle for linearized_bvp: the same discrete system eliminated in
+    0.62 L/eps + 25 digits, enough to carry the e^{-sqrt2 L/eps} decay, and
+    both one-sided fourth-order endpoint derivatives taken before any
+    rounding to double precision.  Returns (values, d_left, d_right).
+    """
+    u_values, eps, h = arc.u.values, arc.eps, arc.u.h
+    n = len(u_values) - 2
+    with mp.workdps(max(30, int(0.62 * arc.L / eps) + 25)):
+        c2 = (mp.mpf(eps) / mp.mpf(h)) ** 2
+        diag = [-2 * c2 - mp.mpf(potential_d2(float(u_values[i + 1]))) for i in range(n)]
+        rhs = [mp.mpf(0)] * n
+        rhs[0] -= c2 * mp.mpf(left)
+        rhs[-1] -= c2 * mp.mpf(right)
+        beta = [diag[0]] + [mp.mpf(0)] * (n - 1)
+        y = [rhs[0] / beta[0]] + [mp.mpf(0)] * (n - 1)
+        for i in range(1, n):
+            beta[i] = diag[i] - c2 * (c2 / beta[i - 1])
+            y[i] = (rhs[i] - c2 * y[i - 1]) / beta[i]
+        x = [mp.mpf(0)] * n
+        x[-1] = y[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = y[i] - (c2 / beta[i]) * x[i + 1]
+        full = [mp.mpf(left)] + x + [mp.mpf(right)]
+        hh = mp.mpf(h)
+        d_left = (-25 * full[0] + 48 * full[1] - 36 * full[2]
+                  + 16 * full[3] - 3 * full[4]) / (12 * hh)
+        d_right = -(-25 * full[-1] + 48 * full[-2] - 36 * full[-3]
+                    + 16 * full[-4] - 3 * full[-5]) / (12 * hh)
+        return np.array([float(v) for v in full]), float(d_left), float(d_right)
+
+
+@settings(max_examples=25, deadline=None)
+@given(L=st.floats(0.2, 1.0), ratio=st.floats(3.2, 60.0),
+       left=st.floats(-2.0, 2.0), right=st.floats(-2.0, 2.0),
+       points_per_eps=st.integers(10, 60))
+@example(L=0.5, ratio=60.0, left=1.0, right=0.0, points_per_eps=60)
+@example(L=0.942, ratio=3.2, left=1.0, right=1.0, points_per_eps=10)
+def test_linearized_bvp_matches_mpmath_oracle(L, ratio, left, right, points_per_eps):
+    # the transmitted slope b is of order lambda/eps, far below the O(1)
+    # data, and must survive the float64 solve to the rounding floor
+    eps = L / ratio
+    arc = solve_dirichlet(L, eps, points_per_eps=points_per_eps)
+    h = arc.u.h
+    b = linearized_bvp(arc, 1.0, 0.0).d_right
+    assert abs(b / _mp_linearized(arc, 1.0, 0.0)[2] - 1.0) < 1e-10
+    # values and slopes: a float64 solve is accurate to about cond * 1.1e-16
+    # times the solution's size.  On the thin-layer side cond <= 4 * 60^2 /
+    # 1.5 < 1e4 (the gap is ~1.5); near the existence threshold the gap
+    # closes (0.07 at L/eps = 3.2), so the bounds grow with cond past 1e4
+    sol = linearized_bvp(arc, left, right)
+    vals, d_left, d_right = _mp_linearized(arc, left, right)
+    cond = (4.0 * (eps / h) ** 2 + 2.0) / dirichlet_gap(eps, L, points_per_eps)
+    scale = max(1.0, cond / 1e4) * max(1.0, float(np.max(np.abs(vals))))
+    assert np.max(np.abs(sol.u.values - vals)) < 1e-12 * scale
+    assert abs(sol.d_left - d_left) * h < 1e-14 * scale
+    assert abs(sol.d_right - d_right) * h < 1e-14 * scale
+
+
+def test_dtn_v_underflow_raises_domain_error():
+    # b ~ lambda/eps falls below the smallest normal float64 near L/eps = 505;
+    # a subnormal (L/eps = 520) or zero (L/eps = 700) v would give Q = 0 and
+    # a wrong Morse index
+    for ratio in (520.0, 700.0):
+        with pytest.raises(DomainError):
+            dtn_v(0.5 / ratio, 0.5, points_per_eps=10)
+
+
+def test_package_imports_without_mpmath():
+    # mpmath is a test-only dependency: the package and v(eps) run without it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys; sys.modules['mpmath'] = None; import becircle; "
+            "v = becircle.dtn_v(0.05, 0.5); assert v < 0, v")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_linearized_slope_orientation():

@@ -75,10 +75,20 @@ def test_usage_error_exit_code():
     assert main(["solve", "--L", "0.5", "--eps", "0.05", "--bogus-flag"]) == 1
 
 
-def test_flags_only_where_read():
-    # --tol belongs to solve and --T to profiles; elsewhere they are usage errors
+def test_flags_only_where_read(capsys):
+    # --tol belongs to solve, --T to profiles, --format to two-node-scan and
+    # lipschitz, and --grid-per-eps to every subcommand but profiles and
+    # cutoff-nd; elsewhere they are usage errors
     assert main(["be", "--nodes", "0,0.5", "--eps", "0.05", "--tol", "1e-3"]) == 1
     assert main(["solve", "--L", "0.5", "--eps", "0.05", "--T", "20"]) == 1
+    assert main(["solve", "--L", "0.5", "--eps", "0.05", "--format", "csv"]) == 1
+    assert main(["profiles", "--grid-per-eps", "10"]) == 1
+    assert main(["cutoff-nd", "--n", "2", "--k", "1e4", "--eps", "0.1",
+                 "--grid-per-eps", "10"]) == 1
+    capsys.readouterr()
+    assert main(["lipschitz", "--L", "0.5", "--eps", "0.05,0.1", "--format", "csv",
+                 "--grid-per-eps", "10"]) == 0
+    assert capsys.readouterr().out.startswith("eps,energy\n")
 
 
 def test_domain_error_exit_code(capsys):
