@@ -122,28 +122,27 @@ def linearized_bvp(arc, left_value, right_value):
     of order lambda/eps), so each one is read off the solve for udot minus
     that end's value: next to that end its values are small, and the
     five-point stencil cancels nothing.  The values returned are those of
-    the plain solve.
+    the plain solve.  The plain and the two shifted problems share one
+    matrix and are solved as the three columns of one right-hand side.
     """
     c2 = (arc.eps / arc.u.h) ** 2
     w2 = potential_d2(arc.u.values[1:-1])
     diag = -2.0 * c2 - w2
     off = np.full(arc.u.n - 1, c2)
 
-    def shifted(s):
-        rhs = w2 * s
-        rhs[0] -= c2 * (left_value - s)
-        rhs[-1] -= c2 * (right_value - s)
-        try:
-            x = solve_tridiagonal(diag, off, rhs)
-        except SingularJacobian as exc:
-            raise SingularSystem(f"linearized solve: {exc}") from exc
-        vals = np.concatenate(([left_value - s], x, [right_value - s]))
-        return GridFunction(a=arc.u.a, b=arc.u.b, n=arc.u.n, values=vals)
-
-    solves = {s: shifted(s) for s in {0.0, left_value, right_value}}
-    return LinearizedSolution(u=solves[0.0],
-                              d_left=stencil_slope(solves[left_value], "left"),
-                              d_right=stencil_slope(solves[right_value], "right"))
+    s = np.array([0.0, left_value, right_value])
+    rhs = np.outer(w2, s)
+    rhs[0] -= c2 * (left_value - s)
+    rhs[-1] -= c2 * (right_value - s)
+    try:
+        x = solve_tridiagonal(diag, off, rhs)
+    except SingularJacobian as exc:
+        raise SingularSystem(f"linearized solve: {exc}") from exc
+    vals = np.vstack((left_value - s, x, right_value - s))
+    plain, from_left, from_right = (
+        GridFunction(a=arc.u.a, b=arc.u.b, n=arc.u.n, values=vals[:, j]) for j in range(3))
+    return LinearizedSolution(u=plain, d_left=stencil_slope(from_left, "left"),
+                              d_right=stencil_slope(from_right, "right"))
 
 
 def _transmission(L, eps, points_per_eps=50):

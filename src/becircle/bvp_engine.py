@@ -147,10 +147,14 @@ def solve_tridiagonal(diag, offdiag, rhs):
 def newton_semilinear(grid, eps, bc, tol=1e-12, max_iter=100):
     """Damped Newton for  eps^2 u'' = W'(u)  with Dirichlet data bc.
 
-    Accepts the undamped step when the sup residual decreases, otherwise
-    halves it (at most 40 times).  The achievable residual is limited by
-    rounding at about machine_eps * (eps/h)^2; convergence is declared at
-    max(tol, that floor) once the iteration stagnates.
+    Accepts the undamped step when the residual 2-norm decreases, otherwise
+    halves it (at most 40 times), then tries Levenberg-damped steps.  The
+    achievable residual is limited by rounding at about
+    machine_eps * (eps/h)^2.  Below tol the iteration stops.  Below that
+    floor the residual is rounding noise and can no longer rank iterates, so
+    the undamped step just solved for is applied without a test and the
+    iteration stops: the error after it is O(|step|^2) (the error-based
+    termination of Deuflhard, Newton Methods for Nonlinear Problems, 2.1).
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -171,6 +175,10 @@ def newton_semilinear(grid, eps, bc, tol=1e-12, max_iter=100):
             break
         delta = solve_tridiagonal(-2.0 * c2 - potential_d2(u[1:-1]),
                                   np.full(grid.n - 1, c2), -r)
+        if rnorm <= floor:
+            # the residual is rounding noise: take the full step and stop
+            u[1:-1] += delta
+            break
         t = 1.0
         accepted = False
         for _ in range(40):
@@ -203,9 +211,6 @@ def newton_semilinear(grid, eps, bc, tol=1e-12, max_iter=100):
                     accepted = True
                     break
         if not accepted:
-            # stagnated at the rounding floor of the residual evaluation
-            if rnorm <= max(tol, floor):
-                break
             raise NonConvergence(
                 f"newton_semilinear stagnated at residual {rnorm:.3e}",
                 residual=rnorm, iterations=it,

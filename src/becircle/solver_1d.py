@@ -81,6 +81,11 @@ def solve_dirichlet(L, eps, points_per_eps=50, tol=1e-12, refine_values=False):
     combination of the base and halved grids (fourth-order accurate against
     the closed form); by default they are the raw base-grid Newton solution,
     which satisfies the discrete equation to the solver tolerance.
+
+    lam = W(max u) is resolved only up to L/eps of about 40: beyond, 1 - max u
+    falls to the ulp of 1 and lam is rounding noise (7e-5 relative error
+    against lambda_of_eps at L/eps = 40, 1e-2 at 50, 1e11 at 70).
+    first_variation, a difference of the arcs' lam, inherits that noise.
     """
     if eps >= existence_threshold(L):
         raise NoPositiveSolution(

@@ -124,6 +124,25 @@ def _mp_linearized(arc, left, right):
         return np.array([float(v) for v in full]), float(d_left), float(d_right)
 
 
+def test_linearized_bvp_one_factorisation(monkeypatch):
+    # the plain and shifted problems share one matrix: one banded solve
+    # takes them all as columns of one right-hand side
+    import becircle.balanced_energy as be
+    real = be.solve_tridiagonal
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2].shape)
+        return real(*args)
+
+    monkeypatch.setattr(be, "solve_tridiagonal", counted)
+    arc = solve_dirichlet(0.5, 0.05)
+    for data in ((1.0, 0.0), (0.3, -0.7)):
+        calls.clear()
+        linearized_bvp(arc, *data)
+        assert len(calls) == 1, data
+
+
 @settings(max_examples=25, deadline=None)
 @given(L=st.floats(0.2, 1.0), ratio=st.floats(3.2, 60.0),
        left=st.floats(-2.0, 2.0), right=st.floats(-2.0, 2.0),

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import becircle.bvp_engine as engine
+import becircle.solver_1d as solver
 from becircle import (DomainError, GridFunction, TridiagonalOperator,
                       cumulative_simpson, eig_sturm, heteroclinic,
-                      newton_semilinear, norm_h1_eps, simpson)
+                      newton_semilinear, norm_h1_eps, simpson, solve_dirichlet)
 from becircle.elliptic_oracle import ac_family_mod, modulus_for
 from becircle.scalar_field import potential_d1
 
@@ -113,6 +115,48 @@ def test_newton_quadratic_decay():
     for r0, r1 in zip(window, window[1:]):
         assert r1 < 50.0 * r0 ** 2   # quadratic contraction up to a constant
     assert min(hist) < 1e-11
+
+
+def test_newton_solves_per_call(monkeypatch):
+    # on the halved grid of a Richardson pair the rounding floor sits above
+    # tol; the iteration must end there with one full step, not keep
+    # line-searching among noise-level residuals
+    real_solve, real_newton = engine.solve_tridiagonal, solver.newton_semilinear
+    solves = []
+
+    def counted_solve(*args):
+        solves[-1] += 1
+        return real_solve(*args)
+
+    def counted_newton(*args, **kwargs):
+        solves.append(0)
+        return real_newton(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_tridiagonal", counted_solve)
+    monkeypatch.setattr(solver, "newton_semilinear", counted_newton)
+    for ratio in (10, 50, 100, 200):
+        solves.clear()
+        solve_dirichlet(0.5, 0.5 / ratio)
+        assert len(solves) == 2 and max(solves) <= 3, (ratio, solves)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ratio=st.floats(3.2, 500.0), points_per_eps=st.sampled_from([10, 50, 100]),
+       halved=st.booleans())
+@example(ratio=500.0, points_per_eps=100, halved=True)
+@example(ratio=3.2, points_per_eps=10, halved=False)
+def test_newton_ends_at_floor_on_a_fixed_point(ratio, points_per_eps, halved):
+    L, tol = 0.5, 1e-12
+    eps = L / ratio
+    m = solver._intervals_for(L, eps, points_per_eps) * (2 if halved else 1)
+    out = solver._solve_at(L, eps, m, tol, modulus_for(eps, L))
+    v = out.values
+    c2 = (eps / out.h) ** 2
+    res = c2 * (v[2:] - 2 * v[1:-1] + v[:-2]) - potential_d1(v[1:-1])
+    floor = 16.0 * np.finfo(float).eps * c2 * max(1.0, float(np.max(np.abs(v))))
+    assert np.max(np.abs(res)) <= max(tol, floor)
+    again = newton_semilinear(out, eps, (0.0, 0.0), tol=tol)
+    assert np.max(np.abs(again.values - v)) <= 1e-12
 
 
 def test_eig_dirichlet_laplacian():

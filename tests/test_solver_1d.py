@@ -66,6 +66,15 @@ def test_solve_dirichlet_lambda_and_slope():
     assert sol.slope_left == c
 
 
+@pytest.mark.parametrize("ratio", [3.2, 5.0, 10.0, 20.0, 30.0])
+def test_solve_dirichlet_lambda_resolved(ratio):
+    # lam = W(max u) is resolved while 1 - max u stays well above the ulp of
+    # 1; past L/eps of about 40 it is rounding noise (see solve_dirichlet)
+    eps = 0.5 / ratio
+    lam = solve_dirichlet(0.5, eps).lam
+    assert abs(lam / lambda_of_eps(eps, 0.5).lam - 1.0) < 1e-6
+
+
 def test_energy_small_eps_limit():
     # one full transition split across two half-transitions: 2 sigma0-per-side
     e = solve_dirichlet(0.5, 0.005).energy
