@@ -20,9 +20,10 @@ from .profiles import (ProfileConstants, ProfileFunction, kappa_lambda,
                        profile_tau_geom, profile_tau_lambda, profile_w,
                        solve_profile)
 from .solver_1d import (DirichletSolution, LipschitzScan, NodalSolution,
-                        arc_energy, existence_threshold, lipschitz_scan,
-                        min_energy, nodal_solution, periodic_residual,
-                        solve_dirichlet, stencil_slope)
+                        arc_energy, dirichlet_pair, existence_threshold,
+                        intervals_for, lipschitz_scan, min_energy,
+                        nodal_solution, periodic_residual, solve_dirichlet,
+                        stencil_slope)
 from .balanced_energy import (BrokenTransition, HessianReport,
                               LinearizedSolution, NodeConfig, ac_spectrum,
                               broken_transition, circle_operator, dirichlet_gap,

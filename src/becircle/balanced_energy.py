@@ -11,17 +11,16 @@ Orientation and sign conventions are calibrated once against centered finite
 differences of the energy itself (the criterion the spec pins).
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bvp_engine import (GridFunction, SpectrumReport, TridiagonalOperator, eig_sturm,
                          solve_tridiagonal)
-from .elliptic_oracle import modulus_for
 from .errors import (ArcTooShort, DomainError, NotCritical, SingularJacobian,
                      SingularSystem)
 from .scalar_field import potential_d2
-from .solver_1d import (_intervals_for, _solve_at, arc_energy, existence_threshold,
+from .solver_1d import (dirichlet_pair, existence_threshold, intervals_for,
                         solve_dirichlet, stencil_slope)
 
 SQRT2 = math.sqrt(2.0)
@@ -145,8 +144,9 @@ def linearized_bvp(arc, left_value, right_value):
                               d_right=stencil_slope(from_right, "right"))
 
 
-def _transmission(L, eps, points_per_eps=50):
-    """Transmitted far-end slope b of the data-(1, 0) solve, h^2-Richardson paired.
+def _transmission(arc):
+    """Transmitted far-end slope b of the data-(1, 0) solve on a solved arc,
+    h^2-Richardson paired over the arc's own grids u and u_half.
 
     The continuum translation identity forces the near-end slope a = -b; the
     near-end extraction carries the discrete defect a + b, while b converges
@@ -156,13 +156,12 @@ def _transmission(L, eps, points_per_eps=50):
     zero or a subnormal on as v or Q.
     """
     vals = []
-    for ppe in (points_per_eps, 2 * points_per_eps):
-        arc = solve_dirichlet(L, eps, points_per_eps=ppe)
-        b = linearized_bvp(arc, 1.0, 0.0).d_right
+    for sol in (arc, replace(arc, u=arc.u_half)):
+        b = linearized_bvp(sol, 1.0, 0.0).d_right
         if not abs(b) >= np.finfo(float).tiny:
             raise DomainError(
-                f"transmission {b:.3g} at L/eps = {L / eps:.6g} is not a normal "
-                "float64 (underflow)"
+                f"transmission {b:.3g} at L/eps = {arc.L / arc.eps:.6g} is not a "
+                "normal float64 (underflow)"
             )
         vals.append(b)
     return (4.0 * vals[1] - vals[0]) / 3.0
@@ -177,7 +176,7 @@ def dtn_v(eps, L, points_per_eps=50):
     """
     if eps >= existence_threshold(L):
         raise DomainError(f"eps={eps} not admissible for arc length {L}")
-    return _transmission(L, eps, points_per_eps)
+    return _transmission(solve_dirichlet(L, eps, points_per_eps))
 
 
 def hessian(config, eps, points_per_eps=100, crit_tol=1e-7):
@@ -188,33 +187,25 @@ def hessian(config, eps, points_per_eps=100, crit_tol=1e-7):
     finite-difference Hessian of the energy (the acceptance cross-check).
     """
     m = config.m
-    bt = broken_transition(config, eps)
-    for j in range(m):
-        basis = np.zeros(m)
-        basis[j] = 1.0
-        fv = first_variation(config, eps, basis, transition=bt)
-        if abs(fv) > crit_tol:
-            raise NotCritical(
-                f"|dBE/dq_{j}| = {abs(fv):.3e} exceeds the criticality tolerance {crit_tol}"
-            )
-    lengths = config.arc_lengths()
+    bt = broken_transition(config, eps, points_per_eps)
+    lam = np.array([p.lam for p in bt.pieces])
+    worst = float(np.max(np.abs(np.roll(lam, 1) - lam))) / eps  # max_j |dBE/dq_j|
+    if worst > crit_tol:
+        raise NotCritical(
+            f"max |dBE/dq_j| = {worst:.3e} exceeds the criticality tolerance {crit_tol}"
+        )
     c = bt.pieces[0].slope_left
 
-    # One transmission b per distinct arc length.  The translation identity
-    # forces a = -b exactly (unit antisymmetric data reproduce u_x / c, whose
-    # endpoint second derivatives vanish), and the near-end extraction of a
-    # carries a pure discretization defect, so the far-end b is the one
-    # measured quantity: a := -b.  This pins the rotation mode of Q at
-    # exactly zero.
-    transmissions = {}
-    for ell in lengths:
-        key = round(ell, 14)
-        if key not in transmissions:
-            transmissions[key] = _transmission(ell, eps, points_per_eps)
+    # One transmission b per arc, from the arc's own Richardson pair.  The
+    # translation identity forces a = -b exactly (unit antisymmetric data
+    # reproduce u_x / c, whose endpoint second derivatives vanish), and the
+    # near-end extraction of a carries a pure discretization defect, so the
+    # far-end b is the one measured quantity: a := -b.  This pins the
+    # rotation mode of Q at exactly zero.
+    transmissions = [_transmission(piece) for piece in bt.pieces]
 
     Q = np.zeros((m, m))
-    for i, ell in enumerate(lengths):
-        b = transmissions[round(ell, 14)]
+    for i, b in enumerate(transmissions):
         a = -b
         j = (i + 1) % m
         # arc contribution -eps c [f_i udot_x(left) + f_j udot_x(right)]
@@ -232,7 +223,7 @@ def hessian(config, eps, points_per_eps=100, crit_tol=1e-7):
     spectrum = SpectrumReport(eigenvalues=evals, zero_threshold=tau,
                               n_negative=n_neg, n_zero=n_zero,
                               n_positive=m - n_neg - n_zero)
-    return HessianReport(Q=Q, c=c, v=transmissions[round(lengths[0], 14)],
+    return HessianReport(Q=Q, c=c, v=transmissions[0],
                          spectrum=spectrum, index=n_neg, nullity=n_zero)
 
 
@@ -256,11 +247,7 @@ def _pinned_be(config, eps, f, t, points_per_eps):
     for ell0, ell in zip(base_lengths, lengths):
         if ell <= math.pi * eps:
             raise ArcTooShort(f"perturbed arc length {ell:.6g} inadmissible")
-        m = _intervals_for(ell0, eps, points_per_eps)
-        mod = modulus_for(eps, ell)
-        e1 = arc_energy(_solve_at(ell, eps, m, 1e-12, mod), eps)
-        e2 = arc_energy(_solve_at(ell, eps, 2 * m, 1e-12, mod), eps)
-        total += (4.0 * e2 - e1) / 3.0
+        total += dirichlet_pair(ell, eps, intervals_for(ell0, eps, points_per_eps)).energy
     return total
 
 

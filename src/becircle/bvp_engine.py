@@ -148,8 +148,8 @@ def newton_semilinear(grid, eps, bc, tol=1e-12, max_iter=100):
     """Damped Newton for  eps^2 u'' = W'(u)  with Dirichlet data bc.
 
     Accepts the undamped step when the residual 2-norm decreases, otherwise
-    halves it (at most 40 times), then tries Levenberg-damped steps.  The
-    achievable residual is limited by rounding at about
+    halves it (at most 40 times); when no halving descends it raises
+    NonConvergence.  The achievable residual is limited by rounding at about
     machine_eps * (eps/h)^2.  Below tol the iteration stops.  Below that
     floor the residual is rounding noise and can no longer rank iterates, so
     the undamped step just solved for is applied without a test and the
@@ -180,7 +180,6 @@ def newton_semilinear(grid, eps, bc, tol=1e-12, max_iter=100):
             u[1:-1] += delta
             break
         t = 1.0
-        accepted = False
         for _ in range(40):
             trial = u.copy()
             trial[1:-1] = u[1:-1] + t * delta
@@ -190,27 +189,9 @@ def newton_semilinear(grid, eps, bc, tol=1e-12, max_iter=100):
             if rt2 < r2:
                 u, r, r2 = trial, rt, rt2
                 rnorm = float(np.max(np.abs(rt)))
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            # Levenberg-style rescue: damp the Jacobian diagonal until the
-            # step descends (widens the basin for rough initial guesses
-            # without moving the fixed point)
-            for mu in (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0):
-                delta = solve_tridiagonal(
-                    -2.0 * c2 - potential_d2(u[1:-1]) - mu,
-                    np.full(grid.n - 1, c2), -r)
-                trial = u.copy()
-                trial[1:-1] = u[1:-1] + delta
-                rt = residual(trial)
-                rt2 = float(np.linalg.norm(rt))
-                if rt2 < r2:
-                    u, r, r2 = trial, rt, rt2
-                    rnorm = float(np.max(np.abs(rt)))
-                    accepted = True
-                    break
-        if not accepted:
+        else:
             raise NonConvergence(
                 f"newton_semilinear stagnated at residual {rnorm:.3e}",
                 residual=rnorm, iterations=it,
@@ -292,7 +273,10 @@ def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
     eigenvalues, which bracket the full matrix's by interlacing; inside each
     bracket the sign of the bordered Schur complement, one banded solve per
     bisection shift, decides the count.  Periodic operators of dimension
-    below 64 are solved dense.  The zero threshold defaults to 1e-8 times the
+    below 64 are solved dense, because at n = 2 the corner and the
+    off-diagonal are one matrix entry and the bordering drops the corner
+    (eigenvalues (1, 3) for an operator whose spectrum is (0, 4)).  The zero
+    threshold defaults to 1e-8 times the
     largest returned magnitude.
     """
     n = op.dim

@@ -7,7 +7,7 @@ amplitude errors sit exactly at the exponentially small energy scales the
 experiments difference against, and the pairing removes them.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ class DirichletSolution:
     L: float
     eps: float
     u: GridFunction
+    u_half: GridFunction     # raw Newton solution on the pair's 2m-interval grid
     lam: float
     slope_left: float
     slope_right: float
@@ -46,7 +47,8 @@ class NodalSolution:
     c: float                 # |u_x| at any node
 
 
-def _intervals_for(L, eps, points_per_eps):
+def intervals_for(L, eps, points_per_eps):
+    """Even interval count for [0, L] at points_per_eps grid points per eps."""
     m = int(round(L / min(eps / points_per_eps, L / 400.0)))
     m = max(m, 8)
     return m + (m % 2)  # even interval count keeps the Simpson point count odd
@@ -71,16 +73,36 @@ def _solve_at(L, eps, m, tol, mod):
     return newton_semilinear(guess, eps, (0.0, 0.0), tol=tol)
 
 
+def dirichlet_pair(L, eps, m, tol=1e-12):
+    """Newton on m and 2m intervals of [0, L], started from the closed form.
+
+    u is the raw m-interval solution and u_half the raw 2m-interval one;
+    lam, the slopes and the energy are their Richardson combination.
+    """
+    mod = modulus_for(eps, L)
+    sol, sol2 = (_solve_at(L, eps, k, tol, mod) for k in (m, 2 * m))
+    lam_pair = [potential(float(np.max(s.values))) for s in (sol, sol2)]
+    lam = (4.0 * lam_pair[1] - lam_pair[0]) / 3.0
+    e_pair = [arc_energy(s, eps) for s in (sol, sol2)]
+    energy = (4.0 * e_pair[1] - e_pair[0]) / 3.0
+    c = math.sqrt(max(0.0, 2.0 * (potential(0.0) - lam))) / eps
+    return DirichletSolution(L=L, eps=eps, u=sol, u_half=sol2, lam=lam,
+                             slope_left=c, slope_right=-c, energy=energy)
+
+
 def solve_dirichlet(L, eps, points_per_eps=50, tol=1e-12, refine_values=False):
     """The unique positive solution of eps^2 u'' = W'(u), u(0) = u(L) = 0.
 
     Raises NoPositiveSolution at or above the existence threshold (there the
     minimizer is u = 0, which is not admitted as a broken-transition piece).
 
-    With refine_values the returned grid values are the pointwise Richardson
-    combination of the base and halved grids (fourth-order accurate against
-    the closed form); by default they are the raw base-grid Newton solution,
-    which satisfies the discrete equation to the solver tolerance.
+    The arc is solved once on each grid of its Richardson pair (see
+    dirichlet_pair), m = intervals_for(L, eps, points_per_eps) and 2m, and
+    both grids are returned: u on m intervals and u_half on 2m.  With
+    refine_values u holds the pointwise Richardson combination of the two
+    (fourth-order accurate against the closed form); by default it is the
+    raw base-grid Newton solution, which satisfies the discrete equation to
+    the solver tolerance.
 
     lam = W(max u) is resolved only up to L/eps of about 40: beyond, 1 - max u
     falls to the ulp of 1 and lam is rounding noise (7e-5 relative error
@@ -91,24 +113,11 @@ def solve_dirichlet(L, eps, points_per_eps=50, tol=1e-12, refine_values=False):
         raise NoPositiveSolution(
             f"eps={eps} >= L/pi = {existence_threshold(L):.6g}: only u = 0 remains"
         )
-    m = _intervals_for(L, eps, points_per_eps)
-    mod = modulus_for(eps, L)
-    sol = _solve_at(L, eps, m, tol, mod)
-    sol2 = _solve_at(L, eps, 2 * m, tol, mod)
-
-    lam_pair = [potential(float(np.max(s.values))) for s in (sol, sol2)]
-    lam = (4.0 * lam_pair[1] - lam_pair[0]) / 3.0
-    e_pair = [arc_energy(s, eps) for s in (sol, sol2)]
-    energy = (4.0 * e_pair[1] - e_pair[0]) / 3.0
-
-    u = sol
+    sol = dirichlet_pair(L, eps, intervals_for(L, eps, points_per_eps), tol)
     if refine_values:
-        refined = (4.0 * sol2.values[::2] - sol.values) / 3.0
-        u = GridFunction(a=0.0, b=L, n=m - 1, values=refined)
-
-    c = math.sqrt(max(0.0, 2.0 * (potential(0.0) - lam))) / eps
-    return DirichletSolution(L=L, eps=eps, u=u, lam=lam,
-                             slope_left=c, slope_right=-c, energy=energy)
+        refined = (4.0 * sol.u_half.values[::2] - sol.u.values) / 3.0
+        sol = replace(sol, u=replace(sol.u, values=refined))
+    return sol
 
 
 def stencil_slope(u, side="left"):

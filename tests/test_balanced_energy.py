@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import becircle.solver_1d as solver
 from becircle import (ArcTooShort, DomainError, NodeConfig, NotCritical,
                       ac_spectrum, broken_transition, circle_operator,
                       dirichlet_gap, dtn_v, fd_first_variation,
@@ -177,6 +178,37 @@ def test_dtn_v_underflow_raises_domain_error():
     for ratio in (520.0, 700.0):
         with pytest.raises(DomainError):
             dtn_v(0.5 / ratio, 0.5, points_per_eps=10)
+
+
+def test_one_richardson_pair_per_arc(monkeypatch):
+    # the transmissions read the grids m and 2m that solve_dirichlet already
+    # solved: two Newton calls per arc, none more
+    real_newton, calls = solver.newton_semilinear, []
+
+    def counted_newton(*args, **kwargs):
+        calls.append(args[0].n)
+        return real_newton(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_semilinear", counted_newton)
+    for p in (1, 2, 3):
+        calls.clear()
+        hessian(NodeConfig(np.arange(2 * p) / (2.0 * p)), 0.02)
+        assert len(calls) == 2 * (2 * p), (p, calls)
+    for ratio in (10, 12.9, 30):
+        calls.clear()
+        dtn_v(0.5 / ratio, 0.5)
+        assert len(calls) == 2, (ratio, calls)
+
+
+@pytest.mark.parametrize("ratio", [10, 12.9, 17.3, 21.1, 23.7, 26.3, 30])
+def test_dtn_v_richardson_pair_is_fourth_order(ratio):
+    # the extrapolation removes the h^2 term only when the finer grid has
+    # exactly twice the intervals: counts rounded separately at
+    # points_per_eps and 2 points_per_eps are not in that ratio at
+    # L/eps = 12.9-26.3, and there leave about 5e-7 of second-order error
+    eps = 0.5 / ratio
+    ref = dtn_v(eps, 0.5, points_per_eps=800)
+    assert abs(dtn_v(eps, 0.5) / ref - 1.0) < 2e-7
 
 
 def test_package_imports_without_mpmath():

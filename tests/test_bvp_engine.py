@@ -148,7 +148,7 @@ def test_newton_solves_per_call(monkeypatch):
 def test_newton_ends_at_floor_on_a_fixed_point(ratio, points_per_eps, halved):
     L, tol = 0.5, 1e-12
     eps = L / ratio
-    m = solver._intervals_for(L, eps, points_per_eps) * (2 if halved else 1)
+    m = solver.intervals_for(L, eps, points_per_eps) * (2 if halved else 1)
     out = solver._solve_at(L, eps, m, tol, modulus_for(eps, L))
     v = out.values
     c2 = (eps / out.h) ** 2
