@@ -1,8 +1,11 @@
 """Generic numerical machinery: grids, quadrature, damped Newton for the
 semilinear two-point problem, tridiagonal solves, and a symmetric-tridiagonal
-eigensolver based on Sturm-sequence bisection in LAPACK (stebz), with
-bordered Schur-complement counting for the corner-coupled periodic case and
-a dense fallback below dimension 64.
+eigensolver.  Dirichlet operators are bisected on Sturm counts by LAPACK
+(stebz).  A corner-coupled periodic operator is bordered: stebz brackets its
+eigenvalues by interlacing with the leading block's, and inside each bracket
+a safeguarded Newton iteration finds the zero of the scalar Schur
+complement, whose sign is the inertia count.  Periodic operators below
+dimension 64 are solved dense.
 """
 import math
 from dataclasses import dataclass
@@ -120,9 +123,9 @@ def cumulative_simpson(values, h):
     npair = (n - 1) // 2
     pair = (h / 3.0) * (v[0:2 * npair:2] + 4.0 * v[1:2 * npair:2] + v[2:2 * npair + 2:2])
     out[2:2 * npair + 2:2] = np.cumsum(pair)
-    j = np.arange(1, n, 2)
-    j_in = j[j + 1 <= n - 1]
-    out[j_in] = out[j_in - 1] + (h / 12.0) * (5.0 * v[j_in - 1] + 8.0 * v[j_in] - v[j_in + 1])
+    k = 2 * npair  # odd indices below k have both neighbours
+    out[1:k:2] = out[0:k - 1:2] + (h / 12.0) * (5.0 * v[0:k - 1:2] + 8.0 * v[1:k:2]
+                                               - v[2:k + 1:2])
     if n % 2 == 0:  # last index is odd: backward panel
         out[-1] = out[-2] + (h / 12.0) * (-v[-3] + 8.0 * v[-2] + 5.0 * v[-1])
     return out
@@ -229,24 +232,26 @@ def _count_at_most(diag, offdiag, x, bounds):
     return len(_stebz(diag, offdiag, "v", (floor, x), hi - floor))
 
 
-def _count_below_periodic(op, shifts, block_counts):
-    """Eigenvalue counting for the corner-coupled matrix by bordering.
+def _bordered_schur(op):
+    """Scalar Schur complement of a periodic operator's last row and column.
 
-    Inertia additivity: count(A - xI) equals the count of the leading (n-1)
-    block, given in block_counts for each shift, plus one when the scalar
-    Schur complement of the last row/column is negative.
+    Returns the function x -> (s(x), |y|^2), where y = (B - xI)^{-1} w solves
+    the leading (n-1) block B bordered by w (the corner and the last
+    off-diagonal) and s(x) = (d_n - x) - w.y.  One banded solve gives both;
+    s'(x) = -1 - |y|^2, so s decreases strictly between the poles at B's
+    eigenvalues.  A singular pivot is retried at a shift a few ulps away.
     """
-    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     n = op.dim
-    d, e, c = op.diag, op.offdiag, op.corner
-    counts = np.array(block_counts, dtype=int)
+    d, e = op.diag, op.offdiag
     w = np.zeros(n - 1)
-    w[0] = c
+    w[0] = op.corner
     w[-1] = e[-1]
     ab = np.zeros((3, n - 1))
     ab[0, 1:] = e[:-1]
     ab[2, :-1] = e[:-1]
-    for j, x in enumerate(shifts):
+    dmax = np.abs(d).max()
+
+    def schur(x):
         xs = x
         for attempt in range(4):
             ab[1] = d[:-1] - xs
@@ -255,29 +260,77 @@ def _count_below_periodic(op, shifts, block_counts):
             except np.linalg.LinAlgError:
                 y = None
             if y is not None and np.all(np.isfinite(y)):
-                break
-            xs = x + (attempt + 1) * 64.0 * _EPS_MACH * (abs(x) + np.abs(d).max())
+                return (d[-1] - xs) - w @ y, y @ y
+            xs = x + (attempt + 1) * 64.0 * _EPS_MACH * (abs(x) + dmax)
+        raise SingularJacobian("periodic Sturm counting failed near a pivot")
+
+    return schur
+
+
+def _count_below_periodic(schur, shifts, block_counts):
+    """Eigenvalue counts of the corner-coupled matrix by bordering.
+
+    Inertia additivity: count(A - xI) equals the count of the leading (n-1)
+    block, given in block_counts for each shift, plus one when the scalar
+    Schur complement of the last row/column is negative.
+    """
+    return [k + int(schur(x)[0] < 0) for x, k in zip(shifts, block_counts)]
+
+
+def _schur_root(schur, lo, hi, tol, margin):
+    """The zero of the bordered Schur complement s in the bracket (lo, hi).
+
+    Safeguarded Newton.  Every evaluation moves one end of the bracket by the
+    sign of s, which is the inertia count.  The next iterate is the Newton
+    point, except when it steps away from the nearer bracket end: there the
+    pole dominates, and the step goes to the zero of the one-pole model
+    a + b/(pole - x) that matches s and s'.  Either step is pushed tol/4
+    further, so that once the iteration has converged it lands beyond the
+    zero and the bracket closes from both sides.  The iterate is kept
+    `margin` away from the original ends, where the float64 pole of s need
+    not sit on the stebz eigenvalue and the sign of s is not the count.  The
+    midpoint replaces a point outside the bracket, and any point once eight
+    evaluations have not halved the bracket, so the loop always ends.  It
+    ends when the bracket is at most tol wide, as plain bisection would.
+    """
+    lo0, hi0 = lo, hi
+    x = 0.5 * (lo + hi)
+    halved_at, stale = hi - lo, 0
+    while hi - lo > tol:
+        s, yy = schur(x)
+        if s < 0:
+            hi = x
         else:
-            raise SingularJacobian("periodic Sturm counting failed near a pivot")
-        schur = (d[-1] - xs) - w @ y
-        if schur < 0:
-            counts[j] += 1
-    return counts
+            lo = x
+        stale += 1
+        if hi - lo <= 0.5 * halved_at:
+            halved_at, stale = hi - lo, 0
+        step = abs(s) / (1.0 + yy)
+        near_hi = hi0 - x <= x - lo0
+        t = hi0 - x if near_hi else x - lo0
+        if (s < 0) == near_hi and step < t:   # stepping away from the nearer end
+            step *= t / (t - step)
+        x += math.copysign(step + 0.25 * tol, s)
+        x = min(max(x, lo0 + margin), hi0 - margin)
+        if stale >= 8 or not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
 
 
 def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
-    """Lowest eigenvalues by Sturm bisection, with exact global sign counts.
+    """Lowest eigenvalues to tol, with exact global sign counts.
 
-    The bisection is LAPACK's stebz.  A Dirichlet operator is handed to it
-    whole.  For a periodic operator, stebz gives the leading (n-1) block's
-    eigenvalues, which bracket the full matrix's by interlacing; inside each
-    bracket the sign of the bordered Schur complement, one banded solve per
-    bisection shift, decides the count.  Periodic operators of dimension
+    A Dirichlet operator is handed whole to LAPACK's Sturm bisection, stebz.
+    For a periodic operator, stebz gives the leading (n-1) block's
+    eigenvalues, which bracket the full matrix's by interlacing.  Inside each
+    bracket the eigenvalue is the zero of the bordered Schur complement s,
+    found by safeguarded Newton (`_schur_root`): one banded solve gives s and
+    s', and the sign of s, the inertia count, moves one end of the bracket,
+    until the bracket is at most tol wide.  Periodic operators of dimension
     below 64 are solved dense, because at n = 2 the corner and the
     off-diagonal are one matrix entry and the bordering drops the corner
     (eigenvalues (1, 3) for an operator whose spectrum is (0, 4)).  The zero
-    threshold defaults to 1e-8 times the
-    largest returned magnitude.
+    threshold defaults to 1e-8 times the largest returned magnitude.
     """
     n = op.dim
     if how_many > n:
@@ -312,20 +365,19 @@ def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
         block_low = _stebz(td, te, "i", (0, min(how_many, n - 1) - 1), tol / 8.0)
         los = np.concatenate(([bounds[0]], block_low))[:how_many]
         his = np.concatenate((block_low, [bounds[1]]))[:how_many]
-        targets = np.arange(1, how_many + 1)
-        while np.max(his - los) > tol:
-            mids = 0.5 * (los + his)
-            above = _count_below_periodic(op, mids, targets - 1) >= targets
-            his = np.where(above, mids, his)
-            los = np.where(above, los, mids)
-        evals = 0.5 * (los + his)
+        # the float64 pole of s lies within tol/8 and a few ulps of the
+        # operator's norm of the stebz value; next to it, s has either sign
+        margin = tol / 8.0 + 2.0 * _EPS_MACH * max(-bounds[0], bounds[1])
+        schur = _bordered_schur(op)
+        evals = np.array([_schur_root(schur, lo, hi, tol, margin)
+                          for lo, hi in zip(los, his)])
     else:
         evals = _stebz(td, te, "i", (0, how_many - 1), tol)
 
     tau = zero_threshold if zero_threshold is not None else 1e-8 * np.max(np.abs(evals))
     below = [_count_at_most(td, te, x, bounds) for x in (-tau, tau)]
     if periodic:
-        below = _count_below_periodic(op, [-tau, tau], below)
+        below = _count_below_periodic(schur, [-tau, tau], below)
     below_neg, below_pos = below
     return SpectrumReport(eigenvalues=evals, zero_threshold=tau,
                           n_negative=int(below_neg), n_zero=int(below_pos - below_neg),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import becircle.bvp_engine as engine
 import becircle.solver_1d as solver
 from becircle import (ArcTooShort, DomainError, NodeConfig, NotCritical,
                       ac_spectrum, broken_transition, circle_operator,
@@ -309,6 +310,48 @@ def test_ac_spectrum_matches_morse_index():
         assert rep.n_zero == 1
         # everything else strictly positive
         assert rep.n_positive == (len(sol.u.values) - 1) - 2 * p
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_ac_spectrum_solves_per_eigenvalue(monkeypatch, p):
+    # each periodic eigenvalue is a safeguarded Newton root of the bordered
+    # Schur complement, one banded solve per iterate; the counts at +-tau
+    # take one solve each.  Bisecting every bracket to tol takes about 41.
+    real_solve = engine.solve_banded
+    solves = []
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_banded", counted_solve)
+    for ratio in (9, 17):
+        sol = nodal_solution(p, 1.0 / (2 * p * ratio))
+        how_many = 2 * p + 3
+        solves.clear()
+        ac_spectrum(sol, how_many)
+        assert len(solves) <= 15 * how_many + 2, (ratio, len(solves))
+
+
+@pytest.mark.parametrize("p, ratio, points_per_eps",
+                         [(1, 9, 20), (1, 13, 20), (2, 9, 20), (2, 13, 20),
+                          (3, 9, 20), (3, 13, 20), (1, 19, 50)])
+def test_ac_spectrum_matches_dense(p, ratio, points_per_eps):
+    # the dihedral operator has paired eigenvalues that sit on the ends of
+    # their interlacing brackets.  At p = 1, arc/eps 19 the Newton point from
+    # the far side of the lowest eigenvalue lands within rounding of the
+    # block eigenvalue that bounds it, where the sign of the Schur complement
+    # is not the count.  Dense eigvalsh shares nothing with the bordering and
+    # is good to a few ulps of the norm.
+    sol = nodal_solution(p, 1.0 / (2 * p * ratio), points_per_eps=points_per_eps)
+    tol = 1e-12
+    rep = ac_spectrum(sol, 2 * p + 3, tol=tol)
+    dense = np.linalg.eigvalsh(circle_operator(sol).dense())
+    rounding = 16.0 * np.finfo(float).eps * np.max(np.abs(dense))
+    assert np.max(np.abs(rep.eigenvalues - dense[:2 * p + 3])) <= tol + rounding
+    tau = rep.zero_threshold
+    counts = (int(np.sum(dense < -tau)), int(np.sum(np.abs(dense) <= tau)))
+    assert (rep.n_negative, rep.n_zero) == counts == (2 * p - 1, 1)
 
 
 def test_translation_mode_rayleigh_quotient():

@@ -43,6 +43,32 @@ def test_cumulative_simpson_matches_simpson():
     assert np.max(np.abs(cum - exact)) < 1e-11
 
 
+def _cumulative_simpson_gather(values, h):
+    """The index-array form of cumulative_simpson, kept as its oracle."""
+    v = np.asarray(values, dtype=float)
+    n = v.shape[0]
+    out = np.zeros(n)
+    npair = (n - 1) // 2
+    pair = (h / 3.0) * (v[0:2 * npair:2] + 4.0 * v[1:2 * npair:2] + v[2:2 * npair + 2:2])
+    out[2:2 * npair + 2:2] = np.cumsum(pair)
+    j = np.arange(1, n, 2)
+    j_in = j[j + 1 <= n - 1]
+    out[j_in] = out[j_in - 1] + (h / 12.0) * (5.0 * v[j_in - 1] + 8.0 * v[j_in] - v[j_in + 1])
+    if n % 2 == 0:
+        out[-1] = out[-2] + (h / 12.0) * (-v[-3] + 8.0 * v[-2] + 5.0 * v[-1])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 200), seed=st.integers(0, 2**32 - 1), h=st.floats(1e-4, 1.0))
+@example(n=40001, seed=0, h=1e-4)
+@example(n=40002, seed=1, h=1e-4)
+def test_cumulative_simpson_matches_gather_form(n, seed, h):
+    # the strided slices do the same arithmetic in the same order as the gathers
+    v = np.random.default_rng(seed).standard_normal(n)
+    assert np.array_equal(cumulative_simpson(v, h), _cumulative_simpson_gather(v, h))
+
+
 def _grid(a, b, n, fun):
     x = np.linspace(a, b, n + 2)
     return GridFunction(a=a, b=b, n=n, values=fun(x))
@@ -261,11 +287,13 @@ def _oracle_eig(op, how_many, tol, tau):
 @example(n=66, periodic=True, laplacian=True, seed=0, how_many=34, tol=1e-10)
 @example(n=64, periodic=True, laplacian=False, seed=1, how_many=6, tol=1e-12)
 @example(n=2, periodic=True, laplacian=False, seed=2, how_many=2, tol=1e-10)
+@example(n=512, periodic=True, laplacian=True, seed=0, how_many=9, tol=1e-12)
 def test_eig_sturm_matches_oracle(n, periodic, laplacian, seed, how_many, tol):
     # the periodic Laplacian has a simple zero and double eigenvalues
-    # 2 - 2 cos(2 pi k / n); at n = 66 a bisection midpoint falls exactly on
-    # the leading block's eigenvalue 2, between the 33rd and 34th of the
-    # full matrix.  Random operators cover both signs of the spectrum.
+    # 2 - 2 cos(2 pi k / n), each on an end of its interlacing bracket; at
+    # n = 66 a bisection midpoint falls exactly on the leading block's
+    # eigenvalue 2, between the 33rd and 34th of the full matrix.  Random
+    # operators cover both signs of the spectrum.
     rng = np.random.default_rng(seed)
     if laplacian:
         diag, off, corner = np.full(n, 2.0), np.full(n - 1, -1.0), -1.0
