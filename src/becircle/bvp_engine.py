@@ -1,11 +1,11 @@
 """Generic numerical machinery: grids, quadrature, damped Newton for the
 semilinear two-point problem, tridiagonal solves, and a symmetric-tridiagonal
-eigensolver.  Dirichlet operators are bisected on Sturm counts by LAPACK
-(stebz).  A corner-coupled periodic operator is bordered: stebz brackets its
-eigenvalues by interlacing with the leading block's, and inside each bracket
-a safeguarded Newton iteration finds the zero of the scalar Schur
-complement, whose sign is the inertia count.  Periodic operators below
-dimension 64 are solved dense.
+eigensolver.  Every eigenproblem is bisected on Sturm counts by LAPACK
+(stebz).  A corner-coupled periodic operator with the mirror symmetry
+j -> n - j (even n >= 4) splits into two plain tridiagonal operators, its
+odd and even sectors, which stebz solves like Dirichlet ones; an operator
+whose mirror mismatch could move an eigenvalue by more than tol/8 and
+rounding (Weyl's bound) is rejected.
 """
 import math
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .errors import DomainError, NonConvergence, SingularJacobian
-from .scalar_field import potential_d1, potential_d2
+from .scalar_field import SQRT2, potential_d1, potential_d2
 
 _EPS_MACH = np.finfo(float).eps
 
@@ -218,167 +218,78 @@ def _stebz(diag, offdiag, select, select_range, tol):
         raise NonConvergence(f"stebz bisection failed: {exc}") from exc
 
 
-def _count_at_most(diag, offdiag, x, bounds):
-    """Number of eigenvalues at or below x, given Gershgorin bounds (lo, hi).
+def _count_at_most(diag, offdiag, x):
+    """Number of eigenvalues at or below x.
 
     stebz takes the count from the Sturm counts at the ends of the interval;
-    a tolerance as wide as the spectrum stops it from refining the
-    eigenvalues inside, which would cost a bisection per eigenvalue.
+    a tolerance as wide as the spectrum (the Gershgorin bounds) stops it from
+    refining the eigenvalues inside, which would cost a bisection per
+    eigenvalue.
     """
-    lo, hi = bounds
+    radius = np.zeros(len(diag))
+    radius[:-1] += np.abs(offdiag)
+    radius[1:] += np.abs(offdiag)
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
     floor = lo - 1.0 - abs(lo)
     if x <= floor:
         return 0
     return len(_stebz(diag, offdiag, "v", (floor, x), hi - floor))
 
 
-def _bordered_schur(op):
-    """Scalar Schur complement of a periodic operator's last row and column.
+def _mirror_sectors(op, tol):
+    """The odd and even sectors of a mirror-symmetric periodic operator.
 
-    Returns the function x -> (s(x), |y|^2), where y = (B - xI)^{-1} w solves
-    the leading (n-1) block B bordered by w (the corner and the last
-    off-diagonal) and s(x) = (d_n - x) - w.y.  One banded solve gives both;
-    s'(x) = -1 - |y|^2, so s decreases strictly between the poles at B's
-    eigenvalues.  A singular pivot is retried at a shift a few ulps away.
+    With w_j the weight of edge (j, j+1), w_{n-1} the corner and h = n/2, the
+    mirror j -> n - j maps the operator to itself when d_j = d_{n-j} and
+    w_j = w_{n-1-j}.  Its odd eigenvectors vanish at 0 and h: the tridiagonal
+    operator on indices 1..h-1.  Its even ones live on 0..h, in the basis
+    e_0, (e_j + e_{n-j})/sqrt2, e_h, which scales the two end couplings by
+    sqrt2.  The sectors are those of the symmetrized operator (A + PAP)/2.
+    By Weyl's bound no eigenvalue of A is farther from it than the largest
+    row sum of (A - PAP)/2, and A is accepted while that bound is at most
+    tol/8 plus 2 eps_mach times the norm bound max|d| + 2 max|w|: the entries
+    of a discretized symmetric operator, such as `circle_operator`'s
+    2 c2 + W''(u), can differ from their mirror images by an ulp of rounding.
     """
     n = op.dim
-    d, e = op.diag, op.offdiag
-    w = np.zeros(n - 1)
-    w[0] = op.corner
-    w[-1] = e[-1]
-    ab = np.zeros((3, n - 1))
-    ab[0, 1:] = e[:-1]
-    ab[2, :-1] = e[:-1]
-    dmax = np.abs(d).max()
-
-    def schur(x):
-        xs = x
-        for attempt in range(4):
-            ab[1] = d[:-1] - xs
-            try:
-                y = solve_banded((1, 1), ab, w)
-            except np.linalg.LinAlgError:
-                y = None
-            if y is not None and np.all(np.isfinite(y)):
-                return (d[-1] - xs) - w @ y, y @ y
-            xs = x + (attempt + 1) * 64.0 * _EPS_MACH * (abs(x) + dmax)
-        raise SingularJacobian("periodic Sturm counting failed near a pivot")
-
-    return schur
-
-
-def _count_below_periodic(schur, shifts, block_counts):
-    """Eigenvalue counts of the corner-coupled matrix by bordering.
-
-    Inertia additivity: count(A - xI) equals the count of the leading (n-1)
-    block, given in block_counts for each shift, plus one when the scalar
-    Schur complement of the last row/column is negative.
-    """
-    return [k + int(schur(x)[0] < 0) for x, k in zip(shifts, block_counts)]
-
-
-def _schur_root(schur, lo, hi, tol, margin):
-    """The zero of the bordered Schur complement s in the bracket (lo, hi).
-
-    Safeguarded Newton.  Every evaluation moves one end of the bracket by the
-    sign of s, which is the inertia count.  The next iterate is the Newton
-    point, except when it steps away from the nearer bracket end: there the
-    pole dominates, and the step goes to the zero of the one-pole model
-    a + b/(pole - x) that matches s and s'.  Either step is pushed tol/4
-    further, so that once the iteration has converged it lands beyond the
-    zero and the bracket closes from both sides.  The iterate is kept
-    `margin` away from the original ends, where the float64 pole of s need
-    not sit on the stebz eigenvalue and the sign of s is not the count.  The
-    midpoint replaces a point outside the bracket, and any point once eight
-    evaluations have not halved the bracket, so the loop always ends.  It
-    ends when the bracket is at most tol wide, as plain bisection would.
-    """
-    lo0, hi0 = lo, hi
-    x = 0.5 * (lo + hi)
-    halved_at, stale = hi - lo, 0
-    while hi - lo > tol:
-        s, yy = schur(x)
-        if s < 0:
-            hi = x
-        else:
-            lo = x
-        stale += 1
-        if hi - lo <= 0.5 * halved_at:
-            halved_at, stale = hi - lo, 0
-        step = abs(s) / (1.0 + yy)
-        near_hi = hi0 - x <= x - lo0
-        t = hi0 - x if near_hi else x - lo0
-        if (s < 0) == near_hi and step < t:   # stepping away from the nearer end
-            step *= t / (t - step)
-        x += math.copysign(step + 0.25 * tol, s)
-        x = min(max(x, lo0 + margin), hi0 - margin)
-        if stale >= 8 or not lo < x < hi:
-            x = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    if n < 4 or n % 2:
+        raise DomainError("a periodic operator needs an even dimension n >= 4")
+    w = np.append(op.offdiag, op.corner)
+    d_mirror, w_mirror = op.diag[-np.arange(n) % n], w[::-1]
+    mismatch = 0.5 * np.max(np.abs(op.diag - d_mirror)) + np.max(np.abs(w - w_mirror))
+    rounding = 2.0 * _EPS_MACH * (np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(w)))
+    if mismatch > tol / 8.0 + rounding:
+        raise DomainError("a periodic operator must be mirror symmetric, j -> n - j")
+    d, w = 0.5 * (op.diag + d_mirror), 0.5 * (w + w_mirror)
+    h = n // 2
+    w_even = w[:h].copy()
+    w_even[[0, -1]] *= SQRT2
+    return [(d[1:h], w[1:h - 1]), (d[:h + 1], w_even)]
 
 
 def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
     """Lowest eigenvalues to tol, with exact global sign counts.
 
-    A Dirichlet operator is handed whole to LAPACK's Sturm bisection, stebz.
-    For a periodic operator, stebz gives the leading (n-1) block's
-    eigenvalues, which bracket the full matrix's by interlacing.  Inside each
-    bracket the eigenvalue is the zero of the bordered Schur complement s,
-    found by safeguarded Newton (`_schur_root`): one banded solve gives s and
-    s', and the sign of s, the inertia count, moves one end of the bracket,
-    until the bracket is at most tol wide.  Periodic operators of dimension
-    below 64 are solved dense, because at n = 2 the corner and the
-    off-diagonal are one matrix entry and the bordering drops the corner
-    (eigenvalues (1, 3) for an operator whose spectrum is (0, 4)).  The zero
-    threshold defaults to 1e-8 times the largest returned magnitude.
+    Every eigenvalue comes from LAPACK's Sturm bisection, stebz, on a plain
+    tridiagonal operator.  A Dirichlet operator is handed over whole.  A
+    periodic operator must have an even dimension n >= 4 and the mirror
+    symmetry j -> n - j (up to a mismatch that moves no eigenvalue by more
+    than tol/8 and rounding), else DomainError; it splits into its odd and
+    even sectors (`_mirror_sectors`).  The eigenvalues are the sorted union
+    of the sectors' lowest how_many, and the counts at +-tau are the sums of
+    the sectors' counts.  The zero threshold tau defaults to 1e-8 times the
+    largest returned magnitude.
     """
     n = op.dim
     if how_many > n:
         raise DomainError("how_many exceeds the operator dimension")
-
-    if op.boundary == "periodic" and n < 64:
-        evals = np.linalg.eigvalsh(op.dense())
-        low = evals[:how_many]
-        tau = zero_threshold if zero_threshold is not None else 1e-8 * np.max(np.abs(low))
-        n_neg = int(np.sum(evals < -tau))
-        n_zero = int(np.sum(np.abs(evals) <= tau))
-        return SpectrumReport(eigenvalues=low, zero_threshold=tau,
-                              n_negative=n_neg, n_zero=n_zero,
-                              n_positive=n - n_neg - n_zero)
-
-    periodic = op.boundary == "periodic"
-    # Gershgorin bounds
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(op.offdiag)
-    radius[1:] += np.abs(op.offdiag)
-    if periodic:
-        radius[0] += abs(op.corner)
-        radius[-1] += abs(op.corner)
-    bounds = (float(np.min(op.diag - radius)), float(np.max(op.diag + radius)))
-
-    # stebz sees the whole Dirichlet operator, or the periodic one's leading block
-    td, te = (op.diag[:-1], op.offdiag[:-1]) if periodic else (op.diag, op.offdiag)
-    if periodic:
-        # interlacing puts the j-th eigenvalue between the block's (j-1)-th
-        # and j-th, where the block count is j - 1; the bracket ends carry the
-        # block's bisection error into the result, so it is bisected finer
-        block_low = _stebz(td, te, "i", (0, min(how_many, n - 1) - 1), tol / 8.0)
-        los = np.concatenate(([bounds[0]], block_low))[:how_many]
-        his = np.concatenate((block_low, [bounds[1]]))[:how_many]
-        # the float64 pole of s lies within tol/8 and a few ulps of the
-        # operator's norm of the stebz value; next to it, s has either sign
-        margin = tol / 8.0 + 2.0 * _EPS_MACH * max(-bounds[0], bounds[1])
-        schur = _bordered_schur(op)
-        evals = np.array([_schur_root(schur, lo, hi, tol, margin)
-                          for lo, hi in zip(los, his)])
-    else:
-        evals = _stebz(td, te, "i", (0, how_many - 1), tol)
-
+    blocks = (_mirror_sectors(op, tol) if op.boundary == "periodic"
+              else [(op.diag, op.offdiag)])
+    evals = np.sort(np.concatenate([_stebz(d, e, "i", (0, min(how_many, len(d)) - 1), tol)
+                                    for d, e in blocks]))[:how_many]
     tau = zero_threshold if zero_threshold is not None else 1e-8 * np.max(np.abs(evals))
-    below = [_count_at_most(td, te, x, bounds) for x in (-tau, tau)]
-    if periodic:
-        below = _count_below_periodic(schur, [-tau, tau], below)
-    below_neg, below_pos = below
+    below_neg, below_pos = (sum(_count_at_most(d, e, x) for d, e in blocks)
+                            for x in (-tau, tau))
     return SpectrumReport(eigenvalues=evals, zero_threshold=tau,
                           n_negative=int(below_neg), n_zero=int(below_pos - below_neg),
                           n_positive=int(n - below_pos))

