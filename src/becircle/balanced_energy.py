@@ -23,8 +23,6 @@ from .scalar_field import potential_d2
 from .solver_1d import (dirichlet_pair, existence_threshold, intervals_for,
                         solve_dirichlet, stencil_slope)
 
-SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class NodeConfig:
@@ -48,16 +46,11 @@ class NodeConfig:
     def arc_lengths(self):
         return np.diff(np.append(self.nodes, self.nodes[0] + 1.0))
 
-    def signs(self):
-        return np.array([1 if i % 2 == 0 else -1 for i in range(self.m)])
-
 
 @dataclass(frozen=True)
 class BrokenTransition:
-    config: NodeConfig
     eps: float
     pieces: tuple            # per-arc DirichletSolution
-    signs: np.ndarray
     be: float
 
 
@@ -78,10 +71,10 @@ class HessianReport:
     nullity: int
 
 
-def _check_arcs(config, eps, factor=1.0):
+def _check_arcs(config, eps):
     lengths = config.arc_lengths()
     for i, ell in enumerate(lengths):
-        if ell <= factor * math.pi * eps:
+        if ell <= math.pi * eps:
             raise ArcTooShort(
                 f"arc {i} (length {ell:.6g}) at or below pi*eps = {math.pi * eps:.6g}",
                 arc=i,
@@ -95,8 +88,7 @@ def broken_transition(config, eps, points_per_eps=50):
     pieces = tuple(solve_dirichlet(ell, eps, points_per_eps=points_per_eps)
                    for ell in lengths)
     be = float(sum(p.energy for p in pieces))
-    return BrokenTransition(config=config, eps=eps, pieces=pieces,
-                            signs=config.signs(), be=be)
+    return BrokenTransition(eps=eps, pieces=pieces, be=be)
 
 
 def first_variation(config, eps, f, points_per_eps=50, transition=None):

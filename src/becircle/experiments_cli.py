@@ -1,6 +1,7 @@
 """Reproducible experiment driver: gamma-convergence sweeps, index tables,
-profile dumps, non-existence scans.  JSON records (sorted keys, 17 significant
-digits) and CSV tables; golden files regenerate byte-identically with
+profile dumps, non-existence scans.  JSON records (sorted keys, reals in the
+shortest repr that round-trips) and CSV tables (reals to 17 significant
+digits); golden files regenerate byte-identically with
 ``BECIRCLE_REGEN=1 pytest tests/test_cli.py``.
 """
 import argparse
@@ -22,13 +23,6 @@ from .profiles import (DEFAULT_H, DEFAULT_T, kappa_lambda, profile_constants,
 from .scalar_field import heteroclinic, potential
 from .solver_1d import (existence_threshold, lipschitz_scan, nodal_solution,
                         solve_dirichlet)
-
-SQRT2 = math.sqrt(2.0)
-
-
-def _r(x):
-    """Canonical 17-significant-digit rounding for record determinism."""
-    return float(f"{float(x):.17g}")
 
 
 def interface_constant():
@@ -147,7 +141,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        return _r(obj)
+        return float(obj)
     if isinstance(obj, (np.integer, int, bool, str)) or obj is None:
         return obj
     if isinstance(obj, np.ndarray):

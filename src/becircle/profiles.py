@@ -33,16 +33,22 @@ DEFAULT_H = 1e-3
 
 @dataclass(frozen=True)
 class ProfileFunction:
-    """A solution of L f = rhs on [0, T] with f(0) = 0."""
+    """A solution of L f = rhs on the uniform grid of [0, T] with f(0) = 0.
+
+    values and dvalues are f and f' on the grid, slope0 = f'(0), and
+    rhs_values is the source the profile solves for.
+    """
     T: float
     h: float
     values: np.ndarray
     dvalues: np.ndarray
     slope0: float
-    a0: float
     rhs_values: np.ndarray
-    decays: bool          # True when the tail obeys |f(T)| < 1e-8
-    name: str = ""
+
+    @property
+    def decays(self):
+        """True when the tail obeys |f(T)| < 1e-8."""
+        return bool(abs(self.values[-1]) < 1e-8)
 
     def grid(self):
         return np.linspace(0.0, self.T, len(self.values))
@@ -62,14 +68,14 @@ def _grid(T, h):
 
 
 def _vp_solve(rhs_values, t, h):
-    """Tail-form variation-of-parameters solve; no decay guard.
+    """Tail-form variation-of-parameters solve of L f = rhs; no decay guard.
 
     The truncated tail integral int_s^T rhs*gdot is closed by analytic
     continuation of the integrand's exponential decay (rate fitted at the
     boundary): without it the bracket loses all relative accuracy near T,
     which matters for sources that do not themselves decay.
     """
-    g, gdot, gddot = heteroclinic(t)
+    _, gdot, gddot = heteroclinic(t)
     rg = rhs_values * gdot
     # int_s^T rhs*gdot accumulated from the right, keeping relative accuracy
     # where the integrand is exponentially small
@@ -79,16 +85,14 @@ def _vp_solve(rhs_values, t, h):
         mu = math.log(rg[-2] / rg[-1]) / h
         tail_inf = rg[-1] / mu
     bracket = -(itail + tail_inf)             # = -int_s^infty rhs*gdot
-    a0 = bracket[0]
     rprime = bracket / gdot ** 2
     r = cumulative_simpson(rprime, h)
-    f = r * gdot
-    df = rprime * gdot + r * gddot
-    slope0 = a0 / gdot[0]
-    return f, df, slope0, a0
+    return ProfileFunction(T=t[-1], h=h, values=r * gdot,
+                           dvalues=rprime * gdot + r * gddot,
+                           slope0=bracket[0] / gdot[0], rhs_values=rhs_values)
 
 
-def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H, name=""):
+def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H):
     """Unique decaying solution of L f = rhs with f(0) = 0.
 
     rhs may be a callable of t or an array on the uniform grid.  Data that
@@ -102,46 +106,30 @@ def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H, name=""):
         raise TruncationError(
             f"rhs({T}) = {rhs_values[-1]:.3e} fails the decay requirement"
         )
-    f, df, slope0, a0 = _vp_solve(rhs_values, t, h)
-    return ProfileFunction(T=T, h=h, values=f, dvalues=df, slope0=slope0,
-                           a0=a0, rhs_values=rhs_values, decays=True, name=name)
+    return _vp_solve(rhs_values, t, h)
 
 
 def profile_w(T=DEFAULT_T, h=DEFAULT_H):
     """L w = gdot; the mean-curvature response profile.  w'(0) = -2/3."""
-    return solve_profile(lambda t: heteroclinic(t)[1], T, h, name="w")
+    return solve_profile(lambda t: heteroclinic(t)[1], T, h)
 
 
 def profile_rho(T=DEFAULT_T, h=DEFAULT_H):
     """L rho = wdot, consuming the computed w profile."""
     w = profile_w(T, h)
-    t, hh = _grid(T, h)
-    return ProfileFunction(
-        *_profile_from_values(w.dvalues, t, hh), rhs_values=w.dvalues,
-        decays=True, name="rho",
-    )
+    return _vp_solve(w.dvalues, *_grid(T, h))
 
 
 def profile_tau_geom(T=DEFAULT_T, h=DEFAULT_H):
     """L tau = t gdot; the geometric tau of the curvature expansion."""
-    return solve_profile(lambda t: t * heteroclinic(t)[1], T, h, name="tau_geom")
+    return solve_profile(lambda t: t * heteroclinic(t)[1], T, h)
 
 
 def profile_kappa_ode(T=DEFAULT_T, h=DEFAULT_H):
     """L kappa = g w, consuming the computed w profile."""
     w = profile_w(T, h)
     t, hh = _grid(T, h)
-    g = heteroclinic(t)[0]
-    rhs = g * w.values
-    return ProfileFunction(
-        *_profile_from_values(rhs, t, hh), rhs_values=rhs,
-        decays=True, name="kappa_ode",
-    )
-
-
-def _profile_from_values(rhs_values, t, h):
-    f, df, slope0, a0 = _vp_solve(rhs_values, t, h)
-    return t[-1], h, f, df, slope0, a0
+    return _vp_solve(heteroclinic(t)[0] * w.values, t, hh)
 
 
 def kappa_lambda(t):
@@ -176,16 +164,12 @@ def profile_tau_lambda(T=DEFAULT_T, h=DEFAULT_H):
 
     An exact homogeneous solution of L (rhs = 0) with tau(0) = 0 and
     tau'(0) = sqrt2.  It grows like e^{sqrt2 t}/8: the lambda direction of
-    the periodic family is inherently non-decaying toward the far node, so
-    the decay flag is off.
+    the periodic family is inherently non-decaying toward the far node.
     """
     t, hh = _grid(T, h)
     vals = -kappa_lambda(t)
-    dvals = -kappa_lambda_prime(t)
-    return ProfileFunction(T=T, h=hh, values=vals, dvalues=dvals,
-                           slope0=SQRT2, a0=SQRT2 * heteroclinic(0.0)[1],
-                           rhs_values=np.zeros_like(vals), decays=False,
-                           name="tau_lambda")
+    return ProfileFunction(T=T, h=hh, values=vals, dvalues=-kappa_lambda_prime(t),
+                           slope0=SQRT2, rhs_values=np.zeros_like(vals))
 
 
 def profile_omega(T=DEFAULT_T, h=DEFAULT_H):
@@ -197,10 +181,7 @@ def profile_omega(T=DEFAULT_T, h=DEFAULT_H):
     """
     t, hh = _grid(T, h)
     g, gdot, _ = heteroclinic(t)
-    rhs = 6.0 * g * (-kappa_lambda(t)) * gdot
-    f, df, slope0, a0 = _vp_solve(rhs, t, hh)
-    return ProfileFunction(T=T, h=hh, values=f, dvalues=df, slope0=slope0,
-                           a0=a0, rhs_values=rhs, decays=False, name="omega")
+    return _vp_solve(6.0 * g * (-kappa_lambda(t)) * gdot, t, hh)
 
 
 def profile_constants(T=DEFAULT_T, h=DEFAULT_H):

@@ -16,8 +16,6 @@ from .elliptic_oracle import ac_family_mod, modulus_for
 from .errors import DomainError, NoPositiveSolution
 from .scalar_field import potential, potential_d1
 
-SQRT2 = math.sqrt(2.0)
-
 
 def existence_threshold(L):
     """Largest eps admitting a positive Dirichlet solution on length L: L/pi."""

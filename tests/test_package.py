@@ -21,3 +21,37 @@ def test_no_cross_module_private_imports():
                           for alias in node.names
                           if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not found, found
+
+
+def _source_module(node):
+    """Stem of the package module a `from ... import` names, or None."""
+    if node.level:
+        return node.module or "__init__"
+    head, _, rest = (node.module or "").partition(".")
+    return (rest or "__init__") if head == "becircle" else None
+
+
+def test_no_unread_module_level_names():
+    # a module-level constant is read in its own module or imported by
+    # another one; anything else is dead (dunders such as __all__ are
+    # read by the import system)
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    imported = {(_source_module(node), alias.name)
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    dead = []
+    for mod, tree in trees.items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            for target in targets:
+                for node in ast.walk(target):
+                    if (isinstance(node, ast.Name)
+                            and not (node.id.startswith("__") and node.id.endswith("__"))
+                            and node.id not in read and (mod, node.id) not in imported):
+                        dead.append(f"{mod}.py: {node.id}")
+    assert not dead, dead

@@ -52,6 +52,34 @@ def test_profile_rho_kappa_ode_residuals():
         assert ode_residual(prof) < 1e-6
 
 
+PROFILES = (profile_w, profile_rho, profile_tau_geom, profile_kappa_ode,
+            profile_tau_lambda, profile_omega)
+
+
+@pytest.mark.parametrize("T", [12, 14, 16, 20, 40])
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda f: f.__name__)
+def test_decays_follows_its_definition(profile, T):
+    if profile is profile_tau_geom and T == 12:
+        # its source t*gdot is still 1.4e-6 at T = 12, above the decay guard
+        with pytest.raises(TruncationError):
+            profile(T=T)
+        return
+    p = profile(T=T)
+    assert p.decays == (abs(p.values[-1]) < 1e-8)
+
+
+@pytest.mark.parametrize("profile", [profile_rho, profile_kappa_ode],
+                         ids=lambda f: f.__name__)
+def test_rho_kappa_ode_truncation_range(profile):
+    # they solve from the computed w without solve_profile's decay guard on
+    # their own source, so they reach down to where w itself is rejected
+    for T in (11, 11.5):
+        p = profile(T=T)
+        assert p.T == T and p.values[0] == 0.0
+    with pytest.raises(TruncationError):
+        profile(T=10.5)
+
+
 def test_profile_tau_geom():
     tau = profile_tau_geom()
     assert tau.values[0] == 0.0
