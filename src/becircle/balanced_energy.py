@@ -7,10 +7,11 @@ responses scale with the conserved quantity lambda ~ 16 e^{-sqrt2 L/eps}, far
 below the O(1) boundary data, so each endpoint slope is taken from a solve
 whose data vanish at that end.  They stay resolved to the rounding floor until
 they underflow near L/eps = 505; past that a typed DomainError is raised.
-Orientation and sign conventions are calibrated once against centered finite
-differences of the energy itself (the criterion the spec pins).
+The Hessian's sign follows from the translation identity a = -b on each arc;
+the centered finite-difference Hessian of the energy is the test that pins it.
+BE is defined only where every arc is longer than pi*eps (eps below
+solver_1d.existence_threshold); a shorter arc raises ArcTooShort.
 """
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,27 +72,29 @@ class HessianReport:
     nullity: int
 
 
-def _check_arcs(config, eps):
-    lengths = config.arc_lengths()
+def _check_arcs(lengths, eps):
+    """Raise ArcTooShort on the first arc that admits no positive solution."""
     for i, ell in enumerate(lengths):
-        if ell <= math.pi * eps:
+        thr = existence_threshold(ell)
+        if eps >= thr:
             raise ArcTooShort(
-                f"arc {i} (length {ell:.6g}) at or below pi*eps = {math.pi * eps:.6g}",
+                f"arc {i} (length {ell:.6g}) is at or below pi*eps: "
+                f"eps = {eps:.6g} >= L/pi = {thr:.6g}",
                 arc=i,
             )
-    return lengths
 
 
 def broken_transition(config, eps, points_per_eps=50):
     """Per-arc one-signed minimizers glued with alternating sign."""
-    lengths = _check_arcs(config, eps)
+    lengths = config.arc_lengths()
+    _check_arcs(lengths, eps)
     pieces = tuple(solve_dirichlet(ell, eps, points_per_eps=points_per_eps)
                    for ell in lengths)
     be = float(sum(p.energy for p in pieces))
     return BrokenTransition(eps=eps, pieces=pieces, be=be)
 
 
-def first_variation(config, eps, f, points_per_eps=50, transition=None):
+def first_variation(config, eps, f, points_per_eps=50):
     """dBE/dt for node motions q_i -> q_i + t f_i (f_i > 0 = counterclockwise).
 
     Moving node i grows the arc behind it and shrinks the arc ahead, so
@@ -101,7 +104,7 @@ def first_variation(config, eps, f, points_per_eps=50, transition=None):
     f = np.asarray(f, dtype=float)
     if f.shape != (config.m,):
         raise DomainError("perturbation must assign one real per node")
-    bt = transition or broken_transition(config, eps, points_per_eps)
+    bt = broken_transition(config, eps, points_per_eps)
     lam = np.array([p.lam for p in bt.pieces])
     return float(np.sum(f * (np.roll(lam, 1) - lam)) / eps)
 
@@ -165,26 +168,27 @@ def dtn_v(eps, L, points_per_eps=50):
     This is the oriented Neumann response entering the second-variation
     structure Q = eps c^2 v(eps) x cycle Laplacian; it is negative for all
     admissible eps and satisfies v ~ sqrt2 lambda(eps) omega'(0) / eps.
+    For eps >= L/pi the arc solve raises NoPositiveSolution.
     """
-    if eps >= existence_threshold(L):
-        raise DomainError(f"eps={eps} not admissible for arc length {L}")
     return _transmission(solve_dirichlet(L, eps, points_per_eps))
 
 
-def hessian(config, eps, points_per_eps=100, crit_tol=1e-7):
+def hessian(config, eps, points_per_eps=100):
     """Second-variation matrix over node perturbations at a critical config.
 
     Per-arc linearized solves with the interval-system data are combined via
-    the second-variation formula; the global orientation is calibrated by the
-    finite-difference Hessian of the energy (the acceptance cross-check).
+    the second-variation formula.  The orientation comes from a := -b (the
+    translation identity); the finite-difference Hessian of the energy is
+    the test that pins it.  Raises NotCritical when some |dBE/dq_j| exceeds
+    1e-7.
     """
     m = config.m
     bt = broken_transition(config, eps, points_per_eps)
     lam = np.array([p.lam for p in bt.pieces])
     worst = float(np.max(np.abs(np.roll(lam, 1) - lam))) / eps  # max_j |dBE/dq_j|
-    if worst > crit_tol:
+    if worst > 1e-7:
         raise NotCritical(
-            f"max |dBE/dq_j| = {worst:.3e} exceeds the criticality tolerance {crit_tol}"
+            f"max |dBE/dq_j| = {worst:.3e} exceeds the criticality tolerance 1e-7"
         )
     c = bt.pieces[0].slope_left
 
@@ -235,23 +239,24 @@ def _pinned_be(config, eps, f, t, points_per_eps):
     base_lengths = config.arc_lengths()
     nodes = config.nodes + t * np.asarray(f, dtype=float)
     lengths = np.diff(np.append(nodes, nodes[0] + 1.0))
+    _check_arcs(lengths, eps)
     total = 0.0
     for ell0, ell in zip(base_lengths, lengths):
-        if ell <= math.pi * eps:
-            raise ArcTooShort(f"perturbed arc length {ell:.6g} inadmissible")
         total += dirichlet_pair(ell, eps, intervals_for(ell0, eps, points_per_eps)).energy
     return total
 
 
-def fd_first_variation(config, eps, f, step=1e-5, points_per_eps=50):
+def fd_first_variation(config, eps, f, points_per_eps=50):
     """Centered first difference of BE along the node perturbation f."""
+    step = 1e-5
     plus = _pinned_be(config, eps, f, step, points_per_eps)
     minus = _pinned_be(config, eps, f, -step, points_per_eps)
     return (plus - minus) / (2.0 * step)
 
 
-def fd_second_variation(config, eps, f, step=1e-4, points_per_eps=50):
+def fd_second_variation(config, eps, f, points_per_eps=50):
     """Centered second difference of BE along the node perturbation f."""
+    step = 1e-4
     plus = _pinned_be(config, eps, f, step, points_per_eps)
     mid = _pinned_be(config, eps, f, 0.0, points_per_eps)
     minus = _pinned_be(config, eps, f, -step, points_per_eps)
@@ -277,12 +282,13 @@ def translation_mode(sol):
             - 8.0 * np.roll(v, 1) + np.roll(v, 2)) / (12.0 * h)
 
 
-def ac_spectrum(sol, how_many, tol=1e-12):
+def ac_spectrum(sol, how_many):
     """Spectrum of the periodic linearized operator with translation-calibrated
     zero threshold: the discrete derivative of the reflected solution is an
     exact kernel element of the central-difference discretization, so its
     Rayleigh quotient magnitude calibrates the zero classification.
     """
+    tol = 1e-12
     op = circle_operator(sol)
     ux = translation_mode(sol)
     rq = float(ux @ op.matvec(ux) / (ux @ ux))

@@ -31,7 +31,7 @@ def interface_constant():
     return simpson(np.sqrt(2.0 * potential(u)), u[1] - u[0])
 
 
-def comparator_energy(config, eps, points_per_eps=200):
+def comparator_energy(config, eps):
     """Energy of the truncated-heteroclinic recovery profile g_k on the circle.
 
     Per arc: u = g(d/eps) chi(d) + (1 - chi(d)) in the distance d to the node
@@ -57,7 +57,7 @@ def comparator_energy(config, eps, points_per_eps=200):
 
     total = 0.0
     for ell in lengths:
-        m = max(2000, int(round(ell / (eps / points_per_eps))))
+        m = max(2000, int(round(ell / (eps / 200))))
         m += m % 2
         x = np.linspace(0.0, ell, m + 1)
         d = np.minimum(x, ell - x)
@@ -100,7 +100,7 @@ def index_table(p_list, eps_list, points_per_eps=100):
     rows = []
     ok = True
     for p, e in zip(p_list, eps_list):
-        thr = 1.0 / (2 * p * math.pi)
+        thr = existence_threshold(1 / (2 * p))
         if e >= thr:
             rows.append({"p": p, "eps": e, "skipped": f"eps >= 1/(2 p pi) = {thr:.6g}"})
             continue
@@ -135,35 +135,13 @@ def _meta(args):
     }
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int, bool, str)) or obj is None:
-        return obj
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return str(obj)
-
-
 def write_record(args, experiment, params, results):
-    rec = {
-        "experiment": experiment,
-        "params": _jsonable(params),
-        "results": _jsonable(results),
-        "meta": _jsonable(_meta(args)),
-    }
-    text = json.dumps(rec, sort_keys=True, indent=1)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return rec
+    # json writes float subclasses (np.float64) with float.__repr__; numpy
+    # arrays, integers and bools fall through to tolist()
+    rec = {"experiment": experiment, "params": params, "results": results,
+           "meta": _meta(args)}
+    _write_text(args, [json.dumps(rec, sort_keys=True, indent=1,
+                                  default=lambda obj: obj.tolist())])
 
 
 def _csv_lines(header, rows):

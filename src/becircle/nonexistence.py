@@ -59,21 +59,21 @@ def cutoff_gradient_closed(spec):
     return 0.5 * spec.eps * w * radial / lk ** 2
 
 
-def cutoff_gradient_quadrature(spec, points=40001):
+def cutoff_gradient_quadrature(spec):
     """The same gradient term by direct radial quadrature (oracle)."""
     w = _sphere_area(spec.n)
-    r = np.linspace(spec.delta, spec.k * spec.delta, points)
+    r = np.linspace(spec.delta, spec.k * spec.delta, 40001)
     h = r[1] - r[0]
     integrand = (1.0 / (r * math.log(spec.k))) ** 2 * r ** (spec.n - 1)
     return 0.5 * spec.eps * w * simpson(integrand, h)
 
 
-def cutoff_energy(spec, points=4001):
+def cutoff_energy(spec):
     """Exact radial energy of the log cutoff: closed-form gradient plus the
     potential term quadrature (W = 1/4 on the inner ball, W(f) on the ramp)."""
     w = _sphere_area(spec.n)
     ball = w * spec.delta ** spec.n / spec.n * potential(0.0) / spec.eps
-    r = np.linspace(spec.delta, spec.k * spec.delta, points)
+    r = np.linspace(spec.delta, spec.k * spec.delta, 4001)
     h = r[1] - r[0]
     f = np.log(r / spec.delta) / math.log(spec.k)
     ramp = w * simpson(potential(f) * r ** (spec.n - 1), h) / spec.eps

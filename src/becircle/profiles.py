@@ -116,8 +116,7 @@ def profile_w(T=DEFAULT_T, h=DEFAULT_H):
 
 def profile_rho(T=DEFAULT_T, h=DEFAULT_H):
     """L rho = wdot, consuming the computed w profile."""
-    w = profile_w(T, h)
-    return _vp_solve(w.dvalues, *_grid(T, h))
+    return solve_profile(profile_w(T, h).dvalues, T, h)
 
 
 def profile_tau_geom(T=DEFAULT_T, h=DEFAULT_H):
@@ -128,8 +127,7 @@ def profile_tau_geom(T=DEFAULT_T, h=DEFAULT_H):
 def profile_kappa_ode(T=DEFAULT_T, h=DEFAULT_H):
     """L kappa = g w, consuming the computed w profile."""
     w = profile_w(T, h)
-    t, hh = _grid(T, h)
-    return _vp_solve(heteroclinic(t)[0] * w.values, t, hh)
+    return solve_profile(lambda t: heteroclinic(t)[0] * w.values, T, h)
 
 
 def kappa_lambda(t):

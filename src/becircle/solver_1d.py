@@ -125,16 +125,15 @@ def stencil_slope(u, side="left"):
     return s if side == "left" else -s
 
 
-def nodal_solution(p, eps, points_per_eps=50, tol=1e-12):
-    """The 2p-node solution on the circle by odd reflection of the arc solution."""
+def nodal_solution(p, eps, points_per_eps=50):
+    """The 2p-node solution on the circle by odd reflection of the arc solution.
+
+    Raises NoPositiveSolution (from the arc solve) for eps >= 1/(2 p pi).
+    """
     if p < 1:
         raise DomainError("p must be a positive integer")
     ell = 1.0 / (2 * p)
-    if eps >= existence_threshold(ell):
-        raise NoPositiveSolution(
-            f"eps={eps} >= 1/(2 p pi) = {existence_threshold(ell):.6g}"
-        )
-    arc = solve_dirichlet(ell, eps, points_per_eps=points_per_eps, tol=tol)
+    arc = solve_dirichlet(ell, eps, points_per_eps=points_per_eps)
     piece = arc.u.values[:-1]
     blocks = [((-1) ** i) * piece for i in range(2 * p)]
     vals = np.concatenate(blocks + [np.zeros(1)])

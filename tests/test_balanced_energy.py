@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import becircle.bvp_engine as engine
 import becircle.solver_1d as solver
-from becircle import (ArcTooShort, DomainError, NodeConfig, NotCritical,
-                      ac_spectrum, broken_transition, circle_operator,
+from becircle import (ArcTooShort, DomainError, NodeConfig, NoPositiveSolution,
+                      NotCritical, ac_spectrum, broken_transition, circle_operator,
                       dirichlet_gap, dtn_v, fd_first_variation,
                       fd_second_variation, first_variation, hessian,
                       lambda_of_eps, linearized_bvp, morse_index,
@@ -46,6 +46,28 @@ def test_broken_transition_arc_too_short():
         broken_transition(NodeConfig(np.array([0.0, 0.05])), 0.02)
 
 
+@settings(max_examples=40, deadline=None)
+@given(L=st.floats(0.05, 0.5), ulps=st.integers(-3, 3))
+@example(L=0.049291588734823866, ulps=0)    # the arc is one ulp above pi*eps
+def test_admissibility_edge_is_one_predicate(L, ulps):
+    # a few ulps either side of eps = L/pi, broken_transition and dtn_v agree
+    # with the arc solve on which side of the edge eps lies
+    eps = L / math.pi
+    for _ in range(abs(ulps)):
+        eps = math.nextafter(eps, math.copysign(math.inf, ulps))
+    cfg = NodeConfig(np.array([0.0, L]))
+    try:
+        solve_dirichlet(L, eps)
+    except NoPositiveSolution:
+        with pytest.raises(ArcTooShort) as exc:
+            broken_transition(cfg, eps)
+        assert exc.value.arc == 0
+        with pytest.raises(NoPositiveSolution):
+            dtn_v(eps, L)
+    else:
+        broken_transition(cfg, eps)
+
+
 def test_first_variation_symmetric_vanishes():
     cfg = NodeConfig(np.array([0.0, 0.5]))
     for f in ([1.0, 0.0], [0.3, -0.4], [1.0, 1.0]):
@@ -56,10 +78,9 @@ def test_first_variation_linearity():
     cfg = NodeConfig(np.array([0.0, 0.4]))
     eps = 0.05
     f1, f2 = np.array([1.0, 0.2]), np.array([-0.3, 0.9])
-    bt = broken_transition(cfg, eps)
-    a = first_variation(cfg, eps, f1, transition=bt)
-    b = first_variation(cfg, eps, f2, transition=bt)
-    ab = first_variation(cfg, eps, f1 + f2, transition=bt)
+    a = first_variation(cfg, eps, f1)
+    b = first_variation(cfg, eps, f2)
+    ab = first_variation(cfg, eps, f1 + f2)
     assert abs(ab - a - b) < 1e-12
 
 
@@ -341,7 +362,7 @@ def test_ac_spectrum_matches_dense(p, ratio, points_per_eps):
     # good to a few ulps of the norm.
     sol = nodal_solution(p, 1.0 / (2 * p * ratio), points_per_eps=points_per_eps)
     tol = 1e-12
-    rep = ac_spectrum(sol, 2 * p + 3, tol=tol)
+    rep = ac_spectrum(sol, 2 * p + 3)
     dense = np.linalg.eigvalsh(circle_operator(sol).dense())
     rounding = 16.0 * np.finfo(float).eps * np.max(np.abs(dense))
     assert np.max(np.abs(rep.eigenvalues - dense[:2 * p + 3])) <= tol + rounding

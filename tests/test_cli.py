@@ -40,6 +40,13 @@ def test_golden(name, tmp_path):
     assert data == golden_path.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["solve.json", "profiles.csv"])
+def test_stdout_matches_golden(name, capsys):
+    # without --out the record goes to stdout, byte for byte as to a file
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
 def test_determinism(tmp_path):
     a = _run(CASES["solve.json"], tmp_path / "a.json")
     b = _run(CASES["solve.json"], tmp_path / "b.json")
@@ -65,9 +72,11 @@ def test_index_subcommand(tmp_path):
 
 def test_index_skips_inadmissible(tmp_path):
     from becircle.experiments_cli import index_table
-    table = index_table([3], [0.1])
-    assert "skipped" in table["rows"][0]
-    assert "1/(2 p pi)" in table["rows"][0]["skipped"]
+    # 0.05305164769729844 is 1/(2 p pi) with the arc length 1/6 rounded first
+    table = index_table([3, 3], [0.1, 0.05305164769729844])
+    for row in table["rows"]:
+        assert "skipped" in row
+        assert "1/(2 p pi)" in row["skipped"]
 
 
 def test_usage_error_exit_code():

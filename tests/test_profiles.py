@@ -71,13 +71,13 @@ def test_decays_follows_its_definition(profile, T):
 @pytest.mark.parametrize("profile", [profile_rho, profile_kappa_ode],
                          ids=lambda f: f.__name__)
 def test_rho_kappa_ode_truncation_range(profile):
-    # they solve from the computed w without solve_profile's decay guard on
-    # their own source, so they reach down to where w itself is rejected
-    for T in (11, 11.5):
-        p = profile(T=T)
-        assert p.T == T and p.values[0] == 0.0
-    with pytest.raises(TruncationError):
-        profile(T=10.5)
+    # they pass solve_profile's decay guard on their own source, which is
+    # still above 1e-6 at T = 11 and 11.5 (w itself is rejected at 10.5)
+    for T in (10.5, 11, 11.5):
+        with pytest.raises(TruncationError):
+            profile(T=T)
+    p = profile(T=12)
+    assert p.T == 12 and p.values[0] == 0.0
 
 
 def test_profile_tau_geom():
