@@ -10,16 +10,19 @@ relative accuracy; k itself rounds to 1.0 in double precision long before
 the underlying solution family degenerates.
 
 `ac_family_mod` and `_sn_cn_dn_kp` take a float or a numpy array of
-abscissae: the Landen chain and K are built once per call and the ascent runs
-elementwise, through `math` for a float (which returns a float) and through
-numpy for an array.  Both paths do the same arithmetic in the same order, and
-numpy's float64 sin, cos and sqrt round as `math`'s do, so an array result of
-`ac_family_mod` equals the per-element scalar calls bit for bit (the tests
-check this).  Only the k = 1 limit of `_sn_cn_dn_kp` differs: numpy's tanh and
-cosh are within 2 ulps of `math`'s, not equal.
+abscissae: the Landen chain and K are built once per modulus and cached
+(`_landen_plan`), and the ascent runs elementwise, through `math` for a float
+(which returns a float) and through numpy for an array.  Both paths do the
+same arithmetic in the same order, and numpy's float64 sin, cos and sqrt round
+as `math`'s do, so an array result of `ac_family_mod` equals the per-element
+scalar calls bit for bit (the tests check this).  Only the k = 1 limit of
+`_sn_cn_dn_kp` differs: numpy's tanh and cosh are within 2 ulps of `math`'s,
+not equal.
 """
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,11 +35,18 @@ _LANDEN_CAP = 32
 
 
 def _agm(a, b):
-    """Arithmetic-geometric mean; handles b many orders below a."""
+    """Arithmetic-geometric mean; handles b many orders below a.
+
+    Near the limit a and b can settle one ulp apart, where a step reproduces
+    them; that fixed point ends the loop as the relative test does.
+    """
     for _ in range(80):
         if abs(a - b) <= 1e-16 * a:
             break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        a_next, b_next = 0.5 * (a + b), math.sqrt(a * b)
+        if a_next == a and b_next == b:
+            break
+        a, b = a_next, b_next
     return 0.5 * (a + b)
 
 
@@ -44,8 +54,7 @@ def complete_K(k):
     """Complete elliptic integral of the first kind via the AGM."""
     if not 0.0 <= k < 1.0:
         raise DomainError(f"complete_K requires 0 <= k < 1, got {k}")
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    return math.pi / (2.0 * _agm(1.0, kp))
+    return _complete_K_from_kp(math.sqrt((1.0 - k) * (1.0 + k)))
 
 
 def _complete_K_from_kp(kp):
@@ -54,24 +63,36 @@ def _complete_K_from_kp(kp):
     return math.pi / (2.0 * _agm(1.0, kp))
 
 
-def _landen_chain(kp):
-    """Descending Landen moduli [(k1, kp1), (k2, kp2), ...] until k < 1e-15.
+class _LandenPlan(NamedTuple):
+    K: float
+    divisors: tuple  # 1 + k_j for the descent, j = 1, 2, ...
+    ascent: tuple    # (k_low, 1 + k_low, kp_up^2, k_up^2), deepest level first
 
-    Level j+1 from level j:  k_{j+1} = (1 - kp_j) / (1 + kp_j); the
-    complement is tracked through 1 - k_{j+1} = 2 kp_j / (1 + kp_j) to avoid
-    cancellation when kp_j is tiny.
+
+# typed: a numpy float64 kp gets a plan of numpy scalars, a float kp of floats
+@functools.lru_cache(maxsize=64, typed=True)
+def _landen_plan(kp):
+    """K and the descending Landen chain at complementary modulus kp in (0, 1].
+
+    Level j+1 from level j:  k_{j+1} = (1 - kp_j) / (1 + kp_j), until
+    k < 1e-15; the complement is tracked through 1 - k_{j+1} =
+    2 kp_j / (1 + kp_j) to avoid cancellation when kp_j is tiny.  Each
+    ascent step carries the lower level's k and the upper level's squared
+    moduli, so the per-point loop forms no product of constants.
     """
-    chain = []
-    kp_j = kp
+    K = _complete_K_from_kp(kp)
+    divisors, ascent = [], []
+    k_j, kp_j = math.sqrt((1.0 - kp) * (1.0 + kp)), kp
     for _ in range(_LANDEN_CAP):
         k_next = (1.0 - kp_j) / (1.0 + kp_j)
         one_minus = 2.0 * kp_j / (1.0 + kp_j)
         kp_next = math.sqrt(one_minus * (1.0 + k_next))
-        chain.append((k_next, kp_next))
+        divisors.append(1.0 + k_next)
+        ascent.append((k_next, 1.0 + k_next, kp_j * kp_j, k_j * k_j))
         if k_next < _LANDEN_TINY:
             break
-        kp_j = kp_next
-    return chain
+        k_j, kp_j = k_next, kp_next
+    return _LandenPlan(K, tuple(divisors), tuple(reversed(ascent)))
 
 
 def _sn_cn_dn_kp(x, kp):
@@ -86,19 +107,16 @@ def _sn_cn_dn_kp(x, kp):
         s = xp.tanh(x)
         c = 1.0 / xp.cosh(x)
         return s, c, c
-    chain = _landen_chain(kp)
+    plan = _landen_plan(kp)
     u = x
-    for k_j, _ in chain:
-        u = u / (1.0 + k_j)
+    for divisor in plan.divisors:
+        u = u / divisor
     s, c, d = xp.sin(u), xp.cos(u), 1.0
-    k_orig = math.sqrt((1.0 - kp) * (1.0 + kp))
-    # moduli of the level being ascended into: original on the last step
-    uppers = [(k_orig, kp)] + list(chain[:-1])
-    for (k_low, _), (k_up, kp_up) in zip(reversed(chain), reversed(uppers)):
+    for k_low, one_plus_k_low, kp_up2, k_up2 in plan.ascent:
         denom = 1.0 + k_low * s * s
         c = c * d / denom
-        s = (1.0 + k_low) * s / denom
-        d = xp.sqrt(kp_up * kp_up + k_up * k_up * c * c)
+        s = one_plus_k_low * s / denom
+        d = xp.sqrt(kp_up2 + k_up2 * c * c)
     return s, c, d
 
 
@@ -144,7 +162,7 @@ def jacobi_sn(x, k):
         c = 1.0 / math.cosh(x)
         return s, c, c
     kp = math.sqrt((1.0 - k) * (1.0 + k))
-    x, flip_s, flip_c = _fold(x, _complete_K_from_kp(kp))
+    x, flip_s, flip_c = _fold(x, _landen_plan(kp).K)
     s, c, d = _sn_cn_dn_kp(x, kp)
     return flip_s * s, flip_s * flip_c * c, d
 
@@ -189,7 +207,7 @@ def ac_family_mod(x, mod):
     x is a float or an array; one call evaluates a whole grid.
     """
     t = x / math.sqrt(2.0 - mod.kp * mod.kp)
-    t, sign, _ = _fold(t, _complete_K_from_kp(mod.kp))
+    t, sign, _ = _fold(t, _landen_plan(mod.kp).K)
     s, _, _ = _sn_cn_dn_kp(t, mod.kp)
     return sign * _amplitude_from_mod(mod) * s
 
@@ -233,10 +251,17 @@ def lambda_of_eps(eps, L):
     """Conserved quantity and amplitude of the positive arch on [0, L].
 
     lam = W(amplitude) evaluated through kp, avoiding the 1 - amplitude^2
-    cancellation:  1 - amp^2 = kp^2 / (1 + k^2).
+    cancellation:  1 - amp^2 = kp^2 / (1 + k^2).  lam ~ 16 e^{-sqrt2 L/eps}
+    underflows float64 near L/eps = 503, so a lam that is not a normal number
+    raises DomainError instead of being returned as a subnormal or a zero.
     """
     mod = modulus_for(eps, L)
     one_plus_k2 = 2.0 - mod.kp * mod.kp
     one_minus_amp2 = mod.kp * mod.kp / one_plus_k2
     lam = one_minus_amp2 * one_minus_amp2 / 4.0
+    if not lam >= np.finfo(float).tiny:
+        raise DomainError(
+            f"lambda {lam:.3g} at L/eps = {L / eps:.6g} is not a normal float64 "
+            "(underflow)"
+        )
     return LambdaEpsPair(eps=eps, lam=lam, amplitude=_amplitude_from_mod(mod))

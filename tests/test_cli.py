@@ -40,7 +40,7 @@ def test_golden(name, tmp_path):
     assert data == golden_path.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["solve.json", "profiles.csv"])
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, capsys):
     # without --out the record goes to stdout, byte for byte as to a file
     assert main(CASES[name]) == 0

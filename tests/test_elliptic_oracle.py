@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import ellipj
 
 from becircle import (DomainError, NoPositiveSolution, ac_family, ac_family_mod,
                       complete_K, jacobi_sn, lambda_of_eps, modulus_for,
                       potential, potential_d1, zero_spacing_from_kp)
-from becircle.elliptic_oracle import (EllipticModulus, _complete_K_from_kp, _fold,
-                                      _sn_cn_dn_kp)
+from becircle import elliptic_oracle
+from becircle.elliptic_oracle import (EllipticModulus, _agm, _complete_K_from_kp, _fold,
+                                      _landen_plan, _sn_cn_dn_kp)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,6 +132,17 @@ def test_lambda_of_eps():
     assert all(b > a for a, b in zip(lams, lams[1:]))
 
 
+def test_lambda_of_eps_raises_at_underflow():
+    # lam ~ 16 e^{-sqrt2 L/eps} leaves the normal float64 range near L/eps = 503
+    lam = lambda_of_eps(0.5 / 500.0, 0.5).lam
+    assert lam >= np.finfo(float).tiny
+    assert abs(lam / 1.29e-306 - 1.0) < 0.01
+    with pytest.raises(DomainError, match="L/eps = 520"):
+        lambda_of_eps(0.5 / 520.0, 0.5)      # a subnormal, 6.7e-319
+    with pytest.raises(DomainError, match="L/eps = 700"):
+        lambda_of_eps(0.5 / 700.0, 0.5)      # exactly 0.0
+
+
 def test_lambda_slope_relation():
     # slope^2/2 - W(0) = -lam at a node, slope from the conserved quantity
     pair = lambda_of_eps(0.03, 0.5)
@@ -193,3 +205,81 @@ def test_sn_cn_dn_kp_matches_scipy_ellipj(k):
     ref = ellipj(x, k * k)[:3]
     for a, b in zip(ours, ref):
         assert np.max(np.abs(a - b)) < 1e-13
+
+
+def _agm_to_cap(a, b):
+    """The AGM loop without its fixed-point stop: it runs to the 80-step cap
+    whenever a and b settle one ulp apart."""
+    for _ in range(80):
+        if abs(a - b) <= 1e-16 * a:
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b)
+
+
+# log-uniform complementary moduli in (1e-300, 1)
+_KP = st.floats(math.log(1e-300), 0.0, exclude_min=True, exclude_max=True).map(math.exp)
+
+
+# the moduli of modulus_for(0.5 / r, 0.5) at L/eps r = 3.3, 20, 650 and 1500,
+# where the loop without the fixed-point stop runs to its cap
+@example(kp=0.9662683332484792)
+@example(kp=0.0033972930164174373)
+@example(kp=6.265759279732704e-100)
+@example(kp=1.9170352650272893e-230)
+@settings(max_examples=500, deadline=None)
+@given(kp=_KP)
+def test_agm_fixed_point_stop_keeps_bits(kp):
+    assert _bits(_agm(1.0, kp)) == _bits(_agm_to_cap(1.0, kp))
+
+
+def _sn_cn_dn_per_call(x, kp):
+    """The Landen descent and ascent with the chain rebuilt on every call."""
+    chain, kp_j = [], kp
+    for _ in range(32):
+        k_next = (1.0 - kp_j) / (1.0 + kp_j)
+        kp_next = math.sqrt(2.0 * kp_j / (1.0 + kp_j) * (1.0 + k_next))
+        chain.append((k_next, kp_next))
+        if k_next < 1e-15:
+            break
+        kp_j = kp_next
+    u = x
+    for k_j, _ in chain:
+        u = u / (1.0 + k_j)
+    s, c, d = math.sin(u), math.cos(u), 1.0
+    uppers = [(math.sqrt((1.0 - kp) * (1.0 + kp)), kp)] + chain[:-1]
+    for (k_low, _), (k_up, kp_up) in zip(reversed(chain), reversed(uppers)):
+        denom = 1.0 + k_low * s * s
+        c = c * d / denom
+        s = (1.0 + k_low) * s / denom
+        d = math.sqrt(kp_up * kp_up + k_up * k_up * c * c)
+    return s, c, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(kp=_KP, frac=st.floats(0.0, 1.0))
+def test_cached_landen_plan_matches_per_call_chain(kp, frac):
+    x = frac * _complete_K_from_kp(kp)      # the folded range [0, K]
+    assert np.array_equal(_bits(_sn_cn_dn_kp(x, kp)), _bits(_sn_cn_dn_per_call(x, kp)))
+
+
+def test_scalar_calls_at_one_modulus_build_K_once(monkeypatch):
+    mod = modulus_for(0.005, 0.5)
+    calls = []
+
+    def counting_agm(a, b):
+        calls.append(b)
+        return _agm(a, b)
+
+    monkeypatch.setattr(elliptic_oracle, "_agm", counting_agm)
+    _landen_plan.cache_clear()
+    for x in np.linspace(0.0, 100.0, 200):
+        ac_family_mod(float(x), mod)
+    assert len(calls) == 1
+    assert _landen_plan.cache_info().misses == 1
+
+
+def test_modulus_for_leaves_the_plan_cache_alone():
+    _landen_plan.cache_clear()
+    modulus_for(0.003, 0.5)
+    assert _landen_plan.cache_info().currsize == 0
