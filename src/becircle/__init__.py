@@ -26,7 +26,7 @@ from .solver_1d import (DirichletSolution, LipschitzScan, NodalSolution,
                         stencil_slope)
 from .balanced_energy import (BrokenTransition, HessianReport,
                               LinearizedSolution, NodeConfig, ac_spectrum,
-                              broken_transition, circle_operator, dirichlet_gap,
+                              broken_transition, dirichlet_gap,
                               dtn_v, fd_first_variation, fd_second_variation,
                               first_variation, hessian, linearized_bvp,
                               morse_index, translation_mode)

@@ -1,6 +1,7 @@
 """The balanced energy on node configurations of the circle: first variation,
 the second-variation Hessian over node perturbations, the Dirichlet-to-Neumann
-quantity v(eps), Morse index and nullity, and the periodic spectrum cross-check.
+quantity v(eps), Morse index and nullity, and the Allen-Cahn spectrum of the
+2p-node solution on the circle, solved as its two mirror sectors.
 
 The linearized arc solves are float64 banded solves.  The transmitted Neumann
 responses scale with the conserved quantity lambda ~ 16 e^{-sqrt2 L/eps}, far
@@ -20,7 +21,7 @@ from .bvp_engine import (GridFunction, SpectrumReport, TridiagonalOperator, eig_
                          solve_tridiagonal)
 from .errors import (ArcTooShort, DomainError, NotCritical, SingularJacobian,
                      SingularSystem)
-from .scalar_field import potential_d2
+from .scalar_field import SQRT2, potential_d2
 from .solver_1d import (dirichlet_pair, existence_threshold, intervals_for,
                         solve_dirichlet, stencil_slope)
 
@@ -263,17 +264,6 @@ def fd_second_variation(config, eps, f, points_per_eps=50):
     return (plus - 2.0 * mid + minus) / step ** 2
 
 
-def circle_operator(sol):
-    """Periodic discretization of -(eps^2 d^2 - W''(u)) on the circle."""
-    v = sol.u.values[:-1]
-    h = sol.u.h
-    c2 = (sol.eps / h) ** 2
-    n = len(v)
-    diag = 2.0 * c2 + potential_d2(v)
-    off = np.full(n - 1, -c2)
-    return TridiagonalOperator(diag=diag, offdiag=off, boundary="periodic", corner=-c2)
-
-
 def translation_mode(sol):
     """Fourth-order discrete derivative of the nodal solution on the circle."""
     v = sol.u.values[:-1]
@@ -283,27 +273,45 @@ def translation_mode(sol):
 
 
 def ac_spectrum(sol, how_many):
-    """Spectrum of the periodic linearized operator with translation-calibrated
-    zero threshold: the discrete derivative of the reflected solution is an
-    exact kernel element of the central-difference discretization, so its
-    Rayleigh quotient magnitude calibrates the zero classification.
+    """Spectrum of -(eps^2 d^2 - W''(u)) on the circle at the nodal solution,
+    with a translation-calibrated zero threshold.
+
+    The solution is odd under the mirror j -> n - j, so the periodic central
+    differences (diagonal 2 c2 + W''(v_j), couplings -c2, c2 = eps^2/dx^2)
+    split into two tridiagonal sectors on the first half v_0..v_h, h = n/2:
+    the odd one on indices 1..h-1, and the even one on 0..h in the basis
+    e_0, (e_j + e_{n-j})/sqrt2, e_h, which scales its end couplings by
+    sqrt2.  The discrete derivative of the solution is an exact, even kernel
+    element of the discretization; its Rayleigh quotient calibrates the zero
+    threshold.
     """
     tol = 1e-12
-    op = circle_operator(sol)
-    ux = translation_mode(sol)
-    rq = float(ux @ op.matvec(ux) / (ux @ ux))
+    if how_many > sol.u.n + 1:
+        raise DomainError("how_many exceeds the operator dimension")
+    h = (sol.u.n + 1) // 2
+    c2 = (sol.eps / sol.u.h) ** 2
+    diag = 2.0 * c2 + potential_d2(sol.u.values[:h + 1])
+    off = np.full(h, -c2)
+    off[[0, -1]] *= SQRT2
+    sectors = (TridiagonalOperator(diag=diag[1:h], offdiag=off[1:h - 1]),
+               TridiagonalOperator(diag=diag, offdiag=off))
+    ux = translation_mode(sol)[:h + 1]
+    ux[1:-1] *= SQRT2
+    rq = float(ux @ sectors[1].matvec(ux) / (ux @ ux))
     tau = max(10.0 * abs(rq), 40.0 * tol)
-    return eig_sturm(op, how_many, tol=tol, zero_threshold=tau)
+    odd, even = (eig_sturm(op, min(how_many, op.dim), tol=tol, zero_threshold=tau)
+                 for op in sectors)
+    evals = np.sort(np.concatenate((odd.eigenvalues, even.eigenvalues)))[:how_many]
+    return SpectrumReport(eigenvalues=evals, zero_threshold=tau,
+                          n_negative=odd.n_negative + even.n_negative,
+                          n_zero=odd.n_zero + even.n_zero,
+                          n_positive=odd.n_positive + even.n_positive)
 
 
 def dirichlet_gap(eps, L, points_per_eps=50):
     """Lowest Dirichlet eigenvalue of -(eps^2 d^2 - W''(u)) on the arc."""
     arc = solve_dirichlet(L, eps, points_per_eps=points_per_eps)
-    v = arc.u.values
-    h = arc.u.h
-    c2 = (eps / h) ** 2
-    diag = 2.0 * c2 + potential_d2(v[1:-1])
-    off = np.full(arc.u.n - 1, -c2)
-    op = TridiagonalOperator(diag=diag, offdiag=off, boundary="dirichlet")
-    rep = eig_sturm(op, 1, tol=1e-10)
-    return float(rep.eigenvalues[0])
+    c2 = (eps / arc.u.h) ** 2
+    op = TridiagonalOperator(diag=2.0 * c2 + potential_d2(arc.u.values[1:-1]),
+                             offdiag=np.full(arc.u.n - 1, -c2))
+    return float(eig_sturm(op, 1, tol=1e-10).eigenvalues[0])

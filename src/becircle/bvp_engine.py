@@ -1,11 +1,7 @@
 """Generic numerical machinery: grids, quadrature, damped Newton for the
 semilinear two-point problem, tridiagonal solves, and a symmetric-tridiagonal
 eigensolver.  Every eigenproblem is bisected on Sturm counts by LAPACK
-(stebz).  A corner-coupled periodic operator with the mirror symmetry
-j -> n - j (even n >= 4) splits into two plain tridiagonal operators, its
-odd and even sectors, which stebz solves like Dirichlet ones; an operator
-whose mirror mismatch could move an eigenvalue by more than tol/8 and
-rounding (Weyl's bound) is rejected.
+(stebz).
 """
 import math
 from dataclasses import dataclass
@@ -14,7 +10,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .errors import DomainError, NonConvergence, SingularJacobian
-from .scalar_field import SQRT2, potential_d1, potential_d2
+from .scalar_field import potential_d1, potential_d2
 
 _EPS_MACH = np.finfo(float).eps
 
@@ -49,19 +45,18 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Symmetric tridiagonal operator, optionally with periodic corner coupling."""
+    """Symmetric tridiagonal operator."""
     diag: np.ndarray
     offdiag: np.ndarray
-    boundary: str = "dirichlet"      # "dirichlet" | "periodic"
-    corner: float = 0.0              # A[0, n-1] = A[n-1, 0] when periodic
+    # not a field: bench/tracing.py reads op.boundary; once the tracer drops
+    # that read (ROADMAP item 4), delete this line
+    boundary = "dirichlet"
 
     def __post_init__(self):
         d = np.asarray(self.diag, dtype=float)
         e = np.asarray(self.offdiag, dtype=float)
         if e.shape != (d.shape[0] - 1,):
             raise DomainError("offdiag must have len(diag) - 1 entries")
-        if self.boundary not in ("dirichlet", "periodic"):
-            raise DomainError(f"unknown boundary {self.boundary!r}")
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", e)
 
@@ -69,23 +64,10 @@ class TridiagonalOperator:
     def dim(self):
         return self.diag.shape[0]
 
-    def dense(self):
-        A = np.diag(self.diag)
-        idx = np.arange(self.dim - 1)
-        A[idx, idx + 1] = self.offdiag
-        A[idx + 1, idx] = self.offdiag
-        if self.boundary == "periodic":
-            A[0, -1] += self.corner
-            A[-1, 0] += self.corner
-        return A
-
     def matvec(self, v):
         out = self.diag * v
         out[:-1] += self.offdiag * v[1:]
         out[1:] += self.offdiag * v[:-1]
-        if self.boundary == "periodic":
-            out[0] += self.corner * v[-1]
-            out[-1] += self.corner * v[0]
         return out
 
 
@@ -236,60 +218,19 @@ def _count_at_most(diag, offdiag, x):
     return len(_stebz(diag, offdiag, "v", (floor, x), hi - floor))
 
 
-def _mirror_sectors(op, tol):
-    """The odd and even sectors of a mirror-symmetric periodic operator.
-
-    With w_j the weight of edge (j, j+1), w_{n-1} the corner and h = n/2, the
-    mirror j -> n - j maps the operator to itself when d_j = d_{n-j} and
-    w_j = w_{n-1-j}.  Its odd eigenvectors vanish at 0 and h: the tridiagonal
-    operator on indices 1..h-1.  Its even ones live on 0..h, in the basis
-    e_0, (e_j + e_{n-j})/sqrt2, e_h, which scales the two end couplings by
-    sqrt2.  The sectors are those of the symmetrized operator (A + PAP)/2.
-    By Weyl's bound no eigenvalue of A is farther from it than the largest
-    row sum of (A - PAP)/2, and A is accepted while that bound is at most
-    tol/8 plus 2 eps_mach times the norm bound max|d| + 2 max|w|: the entries
-    of a discretized symmetric operator, such as `circle_operator`'s
-    2 c2 + W''(u), can differ from their mirror images by an ulp of rounding.
-    """
-    n = op.dim
-    if n < 4 or n % 2:
-        raise DomainError("a periodic operator needs an even dimension n >= 4")
-    w = np.append(op.offdiag, op.corner)
-    d_mirror, w_mirror = op.diag[-np.arange(n) % n], w[::-1]
-    mismatch = 0.5 * np.max(np.abs(op.diag - d_mirror)) + np.max(np.abs(w - w_mirror))
-    rounding = 2.0 * _EPS_MACH * (np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(w)))
-    if mismatch > tol / 8.0 + rounding:
-        raise DomainError("a periodic operator must be mirror symmetric, j -> n - j")
-    d, w = 0.5 * (op.diag + d_mirror), 0.5 * (w + w_mirror)
-    h = n // 2
-    w_even = w[:h].copy()
-    w_even[[0, -1]] *= SQRT2
-    return [(d[1:h], w[1:h - 1]), (d[:h + 1], w_even)]
-
-
 def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
     """Lowest eigenvalues to tol, with exact global sign counts.
 
-    Every eigenvalue comes from LAPACK's Sturm bisection, stebz, on a plain
-    tridiagonal operator.  A Dirichlet operator is handed over whole.  A
-    periodic operator must have an even dimension n >= 4 and the mirror
-    symmetry j -> n - j (up to a mismatch that moves no eigenvalue by more
-    than tol/8 and rounding), else DomainError; it splits into its odd and
-    even sectors (`_mirror_sectors`).  The eigenvalues are the sorted union
-    of the sectors' lowest how_many, and the counts at +-tau are the sums of
-    the sectors' counts.  The zero threshold tau defaults to 1e-8 times the
-    largest returned magnitude.
+    The eigenvalues come from LAPACK's Sturm bisection, stebz, and the counts
+    at +-tau from its Sturm counts (`_count_at_most`).  The zero threshold
+    tau defaults to 1e-8 times the largest returned magnitude.
     """
     n = op.dim
     if how_many > n:
         raise DomainError("how_many exceeds the operator dimension")
-    blocks = (_mirror_sectors(op, tol) if op.boundary == "periodic"
-              else [(op.diag, op.offdiag)])
-    evals = np.sort(np.concatenate([_stebz(d, e, "i", (0, min(how_many, len(d)) - 1), tol)
-                                    for d, e in blocks]))[:how_many]
+    evals = _stebz(op.diag, op.offdiag, "i", (0, how_many - 1), tol)
     tau = zero_threshold if zero_threshold is not None else 1e-8 * np.max(np.abs(evals))
-    below_neg, below_pos = (sum(_count_at_most(d, e, x) for d, e in blocks)
-                            for x in (-tau, tau))
+    below_neg, below_pos = (_count_at_most(op.diag, op.offdiag, x) for x in (-tau, tau))
     return SpectrumReport(eigenvalues=evals, zero_threshold=tau,
                           n_negative=int(below_neg), n_zero=int(below_pos - below_neg),
                           n_positive=int(n - below_pos))

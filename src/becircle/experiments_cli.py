@@ -15,7 +15,7 @@ from . import __version__
 from .balanced_energy import (NodeConfig, ac_spectrum, broken_transition,
                               dirichlet_gap, first_variation, hessian)
 from .bvp_engine import simpson
-from .errors import BECircleError
+from .errors import BECircleError, DomainError
 from .nonexistence import CutoffSpec, cutoff_energy, two_node_scan
 from .profiles import (DEFAULT_H, DEFAULT_T, kappa_lambda, profile_constants,
                        profile_omega, profile_rho, profile_tau_geom,
@@ -72,8 +72,11 @@ def comparator_energy(config, eps):
 
 
 def gamma_sweep(config, eps_grid, points_per_eps=50):
-    """BE over the eps grid, first-order Richardson limit, comparator check."""
-    eps_grid = sorted(float(e) for e in eps_grid)
+    """BE over the distinct eps (at least two), first-order Richardson limit
+    from the two smallest, comparator check."""
+    eps_grid = sorted({float(e) for e in eps_grid})
+    if len(eps_grid) < 2:
+        raise DomainError("a gamma sweep needs at least two distinct eps")
     rows = []
     for e in eps_grid:
         bt = broken_transition(config, e, points_per_eps=points_per_eps)
@@ -100,6 +103,8 @@ def index_table(p_list, eps_list, points_per_eps=100):
     rows = []
     ok = True
     for p, e in zip(p_list, eps_list):
+        if p < 1:
+            raise DomainError(f"p must be a positive integer, got {p!r}")
         thr = existence_threshold(1 / (2 * p))
         if e >= thr:
             rows.append({"p": p, "eps": e, "skipped": f"eps >= 1/(2 p pi) = {thr:.6g}"})

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bvp_engine import cumulative_simpson, simpson
-from .errors import TruncationError
+from .errors import DomainError, TruncationError
 from .scalar_field import SQRT2, heteroclinic, potential_d2
 
 DEFAULT_T = 40.0
@@ -63,7 +63,10 @@ class ProfileConstants:
 
 
 def _grid(T, h):
-    n = int(round(T / h))
+    """Uniform grid of [0, T] with the step nearest h that divides T."""
+    n = int(round(T / h)) if h > 0 and math.isfinite(T / h) else 0
+    if n < 2:
+        raise DomainError(f"profile grid needs finite T >= 1.5 h > 0: T={T!r}, h={h!r}")
     return np.linspace(0.0, T, n + 1), T / n
 
 

@@ -46,7 +46,10 @@ class NodalSolution:
 
 
 def intervals_for(L, eps, points_per_eps):
-    """Even interval count for [0, L] at points_per_eps grid points per eps."""
+    """Even interval count for [0, L] at points_per_eps grid points per eps;
+    every arc solve takes its grid here, so eps must be positive and finite."""
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
     m = int(round(L / min(eps / points_per_eps, L / 400.0)))
     m = max(m, 8)
     return m + (m % 2)  # even interval count keeps the Simpson point count odd
@@ -165,8 +168,10 @@ class LipschitzScan:
 
 
 def lipschitz_scan(L, eps_grid, points_per_eps=50):
-    """Finite-difference quotients of eps -> min-energy over the grid."""
-    eps = np.sort(np.asarray(eps_grid, dtype=float))
+    """Quotients of eps -> min-energy over the distinct eps (at least two)."""
+    eps = np.unique(np.asarray(eps_grid, dtype=float))
+    if len(eps) < 2:
+        raise DomainError("a Lipschitz scan needs at least two distinct eps")
     thr = existence_threshold(L)
     if np.any(eps >= thr):
         raise NoPositiveSolution(f"grid contains eps >= threshold {thr:.6g}")

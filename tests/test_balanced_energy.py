@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import becircle.bvp_engine as engine
 import becircle.solver_1d as solver
 from becircle import (ArcTooShort, DomainError, NodeConfig, NoPositiveSolution,
-                      NotCritical, ac_spectrum, broken_transition, circle_operator,
+                      NotCritical, ac_spectrum, broken_transition,
                       dirichlet_gap, dtn_v, fd_first_variation,
                       fd_second_variation, first_variation, hessian,
                       lambda_of_eps, linearized_bvp, morse_index,
@@ -352,31 +352,48 @@ def test_ac_spectrum_solves_per_eigenvalue(monkeypatch, p):
         assert not solves, (ratio, len(solves))
 
 
+def _circle_matrix(sol):
+    """Dense periodic central-difference matrix of -(eps^2 d^2 - W''(u)) at the
+    reflected solution, corner couplings included."""
+    v = sol.u.values[:-1]
+    c2 = (sol.eps / sol.u.h) ** 2
+    n = len(v)
+    A = np.diag(2.0 * c2 + potential_d2(v))
+    idx = np.arange(n)
+    A[idx, (idx + 1) % n] = -c2
+    A[(idx + 1) % n, idx] = -c2
+    return A
+
+
 @pytest.mark.parametrize("p, ratio, points_per_eps",
                          [(1, 9, 20), (1, 13, 20), (2, 9, 20), (2, 13, 20),
                           (3, 9, 20), (3, 13, 20), (1, 19, 50)])
 def test_ac_spectrum_matches_dense(p, ratio, points_per_eps):
     # the dihedral operator has paired eigenvalues, one of each pair in each
     # mirror sector, and its diagonal matches its mirror image only to an ulp.
-    # Dense eigvalsh shares nothing with the sectors or Sturm counting and is
-    # good to a few ulps of the norm.
+    # Dense eigvalsh of the whole circle matrix shares nothing with the
+    # sectors or Sturm counting and is good to a few ulps of the norm.
     sol = nodal_solution(p, 1.0 / (2 * p * ratio), points_per_eps=points_per_eps)
     tol = 1e-12
     rep = ac_spectrum(sol, 2 * p + 3)
-    dense = np.linalg.eigvalsh(circle_operator(sol).dense())
+    dense = np.linalg.eigvalsh(_circle_matrix(sol))
     rounding = 16.0 * np.finfo(float).eps * np.max(np.abs(dense))
     assert np.max(np.abs(rep.eigenvalues - dense[:2 * p + 3])) <= tol + rounding
     tau = rep.zero_threshold
     counts = (int(np.sum(dense < -tau)), int(np.sum(np.abs(dense) <= tau)))
     assert (rep.n_negative, rep.n_zero) == counts == (2 * p - 1, 1)
+    assert rep.n_negative + rep.n_zero + rep.n_positive == len(dense)
+    with pytest.raises(DomainError):
+        ac_spectrum(sol, len(dense) + 1)
 
 
 def test_translation_mode_rayleigh_quotient():
     sol = nodal_solution(1, 0.05)
-    op = circle_operator(sol)
     ux = translation_mode(sol)
-    rq = ux @ op.matvec(ux) / (ux @ ux)
+    rq = ux @ _circle_matrix(sol) @ ux / (ux @ ux)
     assert abs(rq) < (sol.u.h / 0.05) ** 2   # well inside O(h^2)
+    # u is odd under the mirror j -> n - j, so u_x is even
+    assert np.max(np.abs(ux - ux[-np.arange(len(ux)) % len(ux)])) <= 1e-12 * np.max(np.abs(ux))
 
 
 def test_dirichlet_gap_positive():

@@ -206,18 +206,6 @@ def test_eig_shift_invariance():
     assert np.max(np.abs(e2 - e1 - 2.5)) < 1e-10
 
 
-def test_eig_periodic_laplacian():
-    n, h = 512, 1.0 / 512
-    op = TridiagonalOperator(diag=np.full(n, 2 / h**2),
-                             offdiag=np.full(n - 1, -1 / h**2),
-                             boundary="periodic", corner=-1 / h**2)
-    rep = eig_sturm(op, 3)
-    assert abs(rep.eigenvalues[0]) < 1e-6
-    for j in (1, 2):
-        assert abs(rep.eigenvalues[j] - 4 * math.pi**2) / (4 * math.pi**2) < 1e-3
-    assert rep.n_negative == 0 and rep.n_zero == 1
-
-
 def test_eig_counts_stable_under_tighter_tol():
     n = 300
     rng = np.random.default_rng(11)
@@ -227,27 +215,6 @@ def test_eig_counts_stable_under_tighter_tol():
     r1 = eig_sturm(op, 5, tol=1e-10, zero_threshold=1e-9)
     r2 = eig_sturm(op, 5, tol=1e-11, zero_threshold=1e-9)
     assert r1.n_negative == r2.n_negative
-
-
-def test_eig_periodic_needs_mirror_symmetry():
-    def laplacian(n, bump=0.0):
-        diag = np.full(n, 2.0)
-        diag[1] += bump
-        return TridiagonalOperator(diag=diag, offdiag=np.full(n - 1, -1.0),
-                                   boundary="periodic", corner=-1.0)
-
-    rng = np.random.default_rng(5)
-    asymmetric = TridiagonalOperator(diag=rng.uniform(-2.0, 2.0, 66),
-                                     offdiag=rng.uniform(-1.0, 1.0, 65),
-                                     boundary="periodic", corner=0.3)
-    tol = 1e-10
-    for op in (laplacian(65), laplacian(2), laplacian(66, bump=tol), asymmetric):
-        with pytest.raises(DomainError):
-            eig_sturm(op, 1, tol=tol)
-    # a mismatch that moves no eigenvalue by more than tol/8 is accepted
-    op = laplacian(66, bump=tol / 100.0)
-    exact = np.linalg.eigvalsh(op.dense())[:5]
-    assert np.max(np.abs(eig_sturm(op, 5, tol=tol).eigenvalues - exact)) <= tol
 
 
 def _sturm_count(diag, offdiag, shifts):
@@ -266,16 +233,9 @@ def _sturm_count(diag, offdiag, shifts):
 
 
 def _oracle_eig(op, how_many, tol, tau):
-    """Lowest eigenvalues and (negative, zero, positive) counts at +-tau.
-
-    A Dirichlet operator is bisected on the Sturm count to tol / 8, so that
-    the oracle's own error stays well inside tol.  A periodic operator is
-    solved dense, by an algorithm that shares nothing with Sturm counting.
-    """
-    if op.boundary == "periodic":
-        evals = np.linalg.eigvalsh(op.dense())
-        below_neg, below_pos = np.sum(evals < -tau), np.sum(evals <= tau)
-        return evals[:how_many], (below_neg, below_pos - below_neg, op.dim - below_pos)
+    """Lowest eigenvalues and (negative, zero, positive) counts at +-tau,
+    bisected on the Sturm count to tol / 8, so that the oracle's own error
+    stays well inside tol."""
     d, e = op.diag, op.offdiag
     radius = np.zeros(op.dim)
     radius[:-1] += np.abs(e)
@@ -293,33 +253,19 @@ def _oracle_eig(op, how_many, tol, tau):
 
 
 @settings(max_examples=50, deadline=None)
-@given(n=st.integers(2, 300), periodic=st.booleans(), laplacian=st.booleans(),
+@given(n=st.integers(2, 300), laplacian=st.booleans(),
        seed=st.integers(0, 2**32 - 1), how_many=st.integers(1, 40),
        tol=st.sampled_from([1e-10, 1e-12]))
-@example(n=66, periodic=True, laplacian=True, seed=0, how_many=34, tol=1e-10)
-@example(n=64, periodic=True, laplacian=False, seed=1, how_many=6, tol=1e-12)
-@example(n=512, periodic=True, laplacian=True, seed=0, how_many=9, tol=1e-12)
-def test_eig_sturm_matches_oracle(n, periodic, laplacian, seed, how_many, tol):
-    # the periodic Laplacian has a simple zero and double eigenvalues
-    # 2 - 2 cos(2 pi k / n), one of each pair in each mirror sector.  Random
-    # operators cover both signs of the spectrum; periodic ones are made
-    # mirror symmetric (j -> n - j) at an even n >= 4, as eig_sturm requires.
+@example(n=300, laplacian=True, seed=0, how_many=40, tol=1e-12)
+def test_eig_sturm_matches_oracle(n, laplacian, seed, how_many, tol):
+    # the Dirichlet Laplacian has simple eigenvalues 2 - 2 cos(pi k / (n + 1))
+    # crowded near 0; random operators cover both signs of the spectrum
     rng = np.random.default_rng(seed)
-    if periodic:
-        n = max(4, n - n % 2)
     if laplacian:
-        diag, off, corner = np.full(n, 2.0), np.full(n - 1, -1.0), -1.0
+        diag, off = np.full(n, 2.0), np.full(n - 1, -1.0)
     else:
-        diag, off, corner = (rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n - 1),
-                             rng.uniform(-1.0, 1.0))
-    if periodic:
-        w = np.append(off, corner)
-        diag = 0.5 * (diag + diag[-np.arange(n) % n])
-        w = 0.5 * (w + w[::-1])
-        off, corner = w[:-1], w[-1]
-    op = TridiagonalOperator(diag=diag, offdiag=off,
-                             boundary="periodic" if periodic else "dirichlet",
-                             corner=corner if periodic else 0.0)
+        diag, off = rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n - 1)
+    op = TridiagonalOperator(diag=diag, offdiag=off)
     how_many = min(how_many, n)
     tau = 1e-6
     rep = eig_sturm(op, how_many, tol=tol, zero_threshold=tau)

@@ -105,6 +105,26 @@ def test_domain_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gamma-sweep", "--nodes", "0,0.5", "--eps", "0.02"],
+    ["gamma-sweep", "--nodes", "0,0.5", "--eps", "0.02,0.02"],
+    ["lipschitz", "--L", "0.5", "--eps", "0.05"],
+    ["lipschitz", "--L", "0.5", "--eps", "0.05,0.05"],
+    ["be", "--nodes", "0,0.5", "--eps", "0"],
+    ["two-node-scan", "--eps", "0", "--grid", "0.3,0.5"],
+    ["gap-sweep", "--L", "0.5", "--eps", "0"],
+    ["solve", "--L", "0.5", "--eps", "nan"],
+    ["index", "--p", "0", "--eps", "0.05"],
+    ["profiles", "--T", "0"],
+    ["profiles", "--T", "-5"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_bad_input_is_a_typed_error(argv, capsys):
+    # sweeps need two distinct eps; eps must be positive and finite, p and
+    # the profile truncation T positive
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_gap_sweep_exit(tmp_path):
     out = tmp_path / "g.json"
     code = main(["gap-sweep", "--L", "0.5", "--eps", "0.05,0.03", "--out", str(out)])
