@@ -12,8 +12,8 @@ from .elliptic_oracle import (EllipticModulus, LambdaEpsPair, ac_family,
                               ac_family_mod, complete_K, jacobi_sn,
                               lambda_of_eps, modulus_for, zero_spacing_from_kp)
 from .bvp_engine import (GridFunction, SpectrumReport, TridiagonalOperator,
-                         cumulative_simpson, eig_sturm, newton_semilinear,
-                         norm_h1_eps, simpson)
+                         cumulative_simpson, eig_sturm, linearized_operator,
+                         newton_semilinear, norm_h1_eps, simpson)
 from .profiles import (ProfileConstants, ProfileFunction, kappa_lambda,
                        kappa_lambda_prime, ode_residual, profile_constants,
                        profile_kappa_ode, profile_omega, profile_rho,
@@ -24,12 +24,11 @@ from .solver_1d import (DirichletSolution, LipschitzScan, NodalSolution,
                         intervals_for, lipschitz_scan, min_energy,
                         nodal_solution, periodic_residual, solve_dirichlet,
                         stencil_slope)
-from .balanced_energy import (BrokenTransition, HessianReport,
-                              LinearizedSolution, NodeConfig, ac_spectrum,
-                              broken_transition, dirichlet_gap,
+from .balanced_energy import (BrokenTransition, HessianReport, NodeConfig,
+                              ac_spectrum, broken_transition, dirichlet_gap,
                               dtn_v, fd_first_variation, fd_second_variation,
-                              first_variation, hessian, linearized_bvp,
-                              morse_index, translation_mode)
+                              first_variation, hessian, morse_index,
+                              translation_mode)
 from .nonexistence import (CutoffSpec, TwoNodeScan, cutoff_energy,
                            cutoff_gradient_closed, cutoff_gradient_quadrature,
                            two_node_scan)

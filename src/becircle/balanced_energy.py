@@ -3,11 +3,13 @@ the second-variation Hessian over node perturbations, the Dirichlet-to-Neumann
 quantity v(eps), Morse index and nullity, and the Allen-Cahn spectrum of the
 2p-node solution on the circle, solved as its two mirror sectors.
 
-The linearized arc solves are float64 banded solves.  The transmitted Neumann
-responses scale with the conserved quantity lambda ~ 16 e^{-sqrt2 L/eps}, far
-below the O(1) boundary data, so each endpoint slope is taken from a solve
-whose data vanish at that end.  They stay resolved to the rounding floor until
-they underflow near L/eps = 505; past that a typed DomainError is raised.
+Every linearized quantity reads one operator, bvp_engine.linearized_operator
+(-eps^2 D^2 + W''(u) with zero Dirichlet ends).  The transmission is one
+float64 banded solve per grid with data (1, 0).  Its Neumann response b
+scales with the conserved quantity lambda ~ 16 e^{-sqrt2 L/eps}, far below
+the O(1) data, so b is read at the right end, where the data vanish.  It stays
+resolved to the rounding floor until it underflows near L/eps = 505; past that
+a typed DomainError is raised.
 The Hessian's sign follows from the translation identity a = -b on each arc;
 the centered finite-difference Hessian of the energy is the test that pins it.
 BE is defined only where every arc is longer than pi*eps (eps below
@@ -17,11 +19,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bvp_engine import (GridFunction, SpectrumReport, TridiagonalOperator, eig_sturm,
+from .bvp_engine import (SpectrumReport, eig_sturm, linearized_operator,
                          solve_tridiagonal)
 from .errors import (ArcTooShort, DomainError, NotCritical, SingularJacobian,
                      SingularSystem)
-from .scalar_field import SQRT2, potential_d2
+from .scalar_field import SQRT2
 from .solver_1d import (dirichlet_pair, existence_threshold, intervals_for,
                         solve_dirichlet, stencil_slope)
 
@@ -35,8 +37,8 @@ class NodeConfig:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2 or len(nodes) % 2 != 0:
             raise DomainError("a separating configuration needs an even node count >= 2")
-        if np.any(nodes < 0.0) or np.any(nodes >= 1.0):
-            raise DomainError("nodes must lie in [0, 1)")
+        if not np.all((nodes >= 0.0) & (nodes < 1.0)):
+            raise DomainError("nodes must be finite and lie in [0, 1)")
         if np.any(np.diff(nodes) <= 0.0):
             raise DomainError("nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
@@ -54,13 +56,6 @@ class BrokenTransition:
     eps: float
     pieces: tuple            # per-arc DirichletSolution
     be: float
-
-
-@dataclass(frozen=True)
-class LinearizedSolution:
-    u: GridFunction
-    d_left: float            # one-sided derivative at the left endpoint
-    d_right: float           # one-sided derivative at the right endpoint
 
 
 @dataclass(frozen=True)
@@ -103,48 +98,21 @@ def first_variation(config, eps, f, points_per_eps=50):
     each arc: the squared-slope mismatch of the first-variation formula.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (config.m,):
-        raise DomainError("perturbation must assign one real per node")
+    if f.shape != (config.m,) or not np.all(np.isfinite(f)):
+        raise DomainError("perturbation must assign one finite real per node")
     bt = broken_transition(config, eps, points_per_eps)
     lam = np.array([p.lam for p in bt.pieces])
     return float(np.sum(f * (np.roll(lam, 1) - lam)) / eps)
 
 
-def linearized_bvp(arc, left_value, right_value):
-    """Solve eps^2 udot'' = W''(u) udot on the arc with the given Dirichlet data.
-
-    The endpoint slopes sit far below the O(1) data (the transmitted one is
-    of order lambda/eps), so each one is read off the solve for udot minus
-    that end's value: next to that end its values are small, and the
-    five-point stencil cancels nothing.  The values returned are those of
-    the plain solve.  The plain and the two shifted problems share one
-    matrix and are solved as the three columns of one right-hand side.
-    """
-    c2 = (arc.eps / arc.u.h) ** 2
-    w2 = potential_d2(arc.u.values[1:-1])
-    diag = -2.0 * c2 - w2
-    off = np.full(arc.u.n - 1, c2)
-
-    s = np.array([0.0, left_value, right_value])
-    rhs = np.outer(w2, s)
-    rhs[0] -= c2 * (left_value - s)
-    rhs[-1] -= c2 * (right_value - s)
-    try:
-        x = solve_tridiagonal(diag, off, rhs)
-    except SingularJacobian as exc:
-        raise SingularSystem(f"linearized solve: {exc}") from exc
-    vals = np.vstack((left_value - s, x, right_value - s))
-    plain, from_left, from_right = (
-        GridFunction(a=arc.u.a, b=arc.u.b, n=arc.u.n, values=vals[:, j]) for j in range(3))
-    return LinearizedSolution(u=plain, d_left=stencil_slope(from_left, "left"),
-                              d_right=stencil_slope(from_right, "right"))
-
-
 def _transmission(arc):
-    """Transmitted far-end slope b of the data-(1, 0) solve on a solved arc,
-    h^2-Richardson paired over the arc's own grids u and u_half.
+    """Transmitted far-end slope b of eps^2 udot'' = W''(u) udot with data
+    (1, 0) on a solved arc, h^2-Richardson paired over the arc's own grids u
+    and u_half.
 
-    The continuum translation identity forces the near-end slope a = -b; the
+    One banded solve per grid; b is the five-point stencil slope at the right
+    end, where the data vanish, so the stencil cancels nothing.  The
+    continuum translation identity forces the near-end slope a = -b; the
     near-end extraction carries the discrete defect a + b, while b converges
     cleanly at second order (verified against the closed-form lambda
     asymptotics).  b ~ lambda/eps underflows float64 near L/eps = 505, so a
@@ -152,8 +120,15 @@ def _transmission(arc):
     zero or a subnormal on as v or Q.
     """
     vals = []
-    for sol in (arc, replace(arc, u=arc.u_half)):
-        b = linearized_bvp(sol, 1.0, 0.0).d_right
+    for u in (arc.u, arc.u_half):
+        c2 = (arc.eps / u.h) ** 2
+        rhs = np.zeros(u.n)
+        rhs[0] = c2                  # the left datum 1, moved to the right side
+        try:
+            x = solve_tridiagonal(linearized_operator(u.values[1:-1], c2), rhs)
+        except SingularJacobian as exc:
+            raise SingularSystem(f"linearized solve: {exc}") from exc
+        b = stencil_slope(replace(u, values=np.concatenate(([1.0], x, [0.0]))), "right")
         if not abs(b) >= np.finfo(float).tiny:
             raise DomainError(
                 f"transmission {b:.3g} at L/eps = {arc.L / arc.eps:.6g} is not a "
@@ -278,23 +253,21 @@ def ac_spectrum(sol, how_many):
 
     The solution is odd under the mirror j -> n - j, so the periodic central
     differences (diagonal 2 c2 + W''(v_j), couplings -c2, c2 = eps^2/dx^2)
-    split into two tridiagonal sectors on the first half v_0..v_h, h = n/2:
-    the odd one on indices 1..h-1, and the even one on 0..h in the basis
-    e_0, (e_j + e_{n-j})/sqrt2, e_h, which scales its end couplings by
-    sqrt2.  The discrete derivative of the solution is an exact, even kernel
-    element of the discretization; its Rayleigh quotient calibrates the zero
-    threshold.
+    split into two sectors on the first half v_0..v_h, h = n/2, each one a
+    linearized_operator: the odd one on indices 1..h-1, and the even one on
+    0..h in the basis e_0, (e_j + e_{n-j})/sqrt2, e_h, which scales its end
+    couplings by sqrt2.  The discrete derivative of the solution is an
+    exact, even kernel element of the discretization; its Rayleigh quotient
+    calibrates the zero threshold.
     """
     tol = 1e-12
     if how_many > sol.u.n + 1:
         raise DomainError("how_many exceeds the operator dimension")
     h = (sol.u.n + 1) // 2
     c2 = (sol.eps / sol.u.h) ** 2
-    diag = 2.0 * c2 + potential_d2(sol.u.values[:h + 1])
-    off = np.full(h, -c2)
-    off[[0, -1]] *= SQRT2
-    sectors = (TridiagonalOperator(diag=diag[1:h], offdiag=off[1:h - 1]),
-               TridiagonalOperator(diag=diag, offdiag=off))
+    half = sol.u.values[:h + 1]
+    sectors = (linearized_operator(half[1:h], c2), linearized_operator(half, c2))
+    sectors[1].offdiag[[0, -1]] *= SQRT2
     ux = translation_mode(sol)[:h + 1]
     ux[1:-1] *= SQRT2
     rq = float(ux @ sectors[1].matvec(ux) / (ux @ ux))
@@ -311,7 +284,5 @@ def ac_spectrum(sol, how_many):
 def dirichlet_gap(eps, L, points_per_eps=50):
     """Lowest Dirichlet eigenvalue of -(eps^2 d^2 - W''(u)) on the arc."""
     arc = solve_dirichlet(L, eps, points_per_eps=points_per_eps)
-    c2 = (eps / arc.u.h) ** 2
-    op = TridiagonalOperator(diag=2.0 * c2 + potential_d2(arc.u.values[1:-1]),
-                             offdiag=np.full(arc.u.n - 1, -c2))
+    op = linearized_operator(arc.u.values[1:-1], (eps / arc.u.h) ** 2)
     return float(eig_sturm(op, 1, tol=1e-10).eigenvalues[0])

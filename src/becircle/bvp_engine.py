@@ -1,7 +1,7 @@
 """Generic numerical machinery: grids, quadrature, damped Newton for the
-semilinear two-point problem, tridiagonal solves, and a symmetric-tridiagonal
-eigensolver.  Every eigenproblem is bisected on Sturm counts by LAPACK
-(stebz).
+semilinear two-point problem, and the linearized operator -eps^2 D^2 + W''(u)
+with its banded solve and symmetric-tridiagonal eigensolver.  Every
+eigenproblem is bisected on Sturm counts by LAPACK (stebz).
 """
 import math
 from dataclasses import dataclass
@@ -113,13 +113,23 @@ def cumulative_simpson(values, h):
     return out
 
 
-def solve_tridiagonal(diag, offdiag, rhs):
-    """Solve the symmetric tridiagonal system; raises SingularJacobian on breakdown."""
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = offdiag
-    ab[1] = diag
-    ab[2, :-1] = offdiag
+def linearized_operator(values, c2):
+    """-eps^2 D^2 + W''(u) about the grid values u, c2 = (eps/h)^2, with zero
+    Dirichlet data beyond both ends: diagonal 2 c2 + W''(u), couplings -c2.
+
+    This is Newton's Jacobian (negated), the transmission solve's matrix, and
+    the operator whose spectrum dirichlet_gap and ac_spectrum report.
+    """
+    return TridiagonalOperator(diag=2.0 * c2 + potential_d2(values),
+                               offdiag=np.full(len(values) - 1, -c2))
+
+
+def solve_tridiagonal(op, rhs):
+    """Solve op x = rhs by a banded LU; raises SingularJacobian on breakdown."""
+    ab = np.zeros((3, op.dim))
+    ab[0, 1:] = op.offdiag
+    ab[1] = op.diag
+    ab[2, :-1] = op.offdiag
     try:
         x = solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:
@@ -129,8 +139,9 @@ def solve_tridiagonal(diag, offdiag, rhs):
     return x
 
 
-def newton_semilinear(grid, eps, bc, tol=1e-12, max_iter=100):
-    """Damped Newton for  eps^2 u'' = W'(u)  with Dirichlet data bc.
+def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
+    """Damped Newton for  eps^2 u'' = W'(u)  with the grid's end values as
+    Dirichlet data.
 
     Accepts the undamped step when the residual 2-norm decreases, otherwise
     halves it (at most 40 times); when no halving descends it raises
@@ -144,7 +155,6 @@ def newton_semilinear(grid, eps, bc, tol=1e-12, max_iter=100):
     if tol <= 0:
         raise DomainError("tol must be positive")
     u = grid.values.copy()
-    u[0], u[-1] = bc
     h = grid.h
     c2 = (eps / h) ** 2
     floor = 16.0 * _EPS_MACH * c2 * max(1.0, float(np.max(np.abs(u))))
@@ -158,8 +168,7 @@ def newton_semilinear(grid, eps, bc, tol=1e-12, max_iter=100):
     for it in range(max_iter):
         if rnorm <= tol:
             break
-        delta = solve_tridiagonal(-2.0 * c2 - potential_d2(u[1:-1]),
-                                  np.full(grid.n - 1, c2), -r)
+        delta = solve_tridiagonal(linearized_operator(u[1:-1], c2), r)
         if rnorm <= floor:
             # the residual is rounding noise: take the full step and stop
             u[1:-1] += delta

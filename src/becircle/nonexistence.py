@@ -29,17 +29,17 @@ class CutoffSpec:
     def __post_init__(self):
         if self.n < 2:
             raise DomainError("ambient dimension must be >= 2")
-        if self.k <= 1.0:
-            raise DomainError("k must exceed 1")
-        if self.eps <= 0.0:
-            raise DomainError("eps must be positive")
+        if not 1.0 < self.k < math.inf:
+            raise DomainError("k must be finite and exceed 1")
+        if not 0.0 < self.eps < math.inf:
+            raise DomainError("eps must be positive and finite")
         if self.delta is None:
             if self.n == 2:
                 object.__setattr__(self, "delta", 1.0 / (self.k * math.log(self.k)))
             else:
                 raise DomainError("delta required for n >= 3")
-        if self.delta <= 0.0:
-            raise DomainError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise DomainError("delta must be positive and finite")
 
 
 def _sphere_area(n):

@@ -19,8 +19,8 @@ from .scalar_field import potential, potential_d1
 
 def existence_threshold(L):
     """Largest eps admitting a positive Dirichlet solution on length L: L/pi."""
-    if L <= 0:
-        raise DomainError("interval length must be positive")
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"interval length must be positive and finite, got {L!r}")
     return L / math.pi
 
 
@@ -47,9 +47,12 @@ class NodalSolution:
 
 def intervals_for(L, eps, points_per_eps):
     """Even interval count for [0, L] at points_per_eps grid points per eps;
-    every arc solve takes its grid here, so eps must be positive and finite."""
+    every arc solve takes its grid here, so eps and points_per_eps must be
+    positive and finite."""
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
+    if not 0.0 < points_per_eps < math.inf:
+        raise DomainError(f"points per eps must be positive and finite, got {points_per_eps!r}")
     m = int(round(L / min(eps / points_per_eps, L / 400.0)))
     m = max(m, 8)
     return m + (m % 2)  # even interval count keeps the Simpson point count odd
@@ -71,7 +74,7 @@ def _solve_at(L, eps, m, tol, mod):
     vals[0] = 0.0
     vals[-1] = 0.0
     guess = GridFunction(a=0.0, b=L, n=m - 1, values=vals)
-    return newton_semilinear(guess, eps, (0.0, 0.0), tol=tol)
+    return newton_semilinear(guess, eps, tol=tol)
 
 
 def dirichlet_pair(L, eps, m, tol=1e-12):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -15,7 +16,7 @@ from becircle import (ArcTooShort, DomainError, NodeConfig, NoPositiveSolution,
                       NotCritical, ac_spectrum, broken_transition,
                       dirichlet_gap, dtn_v, fd_first_variation,
                       fd_second_variation, first_variation, hessian,
-                      lambda_of_eps, linearized_bvp, morse_index,
+                      lambda_of_eps, morse_index,
                       nodal_solution, profile_constants, solve_dirichlet,
                       translation_mode)
 from becircle.scalar_field import potential_d2
@@ -103,20 +104,10 @@ def test_first_variation_sign_orientation():
     assert fd > 0.0
 
 
-def test_linearized_bvp_basics():
-    arc = solve_dirichlet(0.5, 0.05)
-    zero = linearized_bvp(arc, 0.0, 0.0)
-    assert np.max(np.abs(zero.u.values)) == 0.0
-    sym = linearized_bvp(arc, 1.0, 1.0)
-    v = sym.u.values
-    assert np.max(np.abs(v - v[::-1])) < 1e-9      # even about the midpoint
-    assert abs(sym.d_left + sym.d_right) < 1e-12   # slopes mirror
-
-
 def _mp_linearized(arc, left, right):
     """Thomas solve of eps^2 v'' = W''(u) v with Dirichlet data, in mpmath.
 
-    The oracle for linearized_bvp: the same discrete system eliminated in
+    The oracle for the transmission solve: the same discrete system eliminated in
     0.62 L/eps + 25 digits, enough to carry the e^{-sqrt2 L/eps} decay, and
     both one-sided fourth-order endpoint derivatives taken before any
     rounding to double precision.  Returns (values, d_left, d_right).
@@ -147,50 +138,38 @@ def _mp_linearized(arc, left, right):
         return np.array([float(v) for v in full]), float(d_left), float(d_right)
 
 
-def test_linearized_bvp_one_factorisation(monkeypatch):
-    # the plain and shifted problems share one matrix: one banded solve
-    # takes them all as columns of one right-hand side
+def test_dtn_v_one_column_per_grid(monkeypatch):
+    # the transmission needs only the data-(1, 0) solve: one banded solve
+    # with a one-column right-hand side on each grid of the pair
     import becircle.balanced_energy as be
     real = be.solve_tridiagonal
     calls = []
 
     def counted(*args):
-        calls.append(args[2].shape)
+        calls.append(args[-1].shape)
         return real(*args)
 
     monkeypatch.setattr(be, "solve_tridiagonal", counted)
-    arc = solve_dirichlet(0.5, 0.05)
-    for data in ((1.0, 0.0), (0.3, -0.7)):
-        calls.clear()
-        linearized_bvp(arc, *data)
-        assert len(calls) == 1, data
+    dtn_v(0.05, 0.5)
+    m = solver.intervals_for(0.5, 0.05, 50)
+    assert calls == [(m - 1,), (2 * m - 1,)]
 
 
 @settings(max_examples=25, deadline=None)
 @given(L=st.floats(0.2, 1.0), ratio=st.floats(3.2, 60.0),
-       left=st.floats(-2.0, 2.0), right=st.floats(-2.0, 2.0),
        points_per_eps=st.integers(10, 60))
-@example(L=0.5, ratio=60.0, left=1.0, right=0.0, points_per_eps=60)
-@example(L=0.942, ratio=3.2, left=1.0, right=1.0, points_per_eps=10)
-def test_linearized_bvp_matches_mpmath_oracle(L, ratio, left, right, points_per_eps):
+@example(L=0.5, ratio=60.0, points_per_eps=60)
+@example(L=0.942, ratio=3.2, points_per_eps=10)
+def test_dtn_v_matches_mpmath_oracle(L, ratio, points_per_eps):
     # the transmitted slope b is of order lambda/eps, far below the O(1)
-    # data, and must survive the float64 solve to the rounding floor
+    # data, and must survive the float64 solve on both grids of the pair to
+    # the rounding floor
     eps = L / ratio
     arc = solve_dirichlet(L, eps, points_per_eps=points_per_eps)
-    h = arc.u.h
-    b = linearized_bvp(arc, 1.0, 0.0).d_right
-    assert abs(b / _mp_linearized(arc, 1.0, 0.0)[2] - 1.0) < 1e-10
-    # values and slopes: a float64 solve is accurate to about cond * 1.1e-16
-    # times the solution's size.  On the thin-layer side cond <= 4 * 60^2 /
-    # 1.5 < 1e4 (the gap is ~1.5); near the existence threshold the gap
-    # closes (0.07 at L/eps = 3.2), so the bounds grow with cond past 1e4
-    sol = linearized_bvp(arc, left, right)
-    vals, d_left, d_right = _mp_linearized(arc, left, right)
-    cond = (4.0 * (eps / h) ** 2 + 2.0) / dirichlet_gap(eps, L, points_per_eps)
-    scale = max(1.0, cond / 1e4) * max(1.0, float(np.max(np.abs(vals))))
-    assert np.max(np.abs(sol.u.values - vals)) < 1e-12 * scale
-    assert abs(sol.d_left - d_left) * h < 1e-14 * scale
-    assert abs(sol.d_right - d_right) * h < 1e-14 * scale
+    b, b_half = (_mp_linearized(replace(arc, u=u), 1.0, 0.0)[2]
+                 for u in (arc.u, arc.u_half))
+    v = dtn_v(eps, L, points_per_eps=points_per_eps)
+    assert abs(v / ((4.0 * b_half - b) / 3.0) - 1.0) < 1e-10
 
 
 def test_dtn_v_underflow_raises_domain_error():
@@ -252,11 +231,11 @@ def test_linearized_slope_orientation():
     # that the energy Hessian pins (see the decisions ledger)
     eps, L = 0.05, 0.5
     arc = solve_dirichlet(L, eps)
-    sym = linearized_bvp(arc, 1.0, 1.0)
+    d_left = _mp_linearized(arc, 1.0, 1.0)[1]
     v = dtn_v(eps, L)
-    assert sym.d_left > 0.0
+    assert d_left > 0.0
     assert v < 0.0
-    assert abs(sym.d_left / (-2.0 * v) - 1.0) < 1e-2
+    assert abs(d_left / (-2.0 * v) - 1.0) < 1e-2
 
 
 def test_dtn_v_sign_decay_and_asymptotics():

@@ -76,7 +76,7 @@ def _grid(a, b, n, fun):
 
 def test_newton_zero_fixed_point():
     g = _grid(0.0, 1.0, 99, lambda x: np.zeros_like(x))
-    out = newton_semilinear(g, 0.1, (0.0, 0.0))
+    out = newton_semilinear(g, 0.1)
     assert np.all(out.values == 0.0)
 
 
@@ -88,7 +88,7 @@ def test_newton_matches_oracle():
     vals = np.array([ac_family_mod(xi / eps, mod) for xi in x])
     vals[0] = vals[-1] = 0.0
     guess = GridFunction(a=0.0, b=L, n=n, values=vals)
-    out = newton_semilinear(guess, eps, (0.0, 0.0), tol=1e-12)
+    out = newton_semilinear(guess, eps, tol=1e-12)
     h = out.h
     c2 = (eps / h) ** 2
     res = c2 * (out.values[2:] - 2 * out.values[1:-1] + out.values[:-2]) \
@@ -104,11 +104,11 @@ def test_newton_basin():
     vals = np.array([ac_family_mod(xi / eps, mod) for xi in x])
     vals[0] = vals[-1] = 0.0
     base = newton_semilinear(GridFunction(a=0.0, b=L, n=n, values=vals),
-                             eps, (0.0, 0.0), tol=1e-12)
+                             eps, tol=1e-12)
     pert = base.values + 1e-3 * np.sin(math.pi * x / L)
     pert[0] = pert[-1] = 0.0
     again = newton_semilinear(GridFunction(a=0.0, b=L, n=n, values=pert),
-                              eps, (0.0, 0.0), tol=1e-12)
+                              eps, tol=1e-12)
     assert np.max(np.abs(again.values - base.values)) < 2e-12
 
 
@@ -127,12 +127,13 @@ def test_newton_quadratic_decay():
 
     from becircle import NonConvergence
 
+    vals = 0.9 * np.sin(math.pi * x / L)
+    vals[0] = vals[-1] = 0.0       # the end values are the Dirichlet data
     hist = []
     for k in range(1, 9):
-        guess = GridFunction(a=0.0, b=L, n=n,
-                             values=0.9 * np.sin(math.pi * x / L))
+        guess = GridFunction(a=0.0, b=L, n=n, values=vals)
         try:
-            out = newton_semilinear(guess, eps, (0.0, 0.0), tol=1e-13, max_iter=k)
+            out = newton_semilinear(guess, eps, tol=1e-13, max_iter=k)
             hist.append(resid(out.values))
             break
         except NonConvergence as exc:
@@ -181,7 +182,7 @@ def test_newton_ends_at_floor_on_a_fixed_point(ratio, points_per_eps, halved):
     res = c2 * (v[2:] - 2 * v[1:-1] + v[:-2]) - potential_d1(v[1:-1])
     floor = 16.0 * np.finfo(float).eps * c2 * max(1.0, float(np.max(np.abs(v))))
     assert np.max(np.abs(res)) <= max(tol, floor)
-    again = newton_semilinear(out, eps, (0.0, 0.0), tol=tol)
+    again = newton_semilinear(out, eps, tol=tol)
     assert np.max(np.abs(again.values - v)) <= 1e-12
 
 

@@ -6,6 +6,8 @@ Regenerate the golden files with:  BECIRCLE_REGEN=1 pytest tests/test_cli.py
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +47,20 @@ def test_stdout_matches_golden(name, capsys):
     # without --out the record goes to stdout, byte for byte as to a file
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_module_form_writes_the_golden_record():
+    # python -m becircle runs the CLI without the RuntimeWarning that
+    # python -m becircle.experiments_cli gives (the package imports that
+    # module before runpy executes it)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "becircle",
+         *CASES["solve.json"]],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "solve.json").read_bytes()
 
 
 def test_determinism(tmp_path):
@@ -117,10 +133,21 @@ def test_domain_error_exit_code(capsys):
     ["index", "--p", "0", "--eps", "0.05"],
     ["profiles", "--T", "0"],
     ["profiles", "--T", "-5"],
+    ["solve", "--L", "0.5", "--eps", "0.05", "--grid-per-eps", "0"],
+    ["solve", "--L", "0.5", "--eps", "0.05", "--grid-per-eps", "-5"],
+    ["solve", "--L", "nan", "--eps", "0.05"],
+    ["solve", "--L", "inf", "--eps", "0.05"],
+    ["be", "--nodes", "0,nan", "--eps", "0.02"],
+    ["cutoff-nd", "--n", "2", "--k", "1e4", "--eps", "nan"],
+    ["cutoff-nd", "--n", "2", "--k", "nan", "--eps", "0.1"],
+    ["cutoff-nd", "--n", "3", "--k", "10", "--eps", "0.1", "--delta", "inf"],
+    ["variation", "--nodes", "0,0.5", "--eps", "0.05", "--f", "0,nan"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_bad_input_is_a_typed_error(argv, capsys):
-    # sweeps need two distinct eps; eps must be positive and finite, p and
-    # the profile truncation T positive
+    # sweeps need two distinct eps; eps, L, the grid density and the cutoff's
+    # k and delta must be positive and finite, p and the profile truncation T
+    # positive, nodes and the node motion f finite: never a traceback, and
+    # never a NaN written into a record
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
 

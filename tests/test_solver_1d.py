@@ -98,7 +98,7 @@ def test_solve_dirichlet_uniqueness_probe():
         vals = amp * arch * wobble
         vals[0] = vals[-1] = 0.0
         guess = GridFunction(a=0.0, b=L, n=m - 1, values=vals)
-        out = newton_semilinear(guess, eps, (0.0, 0.0), tol=1e-12)
+        out = newton_semilinear(guess, eps, tol=1e-12)
         assert np.max(np.abs(out.values - ref.u.values)) < 1e-7
 
 
