@@ -152,8 +152,8 @@ def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
     iteration stops: the error after it is O(|step|^2) (the error-based
     termination of Deuflhard, Newton Methods for Nonlinear Problems, 2.1).
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     u = grid.values.copy()
     h = grid.h
     c2 = (eps / h) ** 2

@@ -14,10 +14,10 @@ abscissae: the Landen chain and K are built once per modulus and cached
 (`_landen_plan`), and the ascent runs elementwise, through `math` for a float
 (which returns a float) and through numpy for an array.  Both paths do the
 same arithmetic in the same order, and numpy's float64 sin, cos and sqrt round
-as `math`'s do, so an array result of `ac_family_mod` equals the per-element
-scalar calls bit for bit (the tests check this).  Only the k = 1 limit of
-`_sn_cn_dn_kp` differs: numpy's tanh and cosh are within 2 ulps of `math`'s,
-not equal.
+as `math`'s do, so an array result equals the per-element scalar calls bit
+for bit (the tests check this).  For a k-parameterized K, sn, cn and dn at
+moderate k use `scipy.special.ellipk` and `ellipj`; the k = 1 limit is
+`scalar_field.heteroclinic`.
 """
 import functools
 import math
@@ -48,13 +48,6 @@ def _agm(a, b):
             break
         a, b = a_next, b_next
     return 0.5 * (a + b)
-
-
-def complete_K(k):
-    """Complete elliptic integral of the first kind via the AGM."""
-    if not 0.0 <= k < 1.0:
-        raise DomainError(f"complete_K requires 0 <= k < 1, got {k}")
-    return _complete_K_from_kp(math.sqrt((1.0 - k) * (1.0 + k)))
 
 
 def _complete_K_from_kp(kp):
@@ -96,17 +89,11 @@ def _landen_plan(kp):
 
 
 def _sn_cn_dn_kp(x, kp):
-    """Jacobi sn, cn, dn at modulus k = sqrt(1 - kp^2), kp-parameterized.
+    """Jacobi sn, cn, dn at modulus k = sqrt(1 - kp^2), for kp in (0, 1].
 
     x is a float or an array; the Landen ascent runs elementwise over it.
     """
     xp = np if isinstance(x, np.ndarray) else math
-    if kp >= 1.0:  # k == 0
-        return xp.sin(x), xp.cos(x), 1.0 if xp is math else np.ones_like(x, dtype=float)
-    if kp <= 0.0:  # k == 1
-        s = xp.tanh(x)
-        c = 1.0 / xp.cosh(x)
-        return s, c, c
     plan = _landen_plan(kp)
     u = x
     for divisor in plan.divisors:
@@ -123,8 +110,7 @@ def _sn_cn_dn_kp(x, kp):
 def _fold(x, K):
     """Reduce x into [0, K] by sn(x + 2K) = -sn(x) and sn(2K - x) = sn(x).
 
-    Returns (x, flip_s, flip_c): sn(x_in) = flip_s sn(x), and
-    cn(x_in) = flip_s flip_c cn(x).  x is a float or an array.
+    Returns (x, flip_s), sn(x_in) = flip_s sn(x); x is a float or an array.
     """
     period = 4.0 * K
     if isinstance(x, np.ndarray):
@@ -132,9 +118,8 @@ def _fold(x, K):
         x = np.where(x < 0, x + period, x)
         upper = x > 2.0 * K
         x = np.where(upper, x - 2.0 * K, x)
-        back = x > K
-        x = np.where(back, 2.0 * K - x, x)
-        return x, np.where(upper, -1.0, 1.0), np.where(back, -1.0, 1.0)
+        x = np.where(x > K, 2.0 * K - x, x)
+        return x, np.where(upper, -1.0, 1.0)
     x = math.fmod(x, period)
     if x < 0:
         x += period
@@ -142,29 +127,9 @@ def _fold(x, K):
     if x > 2.0 * K:
         x -= 2.0 * K
         flip_s = -1.0
-    flip_c = 1.0
     if x > K:
         x = 2.0 * K - x
-        flip_c = -1.0
-    return x, flip_s, flip_c
-
-
-def jacobi_sn(x, k):
-    """Jacobi elliptic (sn, cn, dn) at real x, 0 <= k <= 1.
-
-    Descending Landen transformation; the periodic extension is handled by
-    quarter-period reduction for finite-period moduli.
-    """
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"jacobi_sn requires 0 <= k <= 1, got {k}")
-    if k == 1.0:
-        s = math.tanh(x)
-        c = 1.0 / math.cosh(x)
-        return s, c, c
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    x, flip_s, flip_c = _fold(x, _landen_plan(kp).K)
-    s, c, d = _sn_cn_dn_kp(x, kp)
-    return flip_s * s, flip_s * flip_c * c, d
+    return x, flip_s
 
 
 @dataclass(frozen=True)
@@ -186,28 +151,18 @@ def zero_spacing_from_kp(kp):
     return 2.0 * _complete_K_from_kp(kp) * math.sqrt(2.0 - kp * kp)
 
 
-def ac_family(x, k):
-    """The closed-form solution family g(x, k) = k sqrt(2/(1+k^2)) sn(...)."""
-    if not 0.0 < k <= 1.0:
-        raise DomainError(f"ac_family requires 0 < k <= 1, got {k}")
-    if k == 1.0:
-        return math.tanh(x / SQRT2)
-    amp = k * math.sqrt(2.0 / (1.0 + k * k))
-    s, _, _ = jacobi_sn(x / math.sqrt(1.0 + k * k), k)
-    return amp * s
-
-
 def _amplitude_from_mod(mod):
     return mod.k * SQRT2 / math.sqrt(2.0 - mod.kp * mod.kp)
 
 
 def ac_family_mod(x, mod):
-    """ac_family evaluated through an EllipticModulus (kp-safe near k = 1).
+    """The family g(x, k) = k sqrt(2/(1+k^2)) sn(x / sqrt(1+k^2), k) at the
+    modulus mod, computed through kp so it stays accurate as k -> 1.
 
     x is a float or an array; one call evaluates a whole grid.
     """
     t = x / math.sqrt(2.0 - mod.kp * mod.kp)
-    t, sign, _ = _fold(t, _landen_plan(mod.kp).K)
+    t, sign = _fold(t, _landen_plan(mod.kp).K)
     s, _, _ = _sn_cn_dn_kp(t, mod.kp)
     return sign * _amplitude_from_mod(mod) * s
 
@@ -221,8 +176,8 @@ def modulus_for(eps, L):
     Monotone bisection performed on ln(kp) so that complementary moduli
     exponentially close to 0 (k -> 1) retain relative accuracy.
     """
-    if eps <= 0 or L <= 0:
-        raise DomainError("eps and L must be positive")
+    if not (eps > 0 and L > 0):
+        raise DomainError(f"eps and L must be positive, got eps={eps}, L={L}")
     if eps >= L / math.pi:
         raise NoPositiveSolution(
             f"eps={eps} at or above the existence threshold {L / math.pi}"

@@ -223,6 +223,8 @@ def _cmd_gamma_sweep(args):
 
 
 def _cmd_profiles(args):
+    if not 0.0 < args.stride < math.inf:
+        raise DomainError(f"--stride must be positive and finite, got {args.stride}")
     T, h = args.T, DEFAULT_H
     w = profile_w(T, h)
     rho = profile_rho(T, h)

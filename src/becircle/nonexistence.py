@@ -96,9 +96,12 @@ def two_node_scan(eps, p_grid, points_per_eps=50):
     Grid points whose shorter arc drops to 1.05 pi eps or below are dropped
     and flagged rather than modeled by the degenerate u = 0 arc.
     """
+    p_grid = np.asarray(p_grid, dtype=float)
+    if not np.all(np.isfinite(p_grid)):
+        raise DomainError(f"grid points must be finite, got {p_grid.tolist()}")
     floor = 1.05 * math.pi * eps
     kept, dropped = [], []
-    for p in np.asarray(p_grid, dtype=float):
+    for p in p_grid:
         if min(p, 1.0 - p) > floor:
             kept.append(p)
         else:

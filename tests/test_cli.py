@@ -142,12 +142,19 @@ def test_domain_error_exit_code(capsys):
     ["cutoff-nd", "--n", "2", "--k", "nan", "--eps", "0.1"],
     ["cutoff-nd", "--n", "3", "--k", "10", "--eps", "0.1", "--delta", "inf"],
     ["variation", "--nodes", "0,0.5", "--eps", "0.05", "--f", "0,nan"],
+    ["solve", "--L", "0.5", "--eps", "0.05", "--tol", "inf"],
+    ["solve", "--L", "0.5", "--eps", "0.05", "--tol", "nan"],
+    ["two-node-scan", "--eps", "0.05", "--grid", "0.3,nan"],
+    ["profiles", "--stride", "nan"],
+    ["profiles", "--stride", "0"],
+    ["profiles", "--stride", "-1"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_bad_input_is_a_typed_error(argv, capsys):
-    # sweeps need two distinct eps; eps, L, the grid density and the cutoff's
-    # k and delta must be positive and finite, p and the profile truncation T
-    # positive, nodes and the node motion f finite: never a traceback, and
-    # never a NaN written into a record
+    # sweeps need two distinct eps; eps, L, the grid density, Newton's tol,
+    # the profile stride and the cutoff's k and delta must be positive and
+    # finite, p and the profile truncation T positive, nodes, scan grid
+    # points and the node motion f finite: never a traceback, and never a
+    # NaN written into a record
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
 

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import ellipj
+from scipy.special import ellipj, ellipk
 
-from becircle import (DomainError, NoPositiveSolution, ac_family, ac_family_mod,
-                      complete_K, jacobi_sn, lambda_of_eps, modulus_for,
-                      potential, potential_d1, zero_spacing_from_kp)
+from becircle import (DomainError, NoPositiveSolution, ac_family_mod, heteroclinic,
+                      lambda_of_eps, modulus_for, potential, potential_d1,
+                      zero_spacing_from_kp)
 from becircle import elliptic_oracle
 from becircle.elliptic_oracle import (EllipticModulus, _agm, _complete_K_from_kp, _fold,
                                       _landen_plan, _sn_cn_dn_kp)
-
-SQRT2 = math.sqrt(2.0)
 
 
 def _K_quadrature(k, n=20001):
@@ -23,75 +21,104 @@ def _K_quadrature(k, n=20001):
     return (f[0] + f[-1] + 4 * f[1:-1:2].sum() + 2 * f[2:-2:2].sum()) * h / 3.0
 
 
+def _kp(k):
+    return math.sqrt((1.0 - k) * (1.0 + k))
+
+
 def test_complete_K_limits_and_quadrature():
-    assert abs(complete_K(0.0) - math.pi / 2.0) < 1e-15
-    assert abs(complete_K(0.5) - _K_quadrature(0.5)) < 1e-10
+    assert abs(_complete_K_from_kp(1.0) - math.pi / 2.0) < 1e-15
+    for k in (0.0, 0.5, 0.9):
+        K = _complete_K_from_kp(_kp(k))
+        assert abs(K - _K_quadrature(k)) < 1e-10
+        assert abs(K - ellipk(k * k)) < 1e-14
     with pytest.raises(DomainError):
-        complete_K(1.0)
+        _complete_K_from_kp(0.0)
 
 
 def test_complete_K_monotone():
-    ks = [0.0, 0.3, 0.6, 0.9, 0.99]
-    vals = [complete_K(k) for k in ks]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
+    # K grows without bound as k -> 1, i.e. decreases in kp
+    kps = [1e-300, 1e-100, 1e-8, 0.01, 0.3, 0.6, 0.9, 1.0]
+    vals = [_complete_K_from_kp(kp) for kp in kps]
+    assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+# kp at k = 0.8, and the moduli of arcs at L/eps 10, 60 and 200, where k
+# itself rounds to 1.0 from L/eps ~ 55 on
+_ORACLE_KPS = [0.6] + [modulus_for(0.5 / r, 0.5).kp for r in (10.0, 60.0, 200.0)]
 
 
 def test_jacobi_sn_degenerate_moduli():
-    for x in (0.3, 1.0, 2.5):
-        assert abs(jacobi_sn(x, 0.0)[0] - math.sin(x)) < 1e-12
-    assert abs(jacobi_sn(1.0, 1.0)[0] - math.tanh(1.0)) < 1e-12
+    # k = 0 (kp = 1): sin, cos and 1.0, bit for bit
+    for x in (0.0, -0.0, 0.3, 1.0, 2.5, -7.0, 1e300):
+        ours = _sn_cn_dn_kp(x, 1.0)
+        assert all(type(v) is float for v in ours)
+        assert np.array_equal(_bits(ours), _bits((math.sin(x), math.cos(x), 1.0)))
+    # the k = 1 limit: the family becomes the heteroclinic tanh(x / sqrt 2)
+    mod = modulus_for(0.5 / 200.0, 0.5)
+    x = np.linspace(0.0, 20.0, 2001)
+    assert np.max(np.abs(ac_family_mod(x, mod) - heteroclinic(x)[0])) < 1e-15
 
 
 def test_jacobi_identities():
-    sn, cn, dn = jacobi_sn(0.7, 0.8)
-    assert abs(sn * sn + cn * cn - 1.0) < 1e-12
-    assert abs(dn * dn - (1.0 - 0.64 * sn * sn)) < 1e-12
+    for kp in _ORACLE_KPS:
+        k2 = (1.0 - kp) * (1.0 + kp)
+        x = np.linspace(0.0, _complete_K_from_kp(kp), 2001)
+        sn, cn, dn = _sn_cn_dn_kp(x, kp)
+        assert np.max(np.abs(sn * sn + cn * cn - 1.0)) < 1e-12
+        assert np.max(np.abs(dn * dn - (1.0 - k2 * sn * sn))) < 1e-12
 
 
 def test_jacobi_periodicity():
-    k = 0.6
-    K = complete_K(k)
-    for x in (0.4, 1.3):
-        s0 = jacobi_sn(x, k)
-        s4 = jacobi_sn(x + 4 * K, k)
-        s2 = jacobi_sn(x + 2 * K, k)
-        assert abs(s0[0] - s4[0]) < 1e-11
-        assert abs(s0[0] + s2[0]) < 1e-11
+    # zeros of the family are Z apart and it alternates sign between them
+    for kp in _ORACLE_KPS:
+        mod = EllipticModulus(k=_kp(kp), kp=kp, zero_spacing=zero_spacing_from_kp(kp))
+        Z = mod.zero_spacing
+        x = np.linspace(0.0, 2.0 * Z, 401)
+        g = ac_family_mod(x, mod)
+        assert np.max(np.abs(ac_family_mod(x + Z, mod) + g)) < 1e-11
+        assert np.max(np.abs(ac_family_mod(x + 2.0 * Z, mod) - g)) < 1e-11
 
 
 def test_jacobi_derivative_relations():
-    # sn' = cn dn, cn' = -sn dn, dn' = -k^2 sn cn by centered differences
-    k, x, d = 0.75, 0.9, 1e-6
-    snp, cnp, dnp = jacobi_sn(x + d, k)
-    snm, cnm, dnm = jacobi_sn(x - d, k)
-    sn, cn, dn = jacobi_sn(x, k)
-    assert abs((snp - snm) / (2 * d) - cn * dn) < 1e-9
-    assert abs((cnp - cnm) / (2 * d) + sn * dn) < 1e-9
-    assert abs((dnp - dnm) / (2 * d) + k * k * sn * cn) < 1e-9
+    # sn' = cn dn, cn' = -sn dn, dn' = -k^2 sn cn by fourth-order centered
+    # differences (wide enough steps that the ascent's rounding stays small)
+    d = 1e-3
+    for kp in _ORACLE_KPS:
+        k2 = (1.0 - kp) * (1.0 + kp)
+        x = np.linspace(0.0, _complete_K_from_kp(kp), 200)
+        v = [_sn_cn_dn_kp(x + j * d, kp) for j in (-2, -1, 1, 2)]
+        sn, cn, dn = _sn_cn_dn_kp(x, kp)
+        dsn, dcn, ddn = ((f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * d)
+                         for f in zip(*v))
+        assert np.max(np.abs(dsn - cn * dn)) < 1e-9
+        assert np.max(np.abs(dcn + sn * dn)) < 1e-9
+        assert np.max(np.abs(ddn + k2 * sn * cn)) < 1e-9
+
+
+# arcs at L/eps 4 to 200: the family's zero spacing equals L/eps
+_ARC_MODULI = [modulus_for(0.5 / r, 0.5) for r in (4.0, 10.0, 25.0, 60.0, 200.0)]
 
 
 def test_ac_family_basic():
-    for k in (0.3, 0.7, 0.95):
-        assert ac_family(0.0, k) == 0.0
-    assert abs(ac_family(1.3, 1.0) - math.tanh(1.3 / SQRT2)) < 1e-12
-    # the max sits at the quarter period K(k) sqrt(1+k^2)
-    k = 0.9
-    amp_target = k * math.sqrt(2.0 / (1.0 + k * k))
-    x_peak = complete_K(k) * math.sqrt(1.0 + k * k)
-    assert abs(ac_family(x_peak, k) - amp_target) < 1e-10
-    grid_max = max(ac_family(x, k) for x in np.linspace(0.0, 12.0, 4001))
-    assert grid_max <= amp_target + 1e-12
+    for mod in _ARC_MODULI:
+        Z = mod.zero_spacing
+        assert ac_family_mod(0.0, mod) == 0.0
+        # the max sits half way between the zeros and equals the amplitude
+        amp = mod.k * math.sqrt(2.0 / (2.0 - mod.kp * mod.kp))
+        assert abs(ac_family_mod(0.5 * Z, mod) - amp) < 1e-10
+        assert np.max(ac_family_mod(np.linspace(0.0, Z, 4001), mod)) <= amp + 1e-12
+        # past the first zero the family is negative, also where k rounds to 1.0
+        assert ac_family_mod(1.5 * Z, mod) < 0.0
 
 
 def test_ac_family_solves_equation():
-    # fourth-order FD residual of g'' = W'(g) at 50 sample points
+    # fourth-order FD residual of g'' = W'(g) at 50 sample points per arc
     h = 5e-3
-    for k in (0.5, 0.9, 0.999):
-        xs = np.linspace(0.3, 3.0, 50)
-        for x in xs:
-            vals = [ac_family(x + j * h, k) for j in (-2, -1, 0, 1, 2)]
-            d2 = (-vals[4] + 16 * vals[3] - 30 * vals[2] + 16 * vals[1] - vals[0]) / (12 * h * h)
-            assert abs(d2 - potential_d1(vals[2])) < 1e-9
+    for mod in _ARC_MODULI:
+        x = np.linspace(0.3, mod.zero_spacing - 0.3, 50)
+        v = [ac_family_mod(x + j * h, mod) for j in (-2, -1, 0, 1, 2)]
+        d2 = (-v[4] + 16 * v[3] - 30 * v[2] + 16 * v[1] - v[0]) / (12 * h * h)
+        assert np.max(np.abs(d2 - potential_d1(v[2]))) < 1e-9
 
 
 def test_zero_spacing_against_root_finding():
@@ -111,15 +138,27 @@ def test_zero_spacing_against_root_finding():
 def test_modulus_for_threshold_and_monotonicity():
     with pytest.raises(NoPositiveSolution):
         modulus_for(0.2, 0.5)     # 0.2 > 1/(2 pi)
+    with pytest.raises(NoPositiveSolution):
+        modulus_for(math.inf, 0.5)
+    with pytest.raises(DomainError):
+        modulus_for(0.05, math.inf)
     assert modulus_for(0.001, 0.5).k > 0.999
     assert modulus_for(0.01, 0.5).k > modulus_for(0.05, 0.5).k
     mod = modulus_for(0.02, 0.5)
     assert abs(zero_spacing_from_kp(mod.kp) - 25.0) < 1e-9
-    # the printed-formula identity, at a moderate modulus where the public
+    # the printed-formula identity, at a moderate modulus where a
     # k-parameterized K carries full precision
     mod2 = modulus_for(0.1, 0.5)
     assert abs(mod2.zero_spacing
-               - 2.0 * complete_K(mod2.k) * math.sqrt(1 + mod2.k**2)) < 1e-10
+               - 2.0 * ellipk(mod2.k**2) * math.sqrt(1 + mod2.k**2)) < 1e-10
+
+
+@pytest.mark.parametrize("eps, L", [(math.nan, 0.5), (0.05, math.nan)])
+def test_modulus_for_rejects_nan(eps, L):
+    with pytest.raises(DomainError, match="must be positive"):
+        modulus_for(eps, L)
+    with pytest.raises(DomainError, match="must be positive"):
+        lambda_of_eps(eps, L)
 
 
 def test_lambda_of_eps():
@@ -183,17 +222,23 @@ def test_ac_family_mod_array_equals_scalar_calls(mod, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(xs=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=30),
-       kp=st.sampled_from([-0.5, 0.0, 1.0, 1.5]))
-def test_sn_cn_dn_kp_degenerate_moduli_on_arrays(xs, kp):
-    arrays = _sn_cn_dn_kp(np.array(xs), kp)
+@given(xs=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=30))
+def test_sn_cn_dn_kp_degenerate_moduli_on_arrays(xs):
+    # kp = 1 (k = 0) runs the one-level Landen chain: sin, cos and 1.0 bit for
+    # bit, for an array as for per-element scalar calls
+    x = np.array(xs)
+    arrays = _sn_cn_dn_kp(x, 1.0)
+    for values, ref in zip(arrays, (np.sin(x), np.cos(x), np.ones_like(x))):
+        assert np.array_equal(_bits(values), _bits(ref))
     for j, values in enumerate(arrays):
-        scalar = [_sn_cn_dn_kp(x, kp)[j] for x in xs]
+        scalar = [_sn_cn_dn_kp(xi, 1.0)[j] for xi in xs]
         assert all(type(v) is float for v in scalar)
-        if kp >= 1.0:                   # sin and cos: bit for bit
-            assert np.array_equal(_bits(values), _bits(scalar))
-        else:                           # numpy's tanh and cosh are not libm's
-            np.testing.assert_array_max_ulp(values, np.array(scalar), maxulp=2)
+        assert np.array_equal(_bits(values), _bits(scalar))
+    # outside (0, 1] there is no modulus
+    for kp in (-0.5, 0.0, 1.5):
+        for arg in (xs[0], x):
+            with pytest.raises(DomainError):
+                _sn_cn_dn_kp(arg, kp)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.1, 0.3, 0.5, 0.7, 0.8, 0.9])
