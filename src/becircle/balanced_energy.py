@@ -5,9 +5,9 @@ quantity v(eps), Morse index and nullity, and the Allen-Cahn spectrum of the
 
 Every linearized quantity reads one operator, bvp_engine.linearized_operator
 (-eps^2 D^2 + W''(u) with zero Dirichlet ends).  The transmission is one
-float64 banded solve per grid with data (1, 0).  Its Neumann response b
-scales with the conserved quantity lambda ~ 16 e^{-sqrt2 L/eps}, far below
-the O(1) data, so b is read at the right end, where the data vanish.  It stays
+float64 gtsv solve per grid with data (1, 0).  Its Neumann response b scales
+with the conserved quantity lambda ~ 16 e^{-sqrt2 L/eps}, far below the O(1)
+data, so b is read at the right end, where the data vanish.  It stays
 resolved to the rounding floor until it underflows near L/eps = 505; past that
 a typed DomainError is raised.
 The Hessian's sign follows from the translation identity a = -b on each arc;
@@ -15,6 +15,7 @@ the centered finite-difference Hessian of the energy is the test that pins it.
 BE is defined only where every arc is longer than pi*eps (eps below
 solver_1d.existence_threshold); a shorter arc raises ArcTooShort.
 """
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -110,7 +111,7 @@ def _transmission(arc):
     (1, 0) on a solved arc, h^2-Richardson paired over the arc's own grids u
     and u_half.
 
-    One banded solve per grid; b is the five-point stencil slope at the right
+    One gtsv solve per grid; b is the five-point stencil slope at the right
     end, where the data vanish, so the stencil cancels nothing.  The
     continuum translation identity forces the near-end slope a = -b; the
     near-end extraction carries the discrete defect a + b, while b converges
@@ -261,9 +262,10 @@ def ac_spectrum(sol, how_many):
     calibrates the zero threshold.
     """
     tol = 1e-12
-    if how_many > sol.u.n + 1:
-        raise DomainError("how_many exceeds the operator dimension")
-    h = (sol.u.n + 1) // 2
+    n = sol.u.n + 1
+    if not (isinstance(how_many, numbers.Integral) and 1 <= how_many <= n):
+        raise DomainError(f"how_many must be an integer in [1, {n}], got {how_many!r}")
+    h = n // 2
     c2 = (sol.eps / sol.u.h) ** 2
     half = sol.u.values[:h + 1]
     sectors = (linearized_operator(half[1:h], c2), linearized_operator(half, c2))

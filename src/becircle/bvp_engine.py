@@ -1,13 +1,17 @@
 """Generic numerical machinery: grids, quadrature, damped Newton for the
 semilinear two-point problem, and the linearized operator -eps^2 D^2 + W''(u)
-with its banded solve and symmetric-tridiagonal eigensolver.  Every
-eigenproblem is bisected on Sturm counts by LAPACK (stebz).
+with its tridiagonal solve (LAPACK gtsv) and symmetric-tridiagonal
+eigensolver.  Every eigenproblem is bisected on Sturm counts by LAPACK (stebz).
 """
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+# solve_banded is not called: bench/tracing.py reads bvp_engine.solve_banded;
+# once the tracer drops that read (ROADMAP item 4), drop it from this import
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NonConvergence, SingularJacobian
 from .scalar_field import potential_d1, potential_d2
@@ -125,15 +129,13 @@ def linearized_operator(values, c2):
 
 
 def solve_tridiagonal(op, rhs):
-    """Solve op x = rhs by a banded LU; raises SingularJacobian on breakdown."""
-    ab = np.zeros((3, op.dim))
-    ab[0, 1:] = op.offdiag
-    ab[1] = op.diag
-    ab[2, :-1] = op.offdiag
-    try:
-        x = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(str(exc)) from exc
+    """Solve op x = rhs by LAPACK gtsv; raises SingularJacobian on a zero pivot
+    or a non-finite x (from a NaN or inf in op or rhs).  gtsv's wrapper rejects
+    n = 1; no caller builds that, as a GridFunction has n >= 3.
+    """
+    *_, x, info = dgtsv(op.offdiag, op.diag, op.offdiag, rhs)
+    if info > 0:
+        raise SingularJacobian(f"singular tridiagonal operator: zero pivot {info}")
     if not np.all(np.isfinite(x)):
         raise SingularJacobian("non-finite solution from tridiagonal solve")
     return x
@@ -235,8 +237,8 @@ def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
     tau defaults to 1e-8 times the largest returned magnitude.
     """
     n = op.dim
-    if how_many > n:
-        raise DomainError("how_many exceeds the operator dimension")
+    if not (isinstance(how_many, numbers.Integral) and 1 <= how_many <= n):
+        raise DomainError(f"how_many must be an integer in [1, {n}], got {how_many!r}")
     evals = _stebz(op.diag, op.offdiag, "i", (0, how_many - 1), tol)
     tau = zero_threshold if zero_threshold is not None else 1e-8 * np.max(np.abs(evals))
     below_neg, below_pos = (_count_at_most(op.diag, op.offdiag, x) for x in (-tau, tau))

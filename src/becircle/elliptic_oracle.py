@@ -9,15 +9,16 @@ so that moduli exponentially close to 1 (the interesting regime) keep full
 relative accuracy; k itself rounds to 1.0 in double precision long before
 the underlying solution family degenerates.
 
-`ac_family_mod` and `_sn_cn_dn_kp` take a float or a numpy array of
-abscissae: the Landen chain and K are built once per modulus and cached
+`ac_family_mod` and `_sn_kp` take a float or a numpy array of abscissae:
+the Landen chain and K are built once per modulus and cached
 (`_landen_plan`), and the ascent runs elementwise, through `math` for a float
-(which returns a float) and through numpy for an array.  Both paths do the
-same arithmetic in the same order, and numpy's float64 sin, cos and sqrt round
-as `math`'s do, so an array result equals the per-element scalar calls bit
-for bit (the tests check this).  For a k-parameterized K, sn, cn and dn at
-moderate k use `scipy.special.ellipk` and `ellipj`; the k = 1 limit is
-`scalar_field.heteroclinic`.
+(which returns a float) and through numpy for an array.  The family reads sn
+only, and the ascent of sn reads neither cn nor dn, so only sn is computed.
+Both paths do the same arithmetic in the same order, and numpy's float64 sin
+rounds as `math`'s does, so an array result equals the per-element scalar
+calls bit for bit (the tests check this).  For a k-parameterized K, sn, cn
+and dn at moderate k use `scipy.special.ellipk` and `ellipj`; the k = 1 limit
+is `scalar_field.heteroclinic`.
 """
 import functools
 import math
@@ -58,8 +59,7 @@ def _complete_K_from_kp(kp):
 
 class _LandenPlan(NamedTuple):
     K: float
-    divisors: tuple  # 1 + k_j for the descent, j = 1, 2, ...
-    ascent: tuple    # (k_low, 1 + k_low, kp_up^2, k_up^2), deepest level first
+    levels: tuple  # (k_j, 1 + k_j) for the descent, j = 1, 2, ...
 
 
 # typed: a numpy float64 kp gets a plan of numpy scalars, a float kp of floats
@@ -69,42 +69,34 @@ def _landen_plan(kp):
 
     Level j+1 from level j:  k_{j+1} = (1 - kp_j) / (1 + kp_j), until
     k < 1e-15; the complement is tracked through 1 - k_{j+1} =
-    2 kp_j / (1 + kp_j) to avoid cancellation when kp_j is tiny.  Each
-    ascent step carries the lower level's k and the upper level's squared
-    moduli, so the per-point loop forms no product of constants.
+    2 kp_j / (1 + kp_j) to avoid cancellation when kp_j is tiny.
     """
     K = _complete_K_from_kp(kp)
-    divisors, ascent = [], []
-    k_j, kp_j = math.sqrt((1.0 - kp) * (1.0 + kp)), kp
+    levels, kp_j = [], kp
     for _ in range(_LANDEN_CAP):
         k_next = (1.0 - kp_j) / (1.0 + kp_j)
         one_minus = 2.0 * kp_j / (1.0 + kp_j)
-        kp_next = math.sqrt(one_minus * (1.0 + k_next))
-        divisors.append(1.0 + k_next)
-        ascent.append((k_next, 1.0 + k_next, kp_j * kp_j, k_j * k_j))
+        levels.append((k_next, 1.0 + k_next))
         if k_next < _LANDEN_TINY:
             break
-        k_j, kp_j = k_next, kp_next
-    return _LandenPlan(K, tuple(divisors), tuple(reversed(ascent)))
+        kp_j = math.sqrt(one_minus * (1.0 + k_next))
+    return _LandenPlan(K, tuple(levels))
 
 
-def _sn_cn_dn_kp(x, kp):
-    """Jacobi sn, cn, dn at modulus k = sqrt(1 - kp^2), for kp in (0, 1].
+def _sn_kp(x, kp):
+    """Jacobi sn at modulus k = sqrt(1 - kp^2), for kp in (0, 1].
 
     x is a float or an array; the Landen ascent runs elementwise over it.
     """
     xp = np if isinstance(x, np.ndarray) else math
     plan = _landen_plan(kp)
     u = x
-    for divisor in plan.divisors:
-        u = u / divisor
-    s, c, d = xp.sin(u), xp.cos(u), 1.0
-    for k_low, one_plus_k_low, kp_up2, k_up2 in plan.ascent:
-        denom = 1.0 + k_low * s * s
-        c = c * d / denom
-        s = one_plus_k_low * s / denom
-        d = xp.sqrt(kp_up2 + k_up2 * c * c)
-    return s, c, d
+    for _, one_plus_k in plan.levels:
+        u = u / one_plus_k
+    s = xp.sin(u)
+    for k, one_plus_k in reversed(plan.levels):
+        s = one_plus_k * s / (1.0 + k * s * s)
+    return s
 
 
 def _fold(x, K):
@@ -163,8 +155,7 @@ def ac_family_mod(x, mod):
     """
     t = x / math.sqrt(2.0 - mod.kp * mod.kp)
     t, sign = _fold(t, _landen_plan(mod.kp).K)
-    s, _, _ = _sn_cn_dn_kp(t, mod.kp)
-    return sign * _amplitude_from_mod(mod) * s
+    return sign * _amplitude_from_mod(mod) * _sn_kp(t, mod.kp)
 
 
 _KP_FLOOR = 1e-300

@@ -315,20 +315,29 @@ def test_ac_spectrum_matches_morse_index():
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_ac_spectrum_solves_per_eigenvalue(monkeypatch, p):
     # the circle operator splits into two mirror sectors that LAPACK's
-    # bisection solves whole: no eigenvalue takes a banded solve
-    real_solve = engine.solve_banded
+    # bisection solves whole: no eigenvalue takes a linear solve, counted at
+    # gtsv, the one LAPACK call behind every tridiagonal solve
+    real_gtsv = engine.dgtsv
     solves = []
 
-    def counted_solve(*args, **kwargs):
+    def counted_gtsv(*args, **kwargs):
         solves.append(1)
-        return real_solve(*args, **kwargs)
+        return real_gtsv(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "solve_banded", counted_solve)
+    monkeypatch.setattr(engine, "dgtsv", counted_gtsv)
     for ratio in (9, 17):
         sol = nodal_solution(p, 1.0 / (2 * p * ratio))
         solves.clear()
         ac_spectrum(sol, 2 * p + 3)
         assert not solves, (ratio, len(solves))
+
+
+def test_ac_spectrum_rejects_bad_how_many():
+    # an integer in [1, n], n = sol.u.n + 1 the circle operator's dimension
+    sol = nodal_solution(1, 0.05)
+    for how_many in (0, -1, 2.5, sol.u.n + 2):
+        with pytest.raises(DomainError, match="how_many"):
+            ac_spectrum(sol, how_many)
 
 
 def _circle_matrix(sol):

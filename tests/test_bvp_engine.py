@@ -6,9 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import becircle.bvp_engine as engine
 import becircle.solver_1d as solver
-from becircle import (DomainError, GridFunction, TridiagonalOperator,
+from becircle import (DomainError, GridFunction, SingularJacobian, TridiagonalOperator,
                       cumulative_simpson, eig_sturm, heteroclinic,
                       newton_semilinear, norm_h1_eps, simpson, solve_dirichlet)
+from becircle.bvp_engine import solve_tridiagonal
 from becircle.elliptic_oracle import ac_family_mod, modulus_for
 from becircle.scalar_field import potential_d1
 
@@ -276,6 +277,32 @@ def test_eig_sturm_matches_oracle(n, laplacian, seed, how_many, tol):
     again = eig_sturm(op, how_many, tol=tol, zero_threshold=tau)
     assert np.array_equal(again.eigenvalues, rep.eigenvalues)
     assert (again.n_negative, again.n_zero, again.n_positive) == counts
+
+
+def test_solve_tridiagonal_typed_errors():
+    diag, off = np.array([2.0, 3.0, 2.0, 4.0]), np.array([1.0, -1.0, 0.5])
+    op = TridiagonalOperator(diag=diag, offdiag=off)
+    rhs = np.array([1.0, -2.0, 0.5, 3.0])
+    x = solve_tridiagonal(op, rhs)
+    assert np.max(np.abs(op.matvec(x) - rhs)) < 1e-14
+    # rows 0 and 1 equal: an exactly zero pivot
+    singular = TridiagonalOperator(diag=np.ones(3), offdiag=np.array([1.0, 0.0]))
+    with pytest.raises(SingularJacobian):
+        solve_tridiagonal(singular, np.ones(3))
+    # a NaN in the operator or an inf in the data is typed, not a ValueError
+    with pytest.raises(SingularJacobian):
+        solve_tridiagonal(TridiagonalOperator(diag=np.where(diag == 3.0, np.nan, diag),
+                                              offdiag=off), rhs)
+    with pytest.raises(SingularJacobian):
+        solve_tridiagonal(op, np.where(rhs == 0.5, np.inf, rhs))
+
+
+@pytest.mark.parametrize("how_many", [0, -1, 2.5, 6])
+def test_eig_sturm_rejects_bad_how_many(how_many):
+    # an integer in [1, n] or a DomainError, here n = 5
+    op = TridiagonalOperator(diag=np.full(5, 2.0), offdiag=np.full(4, -1.0))
+    with pytest.raises(DomainError, match="how_many"):
+        eig_sturm(op, how_many)
 
 
 def test_norm_h1_eps():

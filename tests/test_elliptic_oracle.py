@@ -10,7 +10,7 @@ from becircle import (DomainError, NoPositiveSolution, ac_family_mod, heteroclin
                       zero_spacing_from_kp)
 from becircle import elliptic_oracle
 from becircle.elliptic_oracle import (EllipticModulus, _agm, _complete_K_from_kp, _fold,
-                                      _landen_plan, _sn_cn_dn_kp)
+                                      _landen_plan, _sn_kp)
 
 
 def _K_quadrature(k, n=20001):
@@ -47,10 +47,15 @@ def test_complete_K_monotone():
 _ORACLE_KPS = [0.6] + [modulus_for(0.5 / r, 0.5).kp for r in (10.0, 60.0, 200.0)]
 
 
+def _sn_cn_dn(x, kp):
+    """sn from the package's ascent, cn and dn from the reference one."""
+    return (_sn_kp(x, kp),) + _sn_cn_dn_per_call(x, kp)[1:]
+
+
 def test_jacobi_sn_degenerate_moduli():
     # k = 0 (kp = 1): sin, cos and 1.0, bit for bit
     for x in (0.0, -0.0, 0.3, 1.0, 2.5, -7.0, 1e300):
-        ours = _sn_cn_dn_kp(x, 1.0)
+        ours = _sn_cn_dn(x, 1.0)
         assert all(type(v) is float for v in ours)
         assert np.array_equal(_bits(ours), _bits((math.sin(x), math.cos(x), 1.0)))
     # the k = 1 limit: the family becomes the heteroclinic tanh(x / sqrt 2)
@@ -63,7 +68,7 @@ def test_jacobi_identities():
     for kp in _ORACLE_KPS:
         k2 = (1.0 - kp) * (1.0 + kp)
         x = np.linspace(0.0, _complete_K_from_kp(kp), 2001)
-        sn, cn, dn = _sn_cn_dn_kp(x, kp)
+        sn, cn, dn = _sn_cn_dn(x, kp)
         assert np.max(np.abs(sn * sn + cn * cn - 1.0)) < 1e-12
         assert np.max(np.abs(dn * dn - (1.0 - k2 * sn * sn))) < 1e-12
 
@@ -86,8 +91,8 @@ def test_jacobi_derivative_relations():
     for kp in _ORACLE_KPS:
         k2 = (1.0 - kp) * (1.0 + kp)
         x = np.linspace(0.0, _complete_K_from_kp(kp), 200)
-        v = [_sn_cn_dn_kp(x + j * d, kp) for j in (-2, -1, 1, 2)]
-        sn, cn, dn = _sn_cn_dn_kp(x, kp)
+        v = [_sn_cn_dn(x + j * d, kp) for j in (-2, -1, 1, 2)]
+        sn, cn, dn = _sn_cn_dn(x, kp)
         dsn, dcn, ddn = ((f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * d)
                          for f in zip(*v))
         assert np.max(np.abs(dsn - cn * dn)) < 1e-9
@@ -227,18 +232,18 @@ def test_sn_cn_dn_kp_degenerate_moduli_on_arrays(xs):
     # kp = 1 (k = 0) runs the one-level Landen chain: sin, cos and 1.0 bit for
     # bit, for an array as for per-element scalar calls
     x = np.array(xs)
-    arrays = _sn_cn_dn_kp(x, 1.0)
+    arrays = _sn_cn_dn(x, 1.0)
     for values, ref in zip(arrays, (np.sin(x), np.cos(x), np.ones_like(x))):
         assert np.array_equal(_bits(values), _bits(ref))
     for j, values in enumerate(arrays):
-        scalar = [_sn_cn_dn_kp(xi, 1.0)[j] for xi in xs]
+        scalar = [_sn_cn_dn(xi, 1.0)[j] for xi in xs]
         assert all(type(v) is float for v in scalar)
         assert np.array_equal(_bits(values), _bits(scalar))
     # outside (0, 1] there is no modulus
     for kp in (-0.5, 0.0, 1.5):
         for arg in (xs[0], x):
             with pytest.raises(DomainError):
-                _sn_cn_dn_kp(arg, kp)
+                _sn_kp(arg, kp)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.1, 0.3, 0.5, 0.7, 0.8, 0.9])
@@ -246,7 +251,7 @@ def test_sn_cn_dn_kp_matches_scipy_ellipj(k):
     # ellipj takes m = k^2 and loses accuracy as k -> 1, hence k <= 0.9
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     x = np.linspace(0.0, _complete_K_from_kp(kp), 2001)
-    ours = _sn_cn_dn_kp(x, kp)
+    ours = _sn_cn_dn(x, kp)
     ref = ellipj(x, k * k)[:3]
     for a, b in zip(ours, ref):
         assert np.max(np.abs(a - b)) < 1e-13
@@ -279,7 +284,10 @@ def test_agm_fixed_point_stop_keeps_bits(kp):
 
 
 def _sn_cn_dn_per_call(x, kp):
-    """The Landen descent and ascent with the chain rebuilt on every call."""
+    """The Landen descent and ascent of sn, cn and dn, with the chain rebuilt
+    on every call; x is a float or an array.  The package computes sn only;
+    this is the tests' reference for sn and their oracle for cn and dn."""
+    xp = np if isinstance(x, np.ndarray) else math
     chain, kp_j = [], kp
     for _ in range(32):
         k_next = (1.0 - kp_j) / (1.0 + kp_j)
@@ -291,13 +299,13 @@ def _sn_cn_dn_per_call(x, kp):
     u = x
     for k_j, _ in chain:
         u = u / (1.0 + k_j)
-    s, c, d = math.sin(u), math.cos(u), 1.0
+    s, c, d = xp.sin(u), xp.cos(u), 1.0
     uppers = [(math.sqrt((1.0 - kp) * (1.0 + kp)), kp)] + chain[:-1]
     for (k_low, _), (k_up, kp_up) in zip(reversed(chain), reversed(uppers)):
         denom = 1.0 + k_low * s * s
         c = c * d / denom
         s = (1.0 + k_low) * s / denom
-        d = math.sqrt(kp_up * kp_up + k_up * k_up * c * c)
+        d = xp.sqrt(kp_up * kp_up + k_up * k_up * c * c)
     return s, c, d
 
 
@@ -305,7 +313,7 @@ def _sn_cn_dn_per_call(x, kp):
 @given(kp=_KP, frac=st.floats(0.0, 1.0))
 def test_cached_landen_plan_matches_per_call_chain(kp, frac):
     x = frac * _complete_K_from_kp(kp)      # the folded range [0, K]
-    assert np.array_equal(_bits(_sn_cn_dn_kp(x, kp)), _bits(_sn_cn_dn_per_call(x, kp)))
+    assert _bits(_sn_kp(x, kp)) == _bits(_sn_cn_dn_per_call(x, kp)[0])
 
 
 def test_scalar_calls_at_one_modulus_build_K_once(monkeypatch):
