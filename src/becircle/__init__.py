@@ -12,7 +12,7 @@ from .elliptic_oracle import (EllipticModulus, LambdaEpsPair, ac_family_mod,
                               lambda_of_eps, modulus_for, zero_spacing_from_kp)
 from .bvp_engine import (GridFunction, SpectrumReport, TridiagonalOperator,
                          cumulative_simpson, eig_sturm, linearized_operator,
-                         newton_semilinear, norm_h1_eps, simpson)
+                         newton_semilinear, simpson)
 from .profiles import (ProfileConstants, ProfileFunction, kappa_lambda,
                        kappa_lambda_prime, ode_residual, profile_constants,
                        profile_kappa_ode, profile_omega, profile_rho,
@@ -26,8 +26,7 @@ from .solver_1d import (DirichletSolution, LipschitzScan, NodalSolution,
 from .balanced_energy import (BrokenTransition, HessianReport, NodeConfig,
                               ac_spectrum, broken_transition, dirichlet_gap,
                               dtn_v, fd_first_variation, fd_second_variation,
-                              first_variation, hessian, morse_index,
-                              translation_mode)
+                              first_variation, hessian, translation_mode)
 from .nonexistence import (CutoffSpec, TwoNodeScan, cutoff_energy,
                            cutoff_gradient_closed, cutoff_gradient_quadrature,
                            two_node_scan)

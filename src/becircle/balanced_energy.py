@@ -10,8 +10,10 @@ with the conserved quantity lambda ~ 16 e^{-sqrt2 L/eps}, far below the O(1)
 data, so b is read at the right end, where the data vanish.  It stays
 resolved to the rounding floor until it underflows near L/eps = 505; past that
 a typed DomainError is raised.
-The Hessian's sign follows from the translation identity a = -b on each arc;
-the centered finite-difference Hessian of the energy is the test that pins it.
+A configuration is critical exactly when all its arcs are equal, so the
+Hessian solves one arc: Q = eps c^2 v times the cycle Laplacian, oriented by
+the translation identity a = -b; the centered finite-difference Hessian of
+the energy is the test that pins it.
 BE is defined only where every arc is longer than pi*eps (eps below
 solver_1d.existence_threshold); a shorter arc raises ArcTooShort.
 """
@@ -67,6 +69,10 @@ class HessianReport:
     spectrum: SpectrumReport
     index: int
     nullity: int
+
+
+# hessian's bound on max l - min l over the arcs, in units of eps
+_CRITICAL_SPREAD = 1e-6
 
 
 def _check_arcs(lengths, eps):
@@ -151,44 +157,34 @@ def dtn_v(eps, L, points_per_eps=50):
 
 
 def hessian(config, eps, points_per_eps=100):
-    """Second-variation matrix over node perturbations at a critical config.
+    """Second-variation matrix Q over node perturbations at a critical config.
 
-    Per-arc linearized solves with the interval-system data are combined via
-    the second-variation formula.  The orientation comes from a := -b (the
-    translation identity); the finite-difference Hessian of the energy is
-    the test that pins it.  Raises NotCritical when some |dBE/dq_j| exceeds
-    1e-7.
+    lambda is strictly decreasing in the arc length and the arcs sum to 1, so
+    a config is critical exactly when its m arcs are equal.  ArcTooShort comes
+    first; then NotCritical is raised when max l - min l > 1e-6 eps (Q's
+    relative error from one common arc is about sqrt2 (max l - min l)/eps,
+    since lambda ~ e^{-sqrt2 l/eps}).  One arc of length 1/m gives the end
+    slope c and the transmission v = b; the translation identity sets the
+    near-end slope a = -b, so each arc adds eps c^2 v [[1, -1], [-1, 1]] on
+    its two nodes and Q = eps c^2 v (2I - S - S^T), S the cyclic shift.  The
+    finite-difference Hessian of the energy is the test that pins the sign.
     """
     m = config.m
-    bt = broken_transition(config, eps, points_per_eps)
-    lam = np.array([p.lam for p in bt.pieces])
-    worst = float(np.max(np.abs(np.roll(lam, 1) - lam))) / eps  # max_j |dBE/dq_j|
-    if worst > 1e-7:
+    lengths = config.arc_lengths()
+    _check_arcs(lengths, eps)
+    spread = float(np.max(lengths) - np.min(lengths))
+    if spread > _CRITICAL_SPREAD * eps:
         raise NotCritical(
-            f"max |dBE/dq_j| = {worst:.3e} exceeds the criticality tolerance 1e-7"
+            f"max - min arc length {spread:.3e} = {spread / eps:.3e} eps exceeds "
+            f"the criticality bound {_CRITICAL_SPREAD:g} eps"
         )
-    c = bt.pieces[0].slope_left
-
-    # One transmission b per arc, from the arc's own Richardson pair.  The
-    # translation identity forces a = -b exactly (unit antisymmetric data
-    # reproduce u_x / c, whose endpoint second derivatives vanish), and the
-    # near-end extraction of a carries a pure discretization defect, so the
-    # far-end b is the one measured quantity: a := -b.  This pins the
-    # rotation mode of Q at exactly zero.
-    transmissions = [_transmission(piece) for piece in bt.pieces]
-
-    Q = np.zeros((m, m))
-    for i, b in enumerate(transmissions):
-        a = -b
-        j = (i + 1) % m
-        # arc contribution -eps c [f_i udot_x(left) + f_j udot_x(right)]
-        # with udot = c f_i A - c f_j B:
-        #   udot_x(left) = c (f_i a + f_j b),  udot_x(right) = c (f_i b + f_j a)
-        Q[i, i] += -eps * c * c * a
-        Q[j, j] += -eps * c * c * a
-        Q[i, j] += -eps * c * c * b
-        Q[j, i] += -eps * c * c * b
-
+    arc = solve_dirichlet(1.0 / m, eps, points_per_eps)
+    c = arc.slope_left
+    v = _transmission(arc)
+    S = np.roll(np.eye(m), 1, axis=1)
+    q = eps * c * c * v
+    # q < 0, so q * 0 is -0.0; subtracting from 2q I leaves the zeros +0.0
+    Q = 2.0 * q * np.eye(m) - q * S - q * S.T
     evals = np.linalg.eigvalsh(Q)
     tau = 1e-8 * float(np.max(np.abs(Q)))
     n_neg = int(np.sum(evals < -tau))
@@ -196,13 +192,7 @@ def hessian(config, eps, points_per_eps=100):
     spectrum = SpectrumReport(eigenvalues=evals, zero_threshold=tau,
                               n_negative=n_neg, n_zero=n_zero,
                               n_positive=m - n_neg - n_zero)
-    return HessianReport(Q=Q, c=c, v=transmissions[0],
-                         spectrum=spectrum, index=n_neg, nullity=n_zero)
-
-
-def morse_index(config, eps, points_per_eps=100):
-    rep = hessian(config, eps, points_per_eps=points_per_eps)
-    return rep.index, rep.nullity
+    return HessianReport(Q=Q, c=c, v=v, spectrum=spectrum, index=n_neg, nullity=n_zero)
 
 
 def _pinned_be(config, eps, f, t, points_per_eps):

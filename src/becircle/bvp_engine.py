@@ -234,11 +234,14 @@ def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
 
     The eigenvalues come from LAPACK's Sturm bisection, stebz, and the counts
     at +-tau from its Sturm counts (`_count_at_most`).  The zero threshold
-    tau defaults to 1e-8 times the largest returned magnitude.
+    tau defaults to 1e-8 times the largest returned magnitude.  An operator
+    with a non-finite entry raises DomainError.
     """
     n = op.dim
     if not (isinstance(how_many, numbers.Integral) and 1 <= how_many <= n):
         raise DomainError(f"how_many must be an integer in [1, {n}], got {how_many!r}")
+    if not (np.all(np.isfinite(op.diag)) and np.all(np.isfinite(op.offdiag))):
+        raise DomainError("operator entries must be finite")
     evals = _stebz(op.diag, op.offdiag, "i", (0, how_many - 1), tol)
     tau = zero_threshold if zero_threshold is not None else 1e-8 * np.max(np.abs(evals))
     below_neg, below_pos = (_count_at_most(op.diag, op.offdiag, x) for x in (-tau, tau))
@@ -246,12 +249,3 @@ def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
                           n_negative=int(below_neg), n_zero=int(below_pos - below_neg),
                           n_positive=int(n - below_pos))
 
-
-def norm_h1_eps(f, eps):
-    """Discrete eps-scaled H^1 norm with forward differences."""
-    v = f.values
-    h = f.h
-    df = np.diff(v) / h
-    l2 = h * np.sum(v[:-1] ** 2)
-    dl2 = h * np.sum(df ** 2)
-    return math.sqrt(eps * l2 + eps ** 3 * dl2)

@@ -26,7 +26,8 @@ def test_criterion_01_morse_index_table():
     results = []
     for p, eps in ((1, 0.05), (2, 0.02), (3, 0.01)):
         cfg = bc.NodeConfig(np.arange(2 * p) / (2.0 * p))
-        be_idx, be_nul = bc.morse_index(cfg, eps)
+        rep = bc.hessian(cfg, eps)
+        be_idx, be_nul = rep.index, rep.nullity
         sol = bc.nodal_solution(p, eps)
         ac = bc.ac_spectrum(sol, how_many=2 * p + 3)
         results.append((p, eps, be_idx, be_nul, ac.n_negative, ac.n_zero))

@@ -9,6 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import ellipe, ellipkm1
 
 import becircle.bvp_engine as engine
 import becircle.solver_1d as solver
@@ -16,9 +17,8 @@ from becircle import (ArcTooShort, DomainError, NodeConfig, NoPositiveSolution,
                       NotCritical, ac_spectrum, broken_transition,
                       dirichlet_gap, dtn_v, fd_first_variation,
                       fd_second_variation, first_variation, hessian,
-                      lambda_of_eps, morse_index,
-                      nodal_solution, profile_constants, solve_dirichlet,
-                      translation_mode)
+                      lambda_of_eps, modulus_for, nodal_solution,
+                      profile_constants, solve_dirichlet, translation_mode)
 from becircle.scalar_field import potential_d2
 
 SQRT2 = math.sqrt(2.0)
@@ -138,6 +138,47 @@ def _mp_linearized(arc, left, right):
         return np.array([float(v) for v in full]), float(d_left), float(d_right)
 
 
+def _exact_transmission(eps, L):
+    """(lambda'(L), v) of the positive arch on [0, L], in closed form.
+
+    The arch is the elliptic family at complementary modulus kp, with
+    lambda = (kp^2/(2 - kp^2))^2/4 and L/eps = Z(kp) = 2K sqrt(2 - kp^2), so
+    lambda'(L) = (dlambda/dkp)/(eps dZ/dkp), with
+    dK/dkp = -(E - kp^2 K)/(k^2 kp); E - kp^2 K -> 1 as kp -> 0, so nothing
+    cancels.  The conserved quantity gives eps^2 c^2 = 1/2 - 2 lambda at the
+    end, so v = lambda'/(1/2 - 2 lambda).  Nothing here runs a grid solve.
+    """
+    kp = modulus_for(eps, L).kp
+    k2 = (1.0 - kp) * (1.0 + kp)
+    K, E = ellipkm1(kp * kp), ellipe(1.0 - kp * kp)
+    dK = -(E - kp * kp * K) / (k2 * kp)
+    s = 2.0 - kp * kp
+    lam = (kp * kp / s) ** 2 / 4.0
+    dZ = 2.0 * dK * math.sqrt(s) - 2.0 * K * kp / math.sqrt(s)
+    lam_prime = 2.0 * kp ** 3 / s ** 3 / (eps * dZ)
+    return lam_prime, lam_prime / (0.5 - 2.0 * lam)
+
+
+def _cycle_laplacian(m):
+    shift = np.roll(np.eye(m), 1, axis=1)
+    return 2.0 * np.eye(m) - shift - shift.T
+
+
+@pytest.mark.parametrize("points_per_eps", [50, 200])
+@pytest.mark.parametrize("ratio", [3.5, 4, 8, 10, 12.9, 17.3, 23.7, 26.3, 40,
+                                   80, 160, 320, 480])
+def test_dtn_v_matches_closed_form(ratio, points_per_eps):
+    # the Richardson pair leaves about 1.7e-3 (L/eps)^2 (h/eps)^4 relative
+    # (2.7e-10 (L/eps)^2 at 50 points per eps: 6.3e-5 at L/eps 480), and at
+    # most 0.57 (h/eps)^4 at small L/eps, where the grid is finer than
+    # points_per_eps; the bound is 1.8 times the worst of these measured
+    # over L/eps 3.5-480 at L = 1/6, 1/4 and 1/2
+    eps = 0.5 / ratio
+    v = dtn_v(eps, 0.5, points_per_eps=points_per_eps)
+    bound = (1.0 + 3e-3 * ratio ** 2) / points_per_eps ** 4
+    assert abs(v / _exact_transmission(eps, 0.5)[1] - 1.0) < bound
+
+
 def test_dtn_v_one_column_per_grid(monkeypatch):
     # the transmission needs only the data-(1, 0) solve: one banded solve
     # with a one-column right-hand side on each grid of the pair
@@ -182,19 +223,28 @@ def test_dtn_v_underflow_raises_domain_error():
 
 
 def test_one_richardson_pair_per_arc(monkeypatch):
-    # the transmissions read the grids m and 2m that solve_dirichlet already
-    # solved: two Newton calls per arc, none more
+    # the transmission reads the grids m and 2m that solve_dirichlet already
+    # solved: two Newton calls per arc, none more, and hessian solves one
+    # arc whatever p is, with one gtsv solve per grid for its transmission
+    import becircle.balanced_energy as be
     real_newton, calls = solver.newton_semilinear, []
+    real_solve, solves = be.solve_tridiagonal, []
 
     def counted_newton(*args, **kwargs):
         calls.append(args[0].n)
         return real_newton(*args, **kwargs)
 
+    def counted_solve(*args):
+        solves.append(1)
+        return real_solve(*args)
+
     monkeypatch.setattr(solver, "newton_semilinear", counted_newton)
+    monkeypatch.setattr(be, "solve_tridiagonal", counted_solve)
     for p in (1, 2, 3):
         calls.clear()
+        solves.clear()
         hessian(NodeConfig(np.arange(2 * p) / (2.0 * p)), 0.02)
-        assert len(calls) == 2 * (2 * p), (p, calls)
+        assert len(calls) == 2 and len(solves) == 2, (p, calls, solves)
     for ratio in (10, 12.9, 30):
         calls.clear()
         dtn_v(0.5 / ratio, 0.5)
@@ -256,6 +306,41 @@ def test_hessian_requires_critical_point():
         hessian(NodeConfig(np.array([0.0, 0.4])), 0.05)
 
 
+@pytest.mark.parametrize("nodes, eps", [([0.0, 0.3], 0.015), ([0.0, 0.3], 0.01),
+                                        ([0.0, 0.3], 0.005),
+                                        ([0.0, 0.2, 0.5, 0.75], 0.005)])
+def test_hessian_rejects_unequal_arcs(nodes, eps):
+    # lambda is exponentially small here, so a bound on |dBE/dq| would let
+    # these through; unequal arc lengths are what make them non-critical
+    with pytest.raises(NotCritical):
+        hessian(NodeConfig(np.array(nodes)), eps)
+
+
+def test_hessian_rotated_regular_polygon():
+    rep = hessian(NodeConfig(np.array([0.1, 0.35, 0.6, 0.85])), 0.02)
+    assert (rep.index, rep.nullity) == (3, 1)
+
+
+def test_hessian_short_arc_before_criticality():
+    # an arc at or below pi*eps is reported as such, with its index, even
+    # though the configuration is not critical either
+    with pytest.raises(ArcTooShort) as exc:
+        hessian(NodeConfig(np.array([0.0, 0.05])), 0.02)
+    assert exc.value.arc == 0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("ratio", [8, 14, 25, 40, 60])
+def test_hessian_matches_closed_form(p, ratio):
+    # Q = (lambda'(1/m)/eps) x cycle Laplacian, with lambda' in closed form:
+    # the one Hessian check that does not run the transmission solve
+    m = 2 * p
+    eps = 1.0 / m / ratio
+    Q = hessian(NodeConfig(np.arange(m) / float(m)), eps).Q
+    Qref = _exact_transmission(eps, 1.0 / m)[0] / eps * _cycle_laplacian(m)
+    assert np.max(np.abs(Q - Qref)) < 1e-6 * np.max(np.abs(Qref))
+
+
 def test_hessian_structure_p1():
     cfg = NodeConfig(np.array([0.0, 0.5]))
     eps = 0.05
@@ -298,8 +383,8 @@ def test_hessian_sign_rigidity():
 def test_morse_index_table():
     for p, eps in ((1, 0.05), (2, 0.02), (3, 0.015)):
         cfg = NodeConfig(np.arange(2 * p) / (2.0 * p))
-        idx, nul = morse_index(cfg, eps)
-        assert (idx, nul) == (2 * p - 1, 1)
+        rep = hessian(cfg, eps)
+        assert (rep.index, rep.nullity) == (2 * p - 1, 1)
 
 
 def test_ac_spectrum_matches_morse_index():

@@ -8,7 +8,7 @@ import becircle.bvp_engine as engine
 import becircle.solver_1d as solver
 from becircle import (DomainError, GridFunction, SingularJacobian, TridiagonalOperator,
                       cumulative_simpson, eig_sturm, heteroclinic,
-                      newton_semilinear, norm_h1_eps, simpson, solve_dirichlet)
+                      newton_semilinear, simpson, solve_dirichlet)
 from becircle.bvp_engine import solve_tridiagonal
 from becircle.elliptic_oracle import ac_family_mod, modulus_for
 from becircle.scalar_field import potential_d1
@@ -305,17 +305,11 @@ def test_eig_sturm_rejects_bad_how_many(how_many):
         eig_sturm(op, how_many)
 
 
-def test_norm_h1_eps():
-    f0 = GridFunction(a=0.0, b=1.0, n=99, values=np.zeros(101))
-    assert norm_h1_eps(f0, 0.1) == 0.0
-    f1 = GridFunction(a=0.0, b=1.0, n=99, values=np.ones(101))
-    assert abs(norm_h1_eps(f1, 0.1) - math.sqrt(0.1)) < 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(min_value=-5.0, max_value=5.0))
-def test_norm_h1_eps_homogeneous(c):
-    x = np.linspace(0.0, 1.0, 101)
-    f = GridFunction(a=0.0, b=1.0, n=99, values=np.sin(3 * x) + 0.2 * x)
-    fc = GridFunction(a=0.0, b=1.0, n=99, values=c * f.values)
-    assert abs(norm_h1_eps(fc, 0.07) - abs(c) * norm_h1_eps(f, 0.07)) < 1e-12
+@pytest.mark.parametrize("field", ["diag", "offdiag"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eig_sturm_rejects_non_finite_operator(field, bad):
+    # a NaN or inf entry is a DomainError, not scipy's untyped ValueError
+    arrays = {"diag": np.full(5, 2.0), "offdiag": np.full(4, -1.0)}
+    arrays[field][2] = bad
+    with pytest.raises(DomainError, match="finite"):
+        eig_sturm(TridiagonalOperator(**arrays), 2)
