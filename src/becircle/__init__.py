@@ -21,15 +21,13 @@ from .profiles import (ProfileConstants, ProfileFunction, kappa_lambda,
 from .solver_1d import (DirichletSolution, LipschitzScan, NodalSolution,
                         arc_energy, dirichlet_pair, existence_threshold,
                         intervals_for, lipschitz_scan, min_energy,
-                        nodal_solution, periodic_residual, solve_dirichlet,
-                        stencil_slope)
+                        nodal_solution, solve_dirichlet, stencil_slope)
 from .balanced_energy import (BrokenTransition, HessianReport, NodeConfig,
                               ac_spectrum, broken_transition, dirichlet_gap,
-                              dtn_v, fd_first_variation, fd_second_variation,
-                              first_variation, hessian, translation_mode)
+                              dtn_v, fd_first_variation, first_variation,
+                              hessian, translation_mode)
 from .nonexistence import (CutoffSpec, TwoNodeScan, cutoff_energy,
-                           cutoff_gradient_closed, cutoff_gradient_quadrature,
-                           two_node_scan)
-from .experiments_cli import gamma_sweep, index_table, interface_constant
+                           cutoff_gradient_closed, two_node_scan)
+from .experiments_cli import gamma_sweep, index_table
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -221,15 +221,6 @@ def fd_first_variation(config, eps, f, points_per_eps=50):
     return (plus - minus) / (2.0 * step)
 
 
-def fd_second_variation(config, eps, f, points_per_eps=50):
-    """Centered second difference of BE along the node perturbation f."""
-    step = 1e-4
-    plus = _pinned_be(config, eps, f, step, points_per_eps)
-    mid = _pinned_be(config, eps, f, 0.0, points_per_eps)
-    minus = _pinned_be(config, eps, f, -step, points_per_eps)
-    return (plus - 2.0 * mid + minus) / step ** 2
-
-
 def translation_mode(sol):
     """Fourth-order discrete derivative of the nodal solution on the circle."""
     v = sol.u.values[:-1]

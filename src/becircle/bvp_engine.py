@@ -211,31 +211,15 @@ def _stebz(diag, offdiag, select, select_range, tol):
         raise NonConvergence(f"stebz bisection failed: {exc}") from exc
 
 
-def _count_at_most(diag, offdiag, x):
-    """Number of eigenvalues at or below x.
-
-    stebz takes the count from the Sturm counts at the ends of the interval;
-    a tolerance as wide as the spectrum (the Gershgorin bounds) stops it from
-    refining the eigenvalues inside, which would cost a bisection per
-    eigenvalue.
-    """
-    radius = np.zeros(len(diag))
-    radius[:-1] += np.abs(offdiag)
-    radius[1:] += np.abs(offdiag)
-    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
-    floor = lo - 1.0 - abs(lo)
-    if x <= floor:
-        return 0
-    return len(_stebz(diag, offdiag, "v", (floor, x), hi - floor))
-
-
 def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
     """Lowest eigenvalues to tol, with exact global sign counts.
 
-    The eigenvalues come from LAPACK's Sturm bisection, stebz, and the counts
-    at +-tau from its Sturm counts (`_count_at_most`).  The zero threshold
-    tau defaults to 1e-8 times the largest returned magnitude.  An operator
-    with a non-finite entry raises DomainError.
+    The eigenvalues come from LAPACK's Sturm bisection, stebz.  Each count
+    at +-tau is one stebz call over (-inf, x] with an unbounded tolerance:
+    stebz clips the interval to its own Gershgorin bounds, takes the count
+    from the Sturm counts at its ends and refines no eigenvalue inside.  The
+    zero threshold tau defaults to 1e-8 times the largest returned magnitude.
+    An operator with a non-finite entry raises DomainError.
     """
     n = op.dim
     if not (isinstance(how_many, numbers.Integral) and 1 <= how_many <= n):
@@ -244,8 +228,9 @@ def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
         raise DomainError("operator entries must be finite")
     evals = _stebz(op.diag, op.offdiag, "i", (0, how_many - 1), tol)
     tau = zero_threshold if zero_threshold is not None else 1e-8 * np.max(np.abs(evals))
-    below_neg, below_pos = (_count_at_most(op.diag, op.offdiag, x) for x in (-tau, tau))
+    below_neg, below_pos = (len(_stebz(op.diag, op.offdiag, "v", (-np.inf, x), np.inf))
+                            for x in (-tau, tau))
     return SpectrumReport(eigenvalues=evals, zero_threshold=tau,
-                          n_negative=int(below_neg), n_zero=int(below_pos - below_neg),
-                          n_positive=int(n - below_pos))
+                          n_negative=below_neg, n_zero=below_pos - below_neg,
+                          n_positive=n - below_pos)
 

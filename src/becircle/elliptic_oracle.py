@@ -127,8 +127,7 @@ def _fold(x, K):
 @dataclass(frozen=True)
 class EllipticModulus:
     k: float
-    kp: float            # complementary modulus, exact carrier of 1 - k^2
-    zero_spacing: float  # rescaled distance between consecutive zeros
+    kp: float  # complementary modulus, exact carrier of 1 - k^2
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def modulus_for(eps, L):
             hi = mid
     kp = math.exp(0.5 * (lo + hi))
     k = math.sqrt((1.0 - kp) * (1.0 + kp))
-    return EllipticModulus(k=k, kp=kp, zero_spacing=zero_spacing_from_kp(kp))
+    return EllipticModulus(k=k, kp=kp)
 
 
 def lambda_of_eps(eps, L):

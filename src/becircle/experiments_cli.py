@@ -20,15 +20,9 @@ from .nonexistence import CutoffSpec, cutoff_energy, two_node_scan
 from .profiles import (DEFAULT_H, DEFAULT_T, kappa_lambda, profile_constants,
                        profile_omega, profile_rho, profile_tau_geom,
                        profile_tau_lambda, profile_w)
-from .scalar_field import heteroclinic, potential
+from .scalar_field import heteroclinic, potential, well_constants
 from .solver_1d import (existence_threshold, lipschitz_scan, nodal_solution,
                         solve_dirichlet)
-
-
-def interface_constant():
-    """Per-interface energy of a full transition: int_{-1}^{1} sqrt(2 W)."""
-    u = np.linspace(-1.0, 1.0, 2001)
-    return simpson(np.sqrt(2.0 * potential(u)), u[1] - u[0])
 
 
 def comparator_energy(config, eps):
@@ -87,7 +81,8 @@ def gamma_sweep(config, eps_grid, points_per_eps=50):
     b1 = next(r["be"] for r in rows if r["eps"] == e1)
     b2 = next(r["be"] for r in rows if r["eps"] == e2)
     limit = (e1 * b2 - e2 * b1) / (e1 - e2)
-    per_interface = interface_constant()
+    # the energy of one full transition, int_{-1}^{1} sqrt(2 W) = 2 sigma0
+    per_interface = 2.0 * well_constants().sigma0
     target = config.m * per_interface
     return {
         "rows": rows,
@@ -111,8 +106,8 @@ def index_table(p_list, eps_list, points_per_eps=100):
             continue
         nodes = NodeConfig(np.arange(2 * p) / (2.0 * p))
         rep = hessian(nodes, e, points_per_eps=points_per_eps)
-        sol = nodal_solution(p, e)
-        ac = ac_spectrum(sol, how_many=min(2 * p + 3, sol.u.n + 1))
+        ac = ac_spectrum(nodal_solution(p, e, points_per_eps=points_per_eps),
+                         how_many=2 * p + 3)
         row = {
             "p": p, "eps": e,
             "be_index": rep.index, "be_nullity": rep.nullity,

@@ -59,15 +59,6 @@ def cutoff_gradient_closed(spec):
     return 0.5 * spec.eps * w * radial / lk ** 2
 
 
-def cutoff_gradient_quadrature(spec):
-    """The same gradient term by direct radial quadrature (oracle)."""
-    w = _sphere_area(spec.n)
-    r = np.linspace(spec.delta, spec.k * spec.delta, 40001)
-    h = r[1] - r[0]
-    integrand = (1.0 / (r * math.log(spec.k))) ** 2 * r ** (spec.n - 1)
-    return 0.5 * spec.eps * w * simpson(integrand, h)
-
-
 def cutoff_energy(spec):
     """Exact radial energy of the log cutoff: closed-form gradient plus the
     potential term quadrature (W = 1/4 on the inner ball, W(f) on the ramp)."""

@@ -45,11 +45,6 @@ class ProfileFunction:
     slope0: float
     rhs_values: np.ndarray
 
-    @property
-    def decays(self):
-        """True when the tail obeys |f(T)| < 1e-8."""
-        return bool(abs(self.values[-1]) < 1e-8)
-
     def grid(self):
         return np.linspace(0.0, self.T, len(self.values))
 

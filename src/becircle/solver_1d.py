@@ -14,7 +14,7 @@ import numpy as np
 from .bvp_engine import GridFunction, newton_semilinear, simpson
 from .elliptic_oracle import ac_family_mod, modulus_for
 from .errors import DomainError, NoPositiveSolution
-from .scalar_field import potential, potential_d1
+from .scalar_field import potential
 
 
 def existence_threshold(L):
@@ -146,15 +146,6 @@ def nodal_solution(p, eps, points_per_eps=50):
     u = GridFunction(a=0.0, b=1.0, n=len(vals) - 2, values=vals)
     nodes = np.arange(2 * p) * ell
     return NodalSolution(p=p, eps=eps, u=u, nodes=nodes, c=arc.slope_left)
-
-
-def periodic_residual(sol):
-    """Sup norm of the discrete periodic residual eps^2 D2 u - W'(u)."""
-    v = sol.u.values[:-1]
-    h = sol.u.h
-    c2 = (sol.eps / h) ** 2
-    res = c2 * (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) - potential_d1(v)
-    return float(np.max(np.abs(res)))
 
 
 def min_energy(eps, L, points_per_eps=50):

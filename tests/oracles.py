@@ -1,0 +1,67 @@
+"""Independent oracles that only the tests read.
+
+Each one computes a quantity of the library a second way: by quadrature,
+by finite differences, in closed form, or from the discretization's own
+residual.  None of them is on a path the library runs.
+"""
+import math
+
+import numpy as np
+from scipy.special import ellipe, ellipkm1
+
+from becircle import modulus_for, potential_d1, simpson
+from becircle.balanced_energy import _pinned_be
+
+
+def periodic_residual(sol):
+    """Sup norm of the discrete periodic residual eps^2 D2 u - W'(u)."""
+    v = sol.u.values[:-1]
+    h = sol.u.h
+    c2 = (sol.eps / h) ** 2
+    res = c2 * (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) - potential_d1(v)
+    return float(np.max(np.abs(res)))
+
+
+def cutoff_gradient_quadrature(spec):
+    """The cutoff's gradient term (eps/2) int |f'|^2 by direct radial quadrature."""
+    area = 2.0 * math.pi ** (spec.n / 2.0) / math.gamma(spec.n / 2.0)
+    r = np.linspace(spec.delta, spec.k * spec.delta, 40001)
+    h = r[1] - r[0]
+    integrand = (1.0 / (r * math.log(spec.k))) ** 2 * r ** (spec.n - 1)
+    return 0.5 * spec.eps * area * simpson(integrand, h)
+
+
+def fd_second_variation(config, eps, f, points_per_eps=50):
+    """Centered second difference of BE along the node perturbation f."""
+    step = 1e-4
+    plus = _pinned_be(config, eps, f, step, points_per_eps)
+    mid = _pinned_be(config, eps, f, 0.0, points_per_eps)
+    minus = _pinned_be(config, eps, f, -step, points_per_eps)
+    return (plus - 2.0 * mid + minus) / step ** 2
+
+
+def exact_transmission(eps, L):
+    """(lambda'(L), v) of the positive arch on [0, L], in closed form.
+
+    The arch is the elliptic family at complementary modulus kp, with
+    lambda = (kp^2/(2 - kp^2))^2/4 and L/eps = Z(kp) = 2K sqrt(2 - kp^2), so
+    lambda'(L) = (dlambda/dkp)/(eps dZ/dkp), with
+    dK/dkp = -(E - kp^2 K)/(k^2 kp); E - kp^2 K -> 1 as kp -> 0, so nothing
+    cancels.  The conserved quantity gives eps^2 c^2 = 1/2 - 2 lambda at the
+    end, so v = lambda'/(1/2 - 2 lambda).  Nothing here runs a grid solve.
+    """
+    kp = modulus_for(eps, L).kp
+    k2 = (1.0 - kp) * (1.0 + kp)
+    K, E = ellipkm1(kp * kp), ellipe(1.0 - kp * kp)
+    dK = -(E - kp * kp * K) / (k2 * kp)
+    s = 2.0 - kp * kp
+    lam = (kp * kp / s) ** 2 / 4.0
+    dZ = 2.0 * dK * math.sqrt(s) - 2.0 * K * kp / math.sqrt(s)
+    lam_prime = 2.0 * kp ** 3 / s ** 3 / (eps * dZ)
+    return lam_prime, lam_prime / (0.5 - 2.0 * lam)
+
+
+def cycle_laplacian(m):
+    """2I - S - S^T on m nodes, S the cyclic shift."""
+    shift = np.roll(np.eye(m), 1, axis=1)
+    return 2.0 * np.eye(m) - shift - shift.T

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import becircle as bc
+from oracles import cycle_laplacian, exact_transmission, fd_second_variation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -109,25 +110,18 @@ def test_criterion_05_second_variation_structure():
         m = 2 * p
         cfg = bc.NodeConfig(np.arange(m) / float(m))
         rep = bc.hessian(cfg, eps)
-        v = bc.dtn_v(eps, 1.0 / m)
-        if m == 2:
-            Lc = np.array([[2.0, -2.0], [-2.0, 2.0]])
-        else:
-            Lc = 2.0 * np.eye(m)
-            for i in range(m):
-                Lc[i, (i + 1) % m] -= 1.0
-                Lc[i, (i - 1) % m] -= 1.0
-        Qref = eps * rep.c**2 * v * Lc
+        # lambda'(1/m) in closed form: no grid solve, no transmission
+        Qref = exact_transmission(eps, 1.0 / m)[0] / eps * cycle_laplacian(m)
         entry_errs.append(float(np.max(np.abs(rep.Q - Qref))
                                 / np.max(np.abs(Qref))))
         for _ in range(3):
             f = rng.uniform(-1.0, 1.0, m)
             qf = f @ rep.Q @ f
-            fd = bc.fd_second_variation(cfg, eps, f)
+            fd = fd_second_variation(cfg, eps, f)
             fd_errs.append(abs(qf - fd) / abs(fd))
     elapsed = time.time() - t0
     ok = max(entry_errs) < 1e-5 and max(fd_errs) < 1e-4
-    _report(5, ok, f"Q vs eps c^2 v Lcyc entrywise rel={max(entry_errs):.2e} "
+    _report(5, ok, f"Q vs (lambda'/eps) Lcyc entrywise rel={max(entry_errs):.2e} "
                    f"(<1e-5); f'Qf vs FD rel={max(fd_errs):.2e} (<1e-4)", 60, elapsed)
     assert ok
     assert elapsed < 60.0

@@ -9,17 +9,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import ellipe, ellipkm1
 
 import becircle.bvp_engine as engine
 import becircle.solver_1d as solver
 from becircle import (ArcTooShort, DomainError, NodeConfig, NoPositiveSolution,
                       NotCritical, ac_spectrum, broken_transition,
                       dirichlet_gap, dtn_v, fd_first_variation,
-                      fd_second_variation, first_variation, hessian,
-                      lambda_of_eps, modulus_for, nodal_solution,
+                      first_variation, hessian, lambda_of_eps, nodal_solution,
                       profile_constants, solve_dirichlet, translation_mode)
 from becircle.scalar_field import potential_d2
+from oracles import cycle_laplacian, exact_transmission, fd_second_variation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -138,32 +137,6 @@ def _mp_linearized(arc, left, right):
         return np.array([float(v) for v in full]), float(d_left), float(d_right)
 
 
-def _exact_transmission(eps, L):
-    """(lambda'(L), v) of the positive arch on [0, L], in closed form.
-
-    The arch is the elliptic family at complementary modulus kp, with
-    lambda = (kp^2/(2 - kp^2))^2/4 and L/eps = Z(kp) = 2K sqrt(2 - kp^2), so
-    lambda'(L) = (dlambda/dkp)/(eps dZ/dkp), with
-    dK/dkp = -(E - kp^2 K)/(k^2 kp); E - kp^2 K -> 1 as kp -> 0, so nothing
-    cancels.  The conserved quantity gives eps^2 c^2 = 1/2 - 2 lambda at the
-    end, so v = lambda'/(1/2 - 2 lambda).  Nothing here runs a grid solve.
-    """
-    kp = modulus_for(eps, L).kp
-    k2 = (1.0 - kp) * (1.0 + kp)
-    K, E = ellipkm1(kp * kp), ellipe(1.0 - kp * kp)
-    dK = -(E - kp * kp * K) / (k2 * kp)
-    s = 2.0 - kp * kp
-    lam = (kp * kp / s) ** 2 / 4.0
-    dZ = 2.0 * dK * math.sqrt(s) - 2.0 * K * kp / math.sqrt(s)
-    lam_prime = 2.0 * kp ** 3 / s ** 3 / (eps * dZ)
-    return lam_prime, lam_prime / (0.5 - 2.0 * lam)
-
-
-def _cycle_laplacian(m):
-    shift = np.roll(np.eye(m), 1, axis=1)
-    return 2.0 * np.eye(m) - shift - shift.T
-
-
 @pytest.mark.parametrize("points_per_eps", [50, 200])
 @pytest.mark.parametrize("ratio", [3.5, 4, 8, 10, 12.9, 17.3, 23.7, 26.3, 40,
                                    80, 160, 320, 480])
@@ -176,7 +149,7 @@ def test_dtn_v_matches_closed_form(ratio, points_per_eps):
     eps = 0.5 / ratio
     v = dtn_v(eps, 0.5, points_per_eps=points_per_eps)
     bound = (1.0 + 3e-3 * ratio ** 2) / points_per_eps ** 4
-    assert abs(v / _exact_transmission(eps, 0.5)[1] - 1.0) < bound
+    assert abs(v / exact_transmission(eps, 0.5)[1] - 1.0) < bound
 
 
 def test_dtn_v_one_column_per_grid(monkeypatch):
@@ -337,7 +310,7 @@ def test_hessian_matches_closed_form(p, ratio):
     m = 2 * p
     eps = 1.0 / m / ratio
     Q = hessian(NodeConfig(np.arange(m) / float(m)), eps).Q
-    Qref = _exact_transmission(eps, 1.0 / m)[0] / eps * _cycle_laplacian(m)
+    Qref = exact_transmission(eps, 1.0 / m)[0] / eps * cycle_laplacian(m)
     assert np.max(np.abs(Q - Qref)) < 1e-6 * np.max(np.abs(Qref))
 
 

@@ -95,6 +95,24 @@ def test_index_skips_inadmissible(tmp_path):
         assert "1/(2 p pi)" in row["skipped"]
 
 
+def test_index_solves_both_sides_on_its_grid(tmp_path, monkeypatch):
+    # --grid-per-eps is written into meta, so the AC side must run on it too
+    import becircle.experiments_cli as cli
+    solve, seen = cli.nodal_solution, []
+
+    def recording(p, eps, points_per_eps=50):
+        seen.append(points_per_eps)
+        return solve(p, eps, points_per_eps=points_per_eps)
+
+    monkeypatch.setattr(cli, "nodal_solution", recording)
+    out = tmp_path / "index.json"
+    assert main(["index", "--p", "1", "--eps", "0.05", "--grid-per-eps", "20",
+                 "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert seen == [rec["meta"]["grid_per_eps"]] == [20]
+    assert rec["results"]["all_match_S1MorseIndexTheorem"] is True
+
+
 def test_usage_error_exit_code():
     assert main(["bogus-subcommand"]) == 1
     assert main(["solve", "--L", "0.5", "--eps", "0.05", "--bogus-flag"]) == 1

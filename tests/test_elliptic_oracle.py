@@ -76,8 +76,8 @@ def test_jacobi_identities():
 def test_jacobi_periodicity():
     # zeros of the family are Z apart and it alternates sign between them
     for kp in _ORACLE_KPS:
-        mod = EllipticModulus(k=_kp(kp), kp=kp, zero_spacing=zero_spacing_from_kp(kp))
-        Z = mod.zero_spacing
+        mod = EllipticModulus(k=_kp(kp), kp=kp)
+        Z = zero_spacing_from_kp(kp)
         x = np.linspace(0.0, 2.0 * Z, 401)
         g = ac_family_mod(x, mod)
         assert np.max(np.abs(ac_family_mod(x + Z, mod) + g)) < 1e-11
@@ -106,7 +106,7 @@ _ARC_MODULI = [modulus_for(0.5 / r, 0.5) for r in (4.0, 10.0, 25.0, 60.0, 200.0)
 
 def test_ac_family_basic():
     for mod in _ARC_MODULI:
-        Z = mod.zero_spacing
+        Z = zero_spacing_from_kp(mod.kp)
         assert ac_family_mod(0.0, mod) == 0.0
         # the max sits half way between the zeros and equals the amplitude
         amp = mod.k * math.sqrt(2.0 / (2.0 - mod.kp * mod.kp))
@@ -120,7 +120,7 @@ def test_ac_family_solves_equation():
     # fourth-order FD residual of g'' = W'(g) at 50 sample points per arc
     h = 5e-3
     for mod in _ARC_MODULI:
-        x = np.linspace(0.3, mod.zero_spacing - 0.3, 50)
+        x = np.linspace(0.3, zero_spacing_from_kp(mod.kp) - 0.3, 50)
         v = [ac_family_mod(x + j * h, mod) for j in (-2, -1, 0, 1, 2)]
         d2 = (-v[4] + 16 * v[3] - 30 * v[2] + 16 * v[1] - v[0]) / (12 * h * h)
         assert np.max(np.abs(d2 - potential_d1(v[2]))) < 1e-9
@@ -129,7 +129,8 @@ def test_ac_family_solves_equation():
 def test_zero_spacing_against_root_finding():
     mod = modulus_for(0.05, 0.5)   # spacing 10
     f = lambda x: ac_family_mod(x, mod)
-    lo, hi = 0.5 * mod.zero_spacing, 1.5 * mod.zero_spacing
+    Z = zero_spacing_from_kp(mod.kp)
+    lo, hi = 0.5 * Z, 1.5 * Z
     assert f(lo) > 0 and f(hi) < 0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -137,7 +138,7 @@ def test_zero_spacing_against_root_finding():
             lo = mid
         else:
             hi = mid
-    assert abs(0.5 * (lo + hi) - mod.zero_spacing) < 1e-9
+    assert abs(0.5 * (lo + hi) - Z) < 1e-9
 
 
 def test_modulus_for_threshold_and_monotonicity():
@@ -154,7 +155,7 @@ def test_modulus_for_threshold_and_monotonicity():
     # the printed-formula identity, at a moderate modulus where a
     # k-parameterized K carries full precision
     mod2 = modulus_for(0.1, 0.5)
-    assert abs(mod2.zero_spacing
+    assert abs(zero_spacing_from_kp(mod2.kp)
                - 2.0 * ellipk(mod2.k**2) * math.sqrt(1 + mod2.k**2)) < 1e-10
 
 
@@ -202,7 +203,7 @@ def _bits(values):
 # moduli as the arc solves meet them (L/eps in [3.2, 650]), plus k = 0
 _MODULI = st.one_of(
     st.floats(3.2, 650.0).map(lambda r: modulus_for(0.5 / r, 0.5)),
-    st.just(EllipticModulus(k=0.0, kp=1.0, zero_spacing=zero_spacing_from_kp(1.0))),
+    st.just(EllipticModulus(k=0.0, kp=1.0)),
 )
 
 

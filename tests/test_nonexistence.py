@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from becircle import (CutoffSpec, DomainError, cutoff_energy,
-                      cutoff_gradient_closed, cutoff_gradient_quadrature,
-                      min_energy, two_node_scan)
+                      cutoff_gradient_closed, min_energy, two_node_scan)
+from oracles import cutoff_gradient_quadrature
 
 
 def test_cutoff_spec_validation():

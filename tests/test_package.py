@@ -2,6 +2,8 @@
 import ast
 from pathlib import Path
 
+import becircle
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "becircle"
 
 
@@ -55,3 +57,29 @@ def test_no_unread_module_level_names():
                             and node.id not in read and (mod, node.id) not in imported):
                         dead.append(f"{mod}.py: {node.id}")
     assert not dead, dead
+
+
+def test_every_export_is_read():
+    # a name the package exports is read by the library itself (outside
+    # __init__.py) or by the benchmark as bc.<name>; an oracle that only
+    # the tests read belongs in tests/oracles.py
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.add(node.module)
+                read.update(alias.name for alias in node.names)
+    for path in sorted((SRC.parents[1] / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "bc"):
+                read.add(node.attr)
+    unread = sorted(name for name in becircle.__all__
+                    if not name.startswith("_") and name not in read)
+    assert not unread, unread

@@ -5,10 +5,11 @@ import pytest
 
 from becircle import (GridFunction, NoPositiveSolution, existence_threshold,
                       lambda_of_eps, lipschitz_scan, min_energy, modulus_for,
-                      newton_semilinear, nodal_solution, periodic_residual,
-                      potential, solve_dirichlet, stencil_slope)
+                      newton_semilinear, nodal_solution, potential,
+                      solve_dirichlet, stencil_slope)
 from becircle.bvp_engine import TridiagonalOperator, eig_sturm
 from becircle.elliptic_oracle import ac_family_mod
+from oracles import periodic_residual
 
 SQRT2 = math.sqrt(2.0)
 
