@@ -53,8 +53,7 @@ def intervals_for(L, eps, points_per_eps):
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
     if not 0.0 < points_per_eps < math.inf:
         raise DomainError(f"points per eps must be positive and finite, got {points_per_eps!r}")
-    m = int(round(L / min(eps / points_per_eps, L / 400.0)))
-    m = max(m, 8)
+    m = int(round(L / min(eps / points_per_eps, L / 400.0)))  # at least 400
     return m + (m % 2)  # even interval count keeps the Simpson point count odd
 
 
@@ -67,24 +66,26 @@ def arc_energy(u, eps):
     return 0.5 * eps * grad + pot / eps
 
 
-def _solve_at(L, eps, m, tol, mod):
-    """Newton on m intervals of [0, L], started from the closed form at mod."""
-    x = np.linspace(0.0, L, m + 1)
-    vals = ac_family_mod(x / eps, mod)
-    vals[0] = 0.0
-    vals[-1] = 0.0
-    guess = GridFunction(a=0.0, b=L, n=m - 1, values=vals)
-    return newton_semilinear(guess, eps, tol=tol)
+def _solve_at(L, eps, guess, tol):
+    """Newton on the uniform grid of [0, L] that the guess values sample;
+    the guess's end values are the zero Dirichlet data."""
+    grid = GridFunction(a=0.0, b=L, n=len(guess) - 2, values=guess)
+    return newton_semilinear(grid, eps, tol=tol)
 
 
 def dirichlet_pair(L, eps, m, tol=1e-12):
     """Newton on m and 2m intervals of [0, L], started from the closed form.
 
+    The closed form is evaluated once, on the 2m-interval grid; the m-interval
+    guess is every other value of it.  Halving the step is exact, so
+    linspace(0, L, 2m + 1)[::2] is linspace(0, L, m + 1) bit for bit, and the
+    oracle is elementwise: both guesses are the ones a call per grid gives.
     u is the raw m-interval solution and u_half the raw 2m-interval one;
     lam, the slopes and the energy are their Richardson combination.
     """
-    mod = modulus_for(eps, L)
-    sol, sol2 = (_solve_at(L, eps, k, tol, mod) for k in (m, 2 * m))
+    guess = ac_family_mod(np.linspace(0.0, L, 2 * m + 1) / eps, modulus_for(eps, L))
+    guess[0] = guess[-1] = 0.0
+    sol, sol2 = (_solve_at(L, eps, g, tol) for g in (guess[::2], guess))
     lam_pair = [potential(float(np.max(s.values))) for s in (sol, sol2)]
     lam = (4.0 * lam_pair[1] - lam_pair[0]) / 3.0
     e_pair = [arc_energy(s, eps) for s in (sol, sol2)]
@@ -101,8 +102,9 @@ def solve_dirichlet(L, eps, points_per_eps=50, tol=1e-12, refine_values=False):
     minimizer is u = 0, which is not admitted as a broken-transition piece).
 
     The arc is solved once on each grid of its Richardson pair (see
-    dirichlet_pair), m = intervals_for(L, eps, points_per_eps) and 2m, and
-    both grids are returned: u on m intervals and u_half on 2m.  With
+    dirichlet_pair), m = intervals_for(L, eps, points_per_eps) and 2m, both
+    started from one closed-form evaluation on the 2m grid, and both grids
+    are returned: u on m intervals and u_half on 2m.  With
     refine_values u holds the pointwise Richardson combination of the two
     (fourth-order accurate against the closed form); by default it is the
     raw base-grid Newton solution, which satisfies the discrete equation to

@@ -9,7 +9,8 @@ import math
 import numpy as np
 from scipy.special import ellipe, ellipkm1
 
-from becircle import modulus_for, potential_d1, simpson
+from becircle import (DomainError, EllipticModulus, NoPositiveSolution, modulus_for,
+                      potential_d1, simpson, zero_spacing_from_kp)
 from becircle.balanced_energy import _pinned_be
 
 
@@ -38,6 +39,32 @@ def fd_second_variation(config, eps, f, points_per_eps=50):
     mid = _pinned_be(config, eps, f, 0.0, points_per_eps)
     minus = _pinned_be(config, eps, f, -step, points_per_eps)
     return (plus - 2.0 * mid + minus) / step ** 2
+
+
+def modulus_by_bisection(eps, L):
+    """modulus_for by plain bisection on ln kp over (ln 1e-300, -1e-18),
+    every step evaluating the spacing, down to adjacent doubles."""
+    if not (eps > 0 and L > 0):
+        raise DomainError(f"eps and L must be positive, got eps={eps}, L={L}")
+    if eps >= L / math.pi:
+        raise NoPositiveSolution(
+            f"eps={eps} at or above the existence threshold {L / math.pi}"
+        )
+    target = L / eps
+    lo, hi = math.log(1e-300), -1e-18
+    if zero_spacing_from_kp(math.exp(lo)) < target:
+        raise DomainError("rescaled length beyond representable moduli")
+    for _ in range(140):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if zero_spacing_from_kp(math.exp(mid)) > target:
+            lo = mid
+        else:
+            hi = mid
+    kp = math.exp(0.5 * (lo + hi))
+    k = math.sqrt((1.0 - kp) * (1.0 + kp))
+    return EllipticModulus(k=k, kp=kp)
 
 
 def exact_transmission(eps, L):

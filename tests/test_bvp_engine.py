@@ -177,7 +177,9 @@ def test_newton_ends_at_floor_on_a_fixed_point(ratio, points_per_eps, halved):
     L, tol = 0.5, 1e-12
     eps = L / ratio
     m = solver.intervals_for(L, eps, points_per_eps) * (2 if halved else 1)
-    out = solver._solve_at(L, eps, m, tol, modulus_for(eps, L))
+    guess = ac_family_mod(np.linspace(0.0, L, m + 1) / eps, modulus_for(eps, L))
+    guess[0] = guess[-1] = 0.0
+    out = solver._solve_at(L, eps, guess, tol)
     v = out.values
     c2 = (eps / out.h) ** 2
     res = c2 * (v[2:] - 2 * v[1:-1] + v[:-2]) - potential_d1(v[1:-1])

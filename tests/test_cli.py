@@ -22,6 +22,7 @@ CASES = {
     "cutoff.json": ["cutoff-nd", "--n", "3", "--k", "10", "--eps", "0.1",
                     "--delta", "0.001"],
     "profiles.csv": ["profiles", "--T", "20", "--stride", "2.0"],
+    "lipschitz.json": ["lipschitz", "--L", "0.5", "--eps", "0.01,0.015,0.02,0.03"],
 }
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +12,7 @@ from becircle import (DomainError, NoPositiveSolution, ac_family_mod, heteroclin
 from becircle import elliptic_oracle
 from becircle.elliptic_oracle import (EllipticModulus, _agm, _complete_K_from_kp, _fold,
                                       _landen_plan, _sn_kp)
+from oracles import modulus_by_bisection
 
 
 def _K_quadrature(k, n=20001):
@@ -337,3 +339,61 @@ def test_modulus_for_leaves_the_plan_cache_alone():
     _landen_plan.cache_clear()
     modulus_for(0.003, 0.5)
     assert _landen_plan.cache_info().currsize == 0
+
+
+def _modulus_or_error(fn, eps, L):
+    try:
+        mod = fn(eps, L)
+    except (DomainError, NoPositiveSolution) as exc:
+        return type(exc)
+    return int(_bits(mod.k)), int(_bits(mod.kp))
+
+
+# L/eps at the lower edge pi and beyond it, and at the upper edge (the
+# spacing at kp = 1e-300) and beyond it
+@example(L=0.5, ratio=math.pi)
+@example(L=0.5, ratio=3.0)
+@example(L=0.5, ratio=zero_spacing_from_kp(math.exp(math.log(1e-300))))
+@example(L=2.0, ratio=2500.0)
+@example(L=0.5, ratio=3.1416)
+@example(L=0.5, ratio=3.15)
+@example(L=0.5, ratio=503.0)
+@example(L=0.5, ratio=1500.0)
+@example(L=0.5, ratio=1950.0)
+@settings(max_examples=300, deadline=None)
+@given(L=st.floats(0.01, 3.0),
+       ratio=st.floats(math.log(math.pi * (1 + 1e-12)), math.log(1958.0)).map(math.exp))
+def test_modulus_for_matches_plain_bisection(L, ratio):
+    eps = L / ratio
+    assert (_modulus_or_error(modulus_for, eps, L)
+            == _modulus_or_error(modulus_by_bisection, eps, L))
+
+
+def test_modulus_for_evaluates_the_spacing_at_most_45_times(monkeypatch):
+    calls = []
+    real = elliptic_oracle.zero_spacing_from_kp
+
+    def counted(kp):
+        calls.append(kp)
+        return real(kp)
+
+    monkeypatch.setattr(elliptic_oracle, "zero_spacing_from_kp", counted)
+    ratios = np.concatenate([np.geomspace(3.1416, 1950.0, 200), [3.15, 503.0, 1500.0]])
+    for L in (0.1, 0.5, 2.0):
+        for ratio in ratios:
+            calls.clear()
+            modulus_for(L / ratio, L)
+            assert len(calls) <= 45, (L, ratio, len(calls))
+
+
+@example(kp=1.0)
+@example(kp=1e-300)
+@settings(max_examples=300, deadline=None)
+@given(kp=_KP)
+def test_zero_spacing_within_8_ulps(kp):
+    # modulus_for's window margin rests on this bound
+    z = zero_spacing_from_kp(kp)
+    with mp.workprec(200):
+        kp_mp = mp.mpf(kp)
+        exact = mp.pi / mp.agm(1, kp_mp) * mp.sqrt(2 - kp_mp * kp_mp)
+        assert abs(mp.mpf(z) - exact) <= 8 * math.ulp(z)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import becircle.solver_1d as solver
 from becircle import (GridFunction, NoPositiveSolution, existence_threshold,
                       lambda_of_eps, lipschitz_scan, min_energy, modulus_for,
                       newton_semilinear, nodal_solution, potential,
@@ -152,3 +154,62 @@ def test_min_energy_and_lipschitz_scan():
     e1 = min_energy(0.05, 0.5)
     e2 = min_energy(0.051, 0.5)
     assert abs(e2 - e1) <= scan.max_quotient * 0.001 * 1.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(L=st.floats(1e-3, 10.0), frac=st.floats(1e-3, 2.0),
+       points_per_eps=st.floats(1e-2, 500.0))
+@example(L=1e-3, frac=2.0, points_per_eps=1e-2)
+def test_intervals_for_is_even_and_at_least_400(L, frac, points_per_eps):
+    m = solver.intervals_for(L, frac * L / math.pi, points_per_eps)
+    assert m % 2 == 0 and m >= 400
+
+
+def test_one_closed_form_evaluation_per_pair(monkeypatch):
+    sizes = []
+    real = solver.ac_family_mod
+
+    def counted(x, mod):
+        sizes.append(np.size(x))
+        return real(x, mod)
+
+    monkeypatch.setattr(solver, "ac_family_mod", counted)
+    solve_dirichlet(0.5, 0.05)
+    assert sizes == [2 * solver.intervals_for(0.5, 0.05, 50) + 1]
+
+
+def _bits(values):
+    """Bit patterns of float64 values, so that -0.0 and 0.0 differ too."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _pair_with_a_guess_per_grid(L, eps, m, tol):
+    """dirichlet_pair's u, u_half, lam and energy, with the closed form
+    evaluated separately on each grid of the pair."""
+    mod = modulus_for(eps, L)
+    sols = []
+    for k in (m, 2 * m):
+        vals = ac_family_mod(np.linspace(0.0, L, k + 1) / eps, mod)
+        vals[0] = 0.0
+        vals[-1] = 0.0
+        guess = GridFunction(a=0.0, b=L, n=k - 1, values=vals)
+        sols.append(newton_semilinear(guess, eps, tol=tol))
+    lam_pair = [potential(float(np.max(s.values))) for s in sols]
+    e_pair = [solver.arc_energy(s, eps) for s in sols]
+    return (sols[0].values, sols[1].values, (4.0 * lam_pair[1] - lam_pair[0]) / 3.0,
+            (4.0 * e_pair[1] - e_pair[0]) / 3.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(L=st.floats(0.1, 2.0), ratio=st.floats(3.2, 200.0),
+       points_per_eps=st.sampled_from([10, 50]))
+@example(L=0.5, ratio=10.0, points_per_eps=50)
+def test_dirichlet_pair_matches_a_guess_per_grid(L, ratio, points_per_eps):
+    eps = L / ratio
+    m = solver.intervals_for(L, eps, points_per_eps)
+    sol = solver.dirichlet_pair(L, eps, m)
+    u, u_half, lam, energy = _pair_with_a_guess_per_grid(L, eps, m, 1e-12)
+    assert np.array_equal(_bits(sol.u.values), _bits(u))
+    assert np.array_equal(_bits(sol.u_half.values), _bits(u_half))
+    assert _bits(sol.lam) == _bits(lam)
+    assert _bits(sol.energy) == _bits(energy)
