@@ -17,8 +17,19 @@ gdot.  omega is bounded, not decaying: omega(t) -> -3 sqrt2 / 4, and
 omega'(0) = -2 exactly (by the self-adjoint pairing with g*gdot).  The slope
 constant feeding the node Dirichlet-to-Neumann asymptotics is
     v(eps) ~ sqrt2 * lambda(eps) * omega'(0) / eps = -2 sqrt2 lambda / eps.
+
+Every profile of one window (T, h) reads one half-line: the grid t with g,
+gdot and gddot on it, evaluated once and cached for the last window asked
+for (`_halfline`, one entry: about 2.6 MB at 80001 points and 8 MB at the
+edge T ~ 251.2 with h = 1e-3).  Its arrays are read-only and are shared by
+the profiles built on them: `profile_w`'s rhs_values is the cached gdot.
+The window ends where gdot(T)^2 leaves the normal float64 range; past it
+`bracket / gdot^2` and kappa's `/ s^2` lose every digit, so a longer T
+raises `DomainError`.
 """
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +40,9 @@ from .scalar_field import SQRT2, heteroclinic, potential_d2
 
 DEFAULT_T = 40.0
 DEFAULT_H = 1e-3
+
+# the T at which gdot(T)^2 ~ 8 exp(-2 sqrt2 T) reaches the smallest normal float
+_T_UNDERFLOW = (math.log(8.0) - math.log(sys.float_info.min)) / (2.0 * SQRT2)
 
 
 @dataclass(frozen=True)
@@ -57,23 +71,40 @@ class ProfileConstants:
     omegadot0: float
 
 
-def _grid(T, h):
-    """Uniform grid of [0, T] with the step nearest h that divides T."""
+# typed like `elliptic_oracle._landen_plan`: the step keeps the type of T / n
+@functools.lru_cache(maxsize=1, typed=True)
+def _halfline(T, h):
+    """(t, step, g, gdot, gddot) on the uniform grid of [0, T] with the step
+    nearest h that divides T; T may not pass `_T_UNDERFLOW`.
+
+    One entry is cached, so consecutive profile calls on one window evaluate
+    `heteroclinic` once.  It holds four arrays of n + 1 floats: about 2.6 MB
+    at 80001 points, and at most 8 MB at h = 1e-3 (T at the edge).  The
+    arrays are read-only, so no caller can change the cached entry.
+    """
     n = int(round(T / h)) if h > 0 and math.isfinite(T / h) else 0
     if n < 2:
         raise DomainError(f"profile grid needs finite T >= 1.5 h > 0: T={T!r}, h={h!r}")
-    return np.linspace(0.0, T, n + 1), T / n
+    if T > _T_UNDERFLOW:
+        raise DomainError(f"profile window T={T!r} is past {_T_UNDERFLOW:.4f}, where "
+                          "gdot(T)^2 leaves the normal float64 range")
+    t = np.linspace(0.0, T, n + 1)
+    g, gdot, gddot = heteroclinic(t)
+    for a in (t, g, gdot, gddot):
+        a.setflags(write=False)
+    return t, T / n, g, gdot, gddot
 
 
-def _vp_solve(rhs_values, t, h):
-    """Tail-form variation-of-parameters solve of L f = rhs; no decay guard.
+def _vp_solve(rhs_values, line):
+    """Tail-form variation-of-parameters solve of L f = rhs on the half-line
+    `line` from `_halfline`; no decay guard.
 
     The truncated tail integral int_s^T rhs*gdot is closed by analytic
     continuation of the integrand's exponential decay (rate fitted at the
     boundary): without it the bracket loses all relative accuracy near T,
     which matters for sources that do not themselves decay.
     """
-    _, gdot, gddot = heteroclinic(t)
+    t, h, _, gdot, gddot = line
     rg = rhs_values * gdot
     # int_s^T rhs*gdot accumulated from the right, keeping relative accuracy
     # where the integrand is exponentially small
@@ -94,9 +125,13 @@ def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H):
     """Unique decaying solution of L f = rhs with f(0) = 0.
 
     rhs may be a callable of t or an array on the uniform grid.  Data that
-    fail exponential decay at the truncation boundary are rejected.
+    fail exponential decay at the truncation boundary are rejected.  The
+    grid and heteroclinic values come from the cached `_halfline(T, h)`: t
+    is read-only, and an array rhs is kept as given (for `profile_w` it is
+    the cached gdot).
     """
-    t, h = _grid(T, h)
+    line = _halfline(T, h)
+    t = line[0]
     rhs_values = rhs(t) if callable(rhs) else np.asarray(rhs, dtype=float)
     if rhs_values.shape != t.shape:
         raise TruncationError("rhs grid does not match the profile grid")
@@ -104,12 +139,13 @@ def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H):
         raise TruncationError(
             f"rhs({T}) = {rhs_values[-1]:.3e} fails the decay requirement"
         )
-    return _vp_solve(rhs_values, t, h)
+    return _vp_solve(rhs_values, line)
 
 
 def profile_w(T=DEFAULT_T, h=DEFAULT_H):
     """L w = gdot; the mean-curvature response profile.  w'(0) = -2/3."""
-    return solve_profile(lambda t: heteroclinic(t)[1], T, h)
+    _, _, _, gdot, _ = _halfline(T, h)
+    return solve_profile(gdot, T, h)
 
 
 def profile_rho(T=DEFAULT_T, h=DEFAULT_H):
@@ -119,13 +155,28 @@ def profile_rho(T=DEFAULT_T, h=DEFAULT_H):
 
 def profile_tau_geom(T=DEFAULT_T, h=DEFAULT_H):
     """L tau = t gdot; the geometric tau of the curvature expansion."""
-    return solve_profile(lambda t: t * heteroclinic(t)[1], T, h)
+    t, _, _, gdot, _ = _halfline(T, h)
+    return solve_profile(t * gdot, T, h)
 
 
 def profile_kappa_ode(T=DEFAULT_T, h=DEFAULT_H):
     """L kappa = g w, consuming the computed w profile."""
-    w = profile_w(T, h)
-    return solve_profile(lambda t: heteroclinic(t)[0] * w.values, T, h)
+    _, _, g, _, _ = _halfline(T, h)
+    return solve_profile(g * profile_w(T, h).values, T, h)
+
+
+def _kappa(t, g, gdot):
+    """kappa_lambda from the heteroclinic values g, gdot at t."""
+    s = SQRT2 * gdot    # sech^2(t/sqrt2), underflow-safe
+    return -(2.0 * g * (5.0 - 3.0 * g * g) / s + 3.0 * SQRT2 * t * s) / 8.0
+
+
+def _kappa_prime(t, g, gdot):
+    """Analytic derivative of `_kappa`, from the same values."""
+    s = SQRT2 * gdot    # sech^2(t/sqrt2)
+    dA = ((10.0 - 18.0 * g * g) / s + 4.0 * g * g * (5.0 - 3.0 * g * g) / s ** 2) * gdot
+    dB = 3.0 * SQRT2 * (s - 2.0 * t * g * gdot)
+    return -(dA + dB) / 8.0
 
 
 def kappa_lambda(t):
@@ -139,19 +190,7 @@ def kappa_lambda(t):
     """
     t = np.asarray(t, dtype=float)
     g, gdot, _ = heteroclinic(t)
-    s = SQRT2 * gdot    # sech^2(t/sqrt2), underflow-safe
-    out = -(2.0 * g * (5.0 - 3.0 * g * g) / s + 3.0 * SQRT2 * t * s) / 8.0
-    return float(out) if out.ndim == 0 else out
-
-
-def kappa_lambda_prime(t):
-    """Analytic derivative of kappa_lambda."""
-    t = np.asarray(t, dtype=float)
-    g, gdot, _ = heteroclinic(t)
-    s = SQRT2 * gdot    # sech^2(t/sqrt2)
-    dA = ((10.0 - 18.0 * g * g) / s + 4.0 * g * g * (5.0 - 3.0 * g * g) / s ** 2) * gdot
-    dB = 3.0 * SQRT2 * (s - 2.0 * t * g * gdot)
-    out = -(dA + dB) / 8.0
+    out = _kappa(t, g, gdot)
     return float(out) if out.ndim == 0 else out
 
 
@@ -162,9 +201,9 @@ def profile_tau_lambda(T=DEFAULT_T, h=DEFAULT_H):
     tau'(0) = sqrt2.  It grows like e^{sqrt2 t}/8: the lambda direction of
     the periodic family is inherently non-decaying toward the far node.
     """
-    t, hh = _grid(T, h)
-    vals = -kappa_lambda(t)
-    return ProfileFunction(T=T, h=hh, values=vals, dvalues=-kappa_lambda_prime(t),
+    t, hh, g, gdot, _ = _halfline(T, h)
+    vals = -_kappa(t, g, gdot)
+    return ProfileFunction(T=T, h=hh, values=vals, dvalues=-_kappa_prime(t, g, gdot),
                            slope0=SQRT2, rhs_values=np.zeros_like(vals))
 
 
@@ -175,15 +214,14 @@ def profile_omega(T=DEFAULT_T, h=DEFAULT_H):
     variation-of-parameters integral converges in tail form; the profile is
     bounded with omega(t) -> -3 sqrt2 / 4 and omega'(0) = -2 exactly.
     """
-    t, hh = _grid(T, h)
-    g, gdot, _ = heteroclinic(t)
-    return _vp_solve(6.0 * g * (-kappa_lambda(t)) * gdot, t, hh)
+    line = _halfline(T, h)
+    t, _, g, gdot, _ = line
+    return _vp_solve(6.0 * g * (-_kappa(t, g, gdot)) * gdot, line)
 
 
 def profile_constants(T=DEFAULT_T, h=DEFAULT_H):
     """sigma1, sigma2 by composite Simpson, and the response slopes."""
-    t, hh = _grid(T, h)
-    g, gdot, gddot = heteroclinic(t)
+    t, hh, g, gdot, gddot = _halfline(T, h)
     sigma1 = simpson(t * gdot * gddot, hh)
     tau = profile_tau_geom(T, h)
     sigma2 = 6.0 * simpson(tau.values * g * gdot ** 2, hh)
@@ -199,7 +237,8 @@ def ode_residual(profile, t_max=None):
     """Sup norm of f'' - W''(g) f - rhs by fourth-order central differences.
 
     Restricted to t <= t_max when given (the growing tau_lambda only admits
-    an absolute residual bound on a bounded window).
+    an absolute residual bound on a bounded window); a window without an
+    interior grid point (t_max NaN or below 2h) raises `DomainError`.
     """
     f = profile.values
     h = profile.h
@@ -209,4 +248,6 @@ def ode_residual(profile, t_max=None):
     res = d2 - potential_d2(g) * f[2:-2] - profile.rhs_values[2:-2]
     if t_max is not None:
         res = res[t[2:-2] <= t_max]
+    if res.size == 0:
+        raise DomainError(f"no grid point of [2h, T - 2h] lies at t <= t_max={t_max!r}")
     return float(np.max(np.abs(res)))

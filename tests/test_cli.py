@@ -22,6 +22,7 @@ CASES = {
     "cutoff.json": ["cutoff-nd", "--n", "3", "--k", "10", "--eps", "0.1",
                     "--delta", "0.001"],
     "profiles.csv": ["profiles", "--T", "20", "--stride", "2.0"],
+    "profiles_T40.csv": ["profiles", "--T", "40", "--stride", "1.0"],
     "lipschitz.json": ["lipschitz", "--L", "0.5", "--eps", "0.01,0.015,0.02,0.03"],
 }
 
@@ -152,6 +153,7 @@ def test_domain_error_exit_code(capsys):
     ["index", "--p", "0", "--eps", "0.05"],
     ["profiles", "--T", "0"],
     ["profiles", "--T", "-5"],
+    ["profiles", "--T", "300"],
     ["solve", "--L", "0.5", "--eps", "0.05", "--grid-per-eps", "0"],
     ["solve", "--L", "0.5", "--eps", "0.05", "--grid-per-eps", "-5"],
     ["solve", "--L", "nan", "--eps", "0.05"],
@@ -171,7 +173,8 @@ def test_domain_error_exit_code(capsys):
 def test_bad_input_is_a_typed_error(argv, capsys):
     # sweeps need two distinct eps; eps, L, the grid density, Newton's tol,
     # the profile stride and the cutoff's k and delta must be positive and
-    # finite, p and the profile truncation T positive, nodes, scan grid
+    # finite, p positive, the profile truncation T positive and at most
+    # 251.19 (where gdot(T)^2 leaves the normal range), nodes, scan grid
     # points and the node motion f finite: never a traceback, and never a
     # NaN written into a record
     assert main(argv) == 1

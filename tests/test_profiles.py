@@ -1,15 +1,17 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from becircle import (TruncationError, cumulative_simpson, heteroclinic,
-                      kappa_lambda, kappa_lambda_prime, lambda_of_eps,
-                      modulus_for, ode_residual, profile_constants,
-                      profile_kappa_ode, profile_omega, profile_rho,
-                      profile_tau_geom, profile_tau_lambda, profile_w, simpson,
-                      solve_profile)
+import becircle.profiles as profiles_mod
+from becircle import (DomainError, TruncationError, cumulative_simpson, heteroclinic,
+                      kappa_lambda, lambda_of_eps, modulus_for, ode_residual,
+                      profile_constants, profile_kappa_ode, profile_omega,
+                      profile_rho, profile_tau_geom, profile_tau_lambda,
+                      profile_w, simpson, solve_profile)
 from becircle.elliptic_oracle import ac_family_mod
+from oracles import kappa_lambda_prime
 
 SQRT2 = math.sqrt(2.0)
 
@@ -206,3 +208,101 @@ def test_sigma2_consistency_integral():
     t = np.linspace(0.0, 40.0, 40001)
     g, gd, _ = heteroclinic(t)
     assert abs(simpson(t * g * gd ** 2, t[1] - t[0]) - 1.0 / 6.0) < 1e-8
+
+
+WINDOW_FUNCTIONS = PROFILES + (profile_constants,)
+
+
+def _bits(result):
+    if hasattr(result, "values"):
+        return (result.T, result.h, result.slope0, result.values.tobytes(),
+                result.dvalues.tobytes(), result.rhs_values.tobytes())
+    return (result.sigma1, result.sigma2, result.wdot0, result.omegadot0)
+
+
+def test_one_heteroclinic_evaluation_per_window(monkeypatch):
+    calls = []
+
+    def counting(t):
+        calls.append(np.size(t))
+        return heteroclinic(t)
+
+    monkeypatch.setattr(profiles_mod, "heteroclinic", counting)
+    profiles_mod._halfline.cache_clear()
+    try:
+        for fn in WINDOW_FUNCTIONS:
+            fn(T=20.0, h=1e-3)
+        assert calls == [20001]
+    finally:
+        profiles_mod._halfline.cache_clear()
+
+
+WINDOWS = [(40.0, 1e-3), (80.0, 1e-3), (40.0, 5e-4)]
+
+
+@pytest.fixture(scope="module")
+def cold_results():
+    out = {}
+    for T, h in WINDOWS:
+        for fn in WINDOW_FUNCTIONS:
+            profiles_mod._halfline.cache_clear()
+            out[T, h, fn.__name__] = _bits(fn(T=T, h=h))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_results_do_not_depend_on_call_order(seed, cold_results):
+    # each window and function once after a cold cache, in a shuffled order
+    # that revisits windows: every result equals its cold-cache bits
+    rng = np.random.default_rng(seed)
+    calls = [(w, fn) for w in WINDOWS for fn in WINDOW_FUNCTIONS]
+    calls = [calls[i] for i in rng.permutation(len(calls))]
+    for (T, h), fn in calls:
+        assert _bits(fn(T=T, h=h)) == cold_results[T, h, fn.__name__]
+
+
+def test_cached_halfline_is_read_only():
+    ref = _bits(profile_w(T=20.0))
+
+    def vandal(t):
+        t[0] = 1.0
+        return np.zeros_like(t)
+
+    with pytest.raises(ValueError):
+        solve_profile(vandal, T=20.0)
+    w = profile_w(T=20.0)
+    assert _bits(w) == ref
+    with pytest.raises(ValueError):
+        w.rhs_values[0] = 1.0          # the cached gdot itself
+    assert _bits(profile_w(T=20.0)) == ref
+
+
+def test_window_ends_where_gdot_squared_leaves_the_normal_range():
+    edge = profiles_mod._T_UNDERFLOW
+    assert abs(edge - 251.19) < 0.01
+    # at the edge gdot(T)^2 is still a normal float, just past it it is not
+    assert heteroclinic(edge)[1] ** 2 >= sys.float_info.min
+    assert heteroclinic(edge * (1 + 1e-12))[1] ** 2 < sys.float_info.min
+    base = profile_constants()
+    T = edge - 0.01
+    for fn in PROFILES:
+        p = fn(T=T)
+        assert np.all(np.isfinite(p.values)) and np.all(np.isfinite(p.dvalues))
+        assert math.isfinite(p.slope0)
+    near = profile_constants(T=T)
+    for a, b in zip(_bits(base), _bits(near)):
+        assert abs(a - b) < 1e-8
+    for fn in WINDOW_FUNCTIONS:
+        with pytest.raises(DomainError):
+            fn(T=edge + 0.01)
+        with pytest.raises(DomainError):
+            fn(T=300.0, h=1e-2)
+
+
+@pytest.mark.parametrize("t_max", [math.nan, -1.0, 0.0, 1e-3, 1.5e-3],
+                         ids=["nan", "negative", "zero", "h", "1.5h"])
+def test_ode_residual_needs_a_point_in_its_window(t_max):
+    w = profile_w(T=20.0)
+    with pytest.raises(DomainError):
+        ode_residual(w, t_max=t_max)
+    assert ode_residual(w, t_max=2e-3) >= 0.0     # t = 2h is the first point
