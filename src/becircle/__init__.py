@@ -13,10 +13,10 @@ from .elliptic_oracle import (EllipticModulus, LambdaEpsPair, ac_family_mod,
 from .bvp_engine import (GridFunction, SpectrumReport, TridiagonalOperator,
                          cumulative_simpson, eig_sturm, linearized_operator,
                          newton_semilinear, simpson)
-from .profiles import (ProfileConstants, ProfileFunction, kappa_lambda,
-                       ode_residual, profile_constants, profile_kappa_ode,
-                       profile_omega, profile_rho, profile_tau_geom,
-                       profile_tau_lambda, profile_w, solve_profile)
+from .profiles import (ProfileConstants, ProfileFunction, ode_residual,
+                       profile_constants, profile_kappa_ode, profile_omega,
+                       profile_rho, profile_tau_geom, profile_tau_lambda,
+                       profile_w, solve_profile)
 from .solver_1d import (DirichletSolution, LipschitzScan, NodalSolution,
                         arc_energy, dirichlet_pair, existence_threshold,
                         intervals_for, lipschitz_scan, min_energy,

@@ -3,8 +3,13 @@ profile dumps, non-existence scans.  JSON records (sorted keys, reals in the
 shortest repr that round-trips) and CSV tables (reals to 17 significant
 digits); golden files regenerate byte-identically with
 ``BECIRCLE_REGEN=1 pytest tests/test_cli.py``.
+
+In-process ``main`` calls share one parser, built on the first call, since
+building it costs more than a small record; ``build_parser()`` returns a
+fresh one, so a caller who changes the parser it got cannot change ``main``.
 """
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,7 +22,7 @@ from .balanced_energy import (NodeConfig, ac_spectrum, broken_transition,
 from .bvp_engine import simpson
 from .errors import BECircleError, DomainError
 from .nonexistence import CutoffSpec, cutoff_energy, two_node_scan
-from .profiles import (DEFAULT_H, DEFAULT_T, kappa_lambda, profile_constants,
+from .profiles import (DEFAULT_H, DEFAULT_T, halfline, profile_constants,
                        profile_omega, profile_rho, profile_tau_geom,
                        profile_tau_lambda, profile_w)
 from .scalar_field import heteroclinic, potential, well_constants
@@ -226,9 +231,8 @@ def _cmd_profiles(args):
     tg = profile_tau_geom(T, h)
     tl = profile_tau_lambda(T, h)
     om = profile_omega(T, h)
-    t = w.grid()
-    g = heteroclinic(t)[0]
-    kl = kappa_lambda(t)
+    t, g = halfline(T, h)
+    kl = -tl.values                 # kappa_lambda = -tau_lambda, bit for bit
     header = ["t", "g", "w", "rho", "tau_geom", "tau_lambda", "kappa_lambda", "omega"]
     stride = max(1, int(round(args.stride / h)))
     rows = []
@@ -387,8 +391,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser every `main` call reads; argparse does not change it while
+    parsing, and each parse returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

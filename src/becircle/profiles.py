@@ -18,11 +18,13 @@ omega'(0) = -2 exactly (by the self-adjoint pairing with g*gdot).  The slope
 constant feeding the node Dirichlet-to-Neumann asymptotics is
     v(eps) ~ sqrt2 * lambda(eps) * omega'(0) / eps = -2 sqrt2 lambda / eps.
 
-Every profile of one window (T, h) reads one half-line: the grid t with g,
-gdot and gddot on it, evaluated once and cached for the last window asked
-for (`_halfline`, one entry: about 2.6 MB at 80001 points and 8 MB at the
-edge T ~ 251.2 with h = 1e-3).  Its arrays are read-only and are shared by
-the profiles built on them: `profile_w`'s rhs_values is the cached gdot.
+Every profile of one window (T, h) reads one half-line: the grid t of
+n = round(T/h) steps with g, gdot and gddot on it, evaluated once and cached
+for the last window asked for (`_halfline(T, n)`, one entry: about 2.6 MB at
+80001 points and 8 MB at the edge T ~ 251.2 with h = 1e-3).  Its arrays are
+read-only and are shared by the profiles built on them: `profile_w`'s
+rhs_values is the cached gdot, and `ode_residual` reads g from the half-line
+of the profile's T and number of points.
 The window ends where gdot(T)^2 leaves the normal float64 range; past it
 `bracket / gdot^2` and kappa's `/ s^2` lose every digit, so a longer T
 raises `DomainError`.
@@ -71,23 +73,36 @@ class ProfileConstants:
     omegadot0: float
 
 
-# typed like `elliptic_oracle._landen_plan`: the step keeps the type of T / n
-@functools.lru_cache(maxsize=1, typed=True)
-def _halfline(T, h):
-    """(t, step, g, gdot, gddot) on the uniform grid of [0, T] with the step
-    nearest h that divides T; T may not pass `_T_UNDERFLOW`.
-
-    One entry is cached, so consecutive profile calls on one window evaluate
-    `heteroclinic` once.  It holds four arrays of n + 1 floats: about 2.6 MB
-    at 80001 points, and at most 8 MB at h = 1e-3 (T at the edge).  The
-    arrays are read-only, so no caller can change the cached entry.
-    """
+def _window(T, h):
+    """`_halfline` of the uniform grid of [0, T] with the step nearest h that
+    divides T; T may not pass `_T_UNDERFLOW`."""
     n = int(round(T / h)) if h > 0 and math.isfinite(T / h) else 0
     if n < 2:
         raise DomainError(f"profile grid needs finite T >= 1.5 h > 0: T={T!r}, h={h!r}")
     if T > _T_UNDERFLOW:
         raise DomainError(f"profile window T={T!r} is past {_T_UNDERFLOW:.4f}, where "
                           "gdot(T)^2 leaves the normal float64 range")
+    return _halfline(float(T), n)
+
+
+def halfline(T=DEFAULT_T, h=DEFAULT_H):
+    """The grid t and the heteroclinic g on it that every profile of the
+    window (T, h) reads: read-only, and cached with the window."""
+    t, _, g, _, _ = _window(T, h)
+    return t, g
+
+
+@functools.lru_cache(maxsize=1)
+def _halfline(T, n):
+    """(t, step, g, gdot, gddot) on the grid of [0, T] with n steps.
+
+    One entry is cached, so consecutive profile calls on one window evaluate
+    `heteroclinic` once.  It holds four arrays of n + 1 floats: about 2.6 MB
+    at 80001 points, and at most 8 MB at h = 1e-3 (T at the edge).  The
+    arrays are read-only, so no caller can change the cached entry.  Callers
+    pass T as a float, so 40 and 40.0 share an entry and the step is always
+    a float.
+    """
     t = np.linspace(0.0, T, n + 1)
     g, gdot, gddot = heteroclinic(t)
     for a in (t, g, gdot, gddot):
@@ -126,11 +141,11 @@ def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H):
 
     rhs may be a callable of t or an array on the uniform grid.  Data that
     fail exponential decay at the truncation boundary are rejected.  The
-    grid and heteroclinic values come from the cached `_halfline(T, h)`: t
+    grid and heteroclinic values come from the cached `_window(T, h)`: t
     is read-only, and an array rhs is kept as given (for `profile_w` it is
     the cached gdot).
     """
-    line = _halfline(T, h)
+    line = _window(T, h)
     t = line[0]
     rhs_values = rhs(t) if callable(rhs) else np.asarray(rhs, dtype=float)
     if rhs_values.shape != t.shape:
@@ -144,7 +159,7 @@ def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H):
 
 def profile_w(T=DEFAULT_T, h=DEFAULT_H):
     """L w = gdot; the mean-curvature response profile.  w'(0) = -2/3."""
-    _, _, _, gdot, _ = _halfline(T, h)
+    _, _, _, gdot, _ = _window(T, h)
     return solve_profile(gdot, T, h)
 
 
@@ -155,18 +170,26 @@ def profile_rho(T=DEFAULT_T, h=DEFAULT_H):
 
 def profile_tau_geom(T=DEFAULT_T, h=DEFAULT_H):
     """L tau = t gdot; the geometric tau of the curvature expansion."""
-    t, _, _, gdot, _ = _halfline(T, h)
+    t, _, _, gdot, _ = _window(T, h)
     return solve_profile(t * gdot, T, h)
 
 
 def profile_kappa_ode(T=DEFAULT_T, h=DEFAULT_H):
     """L kappa = g w, consuming the computed w profile."""
-    _, _, g, _, _ = _halfline(T, h)
+    _, _, g, _, _ = _window(T, h)
     return solve_profile(g * profile_w(T, h).values, T, h)
 
 
 def _kappa(t, g, gdot):
-    """kappa_lambda from the heteroclinic values g, gdot at t."""
+    """kappa_lambda, the pointwise derivative of the periodic family along
+    lambda at lambda = 0, from the heteroclinic values g, gdot at t.
+
+    Stable rewriting of  -2 (1-g^2) int_0^g dx/(1-x^2)^3  using
+    log((1+g)/(1-g)) = sqrt2 t:
+        kappa(t) = -(1/8) [ 2 g (5 - 3 g^2) / (1 - g^2) + 3 sqrt2 t (1 - g^2) ].
+    kappa(0) = 0, kappa < 0 for t > 0, kappa'(0) = -sqrt2, and L kappa = 0
+    (it is the growing homogeneous partner of gdot).
+    """
     s = SQRT2 * gdot    # sech^2(t/sqrt2), underflow-safe
     return -(2.0 * g * (5.0 - 3.0 * g * g) / s + 3.0 * SQRT2 * t * s) / 8.0
 
@@ -179,21 +202,6 @@ def _kappa_prime(t, g, gdot):
     return -(dA + dB) / 8.0
 
 
-def kappa_lambda(t):
-    """Pointwise derivative of the periodic family along lambda, at lambda = 0.
-
-    Stable rewriting of  -2 (1-g^2) int_0^g dx/(1-x^2)^3  using
-    log((1+g)/(1-g)) = sqrt2 t:
-        kappa(t) = -(1/8) [ 2 g (5 - 3 g^2) / (1 - g^2) + 3 sqrt2 t (1 - g^2) ].
-    kappa(0) = 0, kappa < 0 for t > 0, kappa'(0) = -sqrt2, and L kappa = 0
-    (it is the growing homogeneous partner of gdot).
-    """
-    t = np.asarray(t, dtype=float)
-    g, gdot, _ = heteroclinic(t)
-    out = _kappa(t, g, gdot)
-    return float(out) if out.ndim == 0 else out
-
-
 def profile_tau_lambda(T=DEFAULT_T, h=DEFAULT_H):
     """The positive lambda-direction profile tau_lambda = -kappa_lambda.
 
@@ -201,7 +209,7 @@ def profile_tau_lambda(T=DEFAULT_T, h=DEFAULT_H):
     tau'(0) = sqrt2.  It grows like e^{sqrt2 t}/8: the lambda direction of
     the periodic family is inherently non-decaying toward the far node.
     """
-    t, hh, g, gdot, _ = _halfline(T, h)
+    t, hh, g, gdot, _ = _window(T, h)
     vals = -_kappa(t, g, gdot)
     return ProfileFunction(T=T, h=hh, values=vals, dvalues=-_kappa_prime(t, g, gdot),
                            slope0=SQRT2, rhs_values=np.zeros_like(vals))
@@ -214,14 +222,14 @@ def profile_omega(T=DEFAULT_T, h=DEFAULT_H):
     variation-of-parameters integral converges in tail form; the profile is
     bounded with omega(t) -> -3 sqrt2 / 4 and omega'(0) = -2 exactly.
     """
-    line = _halfline(T, h)
+    line = _window(T, h)
     t, _, g, gdot, _ = line
     return _vp_solve(6.0 * g * (-_kappa(t, g, gdot)) * gdot, line)
 
 
 def profile_constants(T=DEFAULT_T, h=DEFAULT_H):
     """sigma1, sigma2 by composite Simpson, and the response slopes."""
-    t, hh, g, gdot, gddot = _halfline(T, h)
+    t, hh, g, gdot, gddot = _window(T, h)
     sigma1 = simpson(t * gdot * gddot, hh)
     tau = profile_tau_geom(T, h)
     sigma2 = 6.0 * simpson(tau.values * g * gdot ** 2, hh)
@@ -242,10 +250,12 @@ def ode_residual(profile, t_max=None):
     """
     f = profile.values
     h = profile.h
-    t = profile.grid()
+    if len(f) < 5:
+        raise DomainError(f"a profile of {len(f)} points has no grid point in [2h, T - 2h]")
+    # the profile's own half-line: a cache hit while its window is the last
+    t, _, g, _, _ = _halfline(float(profile.T), len(f) - 1)
     d2 = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) / (12.0 * h * h)
-    g = heteroclinic(t[2:-2])[0]
-    res = d2 - potential_d2(g) * f[2:-2] - profile.rhs_values[2:-2]
+    res = d2 - potential_d2(g[2:-2]) * f[2:-2] - profile.rhs_values[2:-2]
     if t_max is not None:
         res = res[t[2:-2] <= t_max]
     if res.size == 0:

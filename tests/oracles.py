@@ -12,7 +12,7 @@ from scipy.special import ellipe, ellipkm1
 from becircle import (DomainError, EllipticModulus, NoPositiveSolution, heteroclinic,
                       modulus_for, potential_d1, simpson, zero_spacing_from_kp)
 from becircle.balanced_energy import _pinned_be
-from becircle.profiles import _kappa_prime
+from becircle.profiles import _kappa, _kappa_prime
 
 
 def periodic_residual(sol):
@@ -93,6 +93,19 @@ def cycle_laplacian(m):
     """2I - S - S^T on m nodes, S the cyclic shift."""
     shift = np.roll(np.eye(m), 1, axis=1)
     return 2.0 * np.eye(m) - shift - shift.T
+
+
+def kappa_lambda(t):
+    """kappa_lambda at any t, float or array.
+
+    The library reads this formula only on a profile window's cached
+    half-line (tau_lambda = -kappa_lambda); here it takes heteroclinic(t)
+    itself.
+    """
+    t = np.asarray(t, dtype=float)
+    g, gdot, _ = heteroclinic(t)
+    out = _kappa(t, g, gdot)
+    return float(out) if out.ndim == 0 else out
 
 
 def kappa_lambda_prime(t):

@@ -9,8 +9,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import becircle.experiments_cli as cli
+import becircle.profiles as profiles_mod
 from becircle.experiments_cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -187,3 +190,69 @@ def test_gap_sweep_exit(tmp_path):
     assert code == 0
     rec = json.loads(out.read_text())
     assert rec["results"]["all_positive"] is True
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(5):
+            assert main(CASES["cutoff.json"]) == 0
+            assert capsys.readouterr().out.encode() == (GOLDEN / "cutoff.json").read_bytes()
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_build_parser_returns_a_fresh_parser(capsys):
+    # a caller who changes the parser it got cannot change main
+    mine = cli.build_parser()
+    assert mine is not cli.build_parser()
+    mine.set_defaults(grid_per_eps=7)
+    assert main(CASES["solve.json"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "solve.json").read_bytes()
+
+
+def test_shared_parser_keeps_records_apart(tmp_path, capsys):
+    # usage errors, --help and index's grid_per_eps default of 100 leave no
+    # trace in the records that follow on the shared parser
+    def goldens(tag):
+        for name, argv in sorted(CASES.items()):
+            assert _run(argv, tmp_path / f"{tag}-{name}") == (GOLDEN / name).read_bytes()
+
+    goldens("before")
+    assert main(["solve", "--L", "0.5", "--eps", "0.05", "--bogus-flag"]) == 1
+    assert main(["--help"]) == 0
+    index = tmp_path / "index.json"
+    assert main(["index", "--p", "1", "--eps", "0.05", "--out", str(index)]) == 0
+    assert json.loads(index.read_text())["meta"]["grid_per_eps"] == 100
+    capsys.readouterr()
+    goldens("after")
+    assert json.loads((tmp_path / "after-solve.json").read_text())["meta"]["grid_per_eps"] == 50
+
+
+def test_profiles_record_evaluates_the_heteroclinic_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(t):
+        calls.append(np.size(t))
+        return heteroclinic(t)
+
+    heteroclinic = profiles_mod.heteroclinic
+    monkeypatch.setattr(profiles_mod, "heteroclinic", counting)
+    monkeypatch.setattr(cli, "heteroclinic", counting)
+    try:
+        for name in ("profiles.csv", "profiles_T40.csv"):
+            profiles_mod._halfline.cache_clear()
+            calls.clear()
+            assert _run(CASES[name], tmp_path / name) == (GOLDEN / name).read_bytes()
+            assert len(calls) == 1
+    finally:
+        profiles_mod._halfline.cache_clear()

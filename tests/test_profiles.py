@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import becircle.profiles as profiles_mod
-from becircle import (DomainError, TruncationError, cumulative_simpson, heteroclinic,
-                      kappa_lambda, lambda_of_eps, modulus_for, ode_residual,
-                      profile_constants, profile_kappa_ode, profile_omega,
-                      profile_rho, profile_tau_geom, profile_tau_lambda,
-                      profile_w, simpson, solve_profile)
+from becircle import (DomainError, ProfileFunction, TruncationError,
+                      cumulative_simpson, heteroclinic, lambda_of_eps, modulus_for,
+                      ode_residual, potential_d2, profile_constants,
+                      profile_kappa_ode, profile_omega, profile_rho,
+                      profile_tau_geom, profile_tau_lambda, profile_w, simpson,
+                      solve_profile)
 from becircle.elliptic_oracle import ac_family_mod
-from oracles import kappa_lambda_prime
+from oracles import kappa_lambda, kappa_lambda_prime
 
 SQRT2 = math.sqrt(2.0)
 
@@ -306,3 +307,64 @@ def test_ode_residual_needs_a_point_in_its_window(t_max):
     with pytest.raises(DomainError):
         ode_residual(w, t_max=t_max)
     assert ode_residual(w, t_max=2e-3) >= 0.0     # t = 2h is the first point
+
+
+@pytest.mark.parametrize("points", [0, 1, 2, 4])
+def test_ode_residual_of_a_short_profile_is_a_domain_error(points):
+    zeros = np.zeros(points)
+    prof = ProfileFunction(T=1.0, h=0.25, values=zeros, dvalues=zeros, slope0=0.0,
+                           rhs_values=zeros)
+    with pytest.raises(DomainError):
+        ode_residual(prof)
+
+
+def _rebuilt_grid_residual(profile, t_max=None):
+    # ode_residual as it was before it read the cached half-line: the grid
+    # rebuilt from the profile and g evaluated on its interior
+    f, h, t = profile.values, profile.h, profile.grid()
+    d2 = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) / (12.0 * h * h)
+    g = heteroclinic(t[2:-2])[0]
+    res = d2 - potential_d2(g) * f[2:-2] - profile.rhs_values[2:-2]
+    if t_max is not None:
+        res = res[t[2:-2] <= t_max]
+    return float(np.max(np.abs(res)))
+
+
+@pytest.fixture
+def heteroclinic_calls(monkeypatch):
+    """Sizes of the profiles module's heteroclinic evaluations, from a cold
+    half-line cache."""
+    calls = []
+
+    def counting(t):
+        calls.append(np.size(t))
+        return heteroclinic(t)
+
+    monkeypatch.setattr(profiles_mod, "heteroclinic", counting)
+    profiles_mod._halfline.cache_clear()
+    yield calls
+    profiles_mod._halfline.cache_clear()
+
+
+@pytest.mark.parametrize("T, h", [(40.0, 1e-3), (80.0, 1e-3), (40.0, 5e-4), (20.0, 1e-3)])
+def test_ode_residual_reads_the_cached_halfline(T, h, heteroclinic_calls):
+    # the six profile-suite residuals keep their bits, and none of them
+    # evaluates the heteroclinic again while the window is cached
+    for fn in PROFILES:
+        prof = fn(T=T, h=h)
+        t_max = 5.0 if fn is profile_tau_lambda else None
+        assert ode_residual(prof, t_max=t_max) == _rebuilt_grid_residual(prof, t_max)
+    assert heteroclinic_calls == [int(round(T / h)) + 1]
+
+
+@pytest.mark.parametrize("T, h", [(40.0, 1e-3), (80.0, 1e-3), (40.0, 5e-4), (20.0, 1e-3)])
+def test_tau_lambda_is_minus_kappa_lambda_bit_for_bit(T, h):
+    # the CLI's kappa_lambda column is -tau_lambda on the cached half-line
+    tl = profile_tau_lambda(T=T, h=h)
+    assert (-tl.values).tobytes() == kappa_lambda(tl.grid()).tobytes()
+
+
+def test_integer_and_float_windows_share_the_cache(heteroclinic_calls):
+    a, b = profile_w(T=20, h=1e-3), profile_w(T=20.0, h=1e-3)
+    assert _bits(a) == _bits(b) and type(a.h) is type(b.h) is float
+    assert heteroclinic_calls == [20001]
