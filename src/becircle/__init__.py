@@ -24,9 +24,9 @@ from .solver_1d import (DirichletSolution, LipschitzScan, NodalSolution,
 from .balanced_energy import (BrokenTransition, HessianReport, NodeConfig,
                               ac_spectrum, broken_transition, dirichlet_gap,
                               dtn_v, fd_first_variation, first_variation,
-                              hessian, translation_mode)
+                              gamma_sweep, hessian, index_table, translation_mode)
 from .nonexistence import (CutoffSpec, TwoNodeScan, cutoff_energy,
                            cutoff_gradient_closed, two_node_scan)
-from .experiments_cli import gamma_sweep, index_table
+from . import experiments_cli
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,7 +1,9 @@
 """The balanced energy on node configurations of the circle: first variation,
 the second-variation Hessian over node perturbations, the Dirichlet-to-Neumann
-quantity v(eps), Morse index and nullity, and the Allen-Cahn spectrum of the
-2p-node solution on the circle, solved as its two mirror sectors.
+quantity v(eps), Morse index and nullity, the Allen-Cahn spectrum of the
+2p-node solution on the circle, solved as its two mirror sectors, and the
+experiments on them: the index table, which solves each row's arc once for Q
+and the AC spectrum, and the Gamma sweep of BE against a recovery comparator.
 
 Every linearized quantity reads one operator, bvp_engine.linearized_operator
 (-eps^2 D^2 + W''(u) with zero Dirichlet ends).  The transmission is one
@@ -17,18 +19,19 @@ the energy is the test that pins it.
 BE is defined only where every arc is longer than pi*eps (eps below
 solver_1d.existence_threshold); a shorter arc raises ArcTooShort.
 """
+import math
 import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bvp_engine import (SpectrumReport, eig_sturm, linearized_operator,
+from .bvp_engine import (SpectrumReport, eig_sturm, linearized_operator, simpson,
                          solve_tridiagonal)
 from .errors import (ArcTooShort, DomainError, NotCritical, SingularJacobian,
                      SingularSystem)
-from .scalar_field import SQRT2
+from .scalar_field import SQRT2, heteroclinic, potential, well_constants
 from .solver_1d import (dirichlet_pair, existence_threshold, intervals_for,
-                        solve_dirichlet, stencil_slope)
+                        nodal_solution, solve_dirichlet, stencil_slope)
 
 
 @dataclass(frozen=True)
@@ -178,11 +181,14 @@ def hessian(config, eps, points_per_eps=100):
             f"max - min arc length {spread:.3e} = {spread / eps:.3e} eps exceeds "
             f"the criticality bound {_CRITICAL_SPREAD:g} eps"
         )
-    arc = solve_dirichlet(1.0 / m, eps, points_per_eps)
-    c = arc.slope_left
-    v = _transmission(arc)
+    return _hessian_of_arc(solve_dirichlet(1.0 / m, eps, points_per_eps), m)
+
+
+def _hessian_of_arc(arc, m):
+    """hessian's report for m equal arcs, each the solved arc."""
+    c, v = arc.slope_left, _transmission(arc)
     S = np.roll(np.eye(m), 1, axis=1)
-    q = eps * c * c * v
+    q = arc.eps * c * c * v
     # q < 0, so q * 0 is -0.0; subtracting from 2q I leaves the zeros +0.0
     Q = 2.0 * q * np.eye(m) - q * S - q * S.T
     evals = np.linalg.eigvalsh(Q)
@@ -269,3 +275,100 @@ def dirichlet_gap(eps, L, points_per_eps=50):
     arc = solve_dirichlet(L, eps, points_per_eps=points_per_eps)
     op = linearized_operator(arc.u.values[1:-1], (eps / arc.u.h) ** 2)
     return float(eig_sturm(op, 1, tol=1e-10).eigenvalues[0])
+
+
+def comparator_energy(config, eps):
+    """Energy of the truncated-heteroclinic recovery profile g_k on the circle.
+
+    Per arc: u = g(d/eps) chi(d) + (1 - chi(d)) in the distance d to the node
+    set, with a smooth cos^2 ramp from 1 to 0 on [rho0/4, rho0/2].
+    """
+    lengths = config.arc_lengths()
+    rho0 = float(np.min(lengths)) / 2.0
+    lo, hi = rho0 / 4.0, rho0 / 2.0
+
+    def chi(d):
+        out = np.ones_like(d)
+        ramp = (d > lo) & (d < hi)
+        out[ramp] = np.cos(0.5 * math.pi * (d[ramp] - lo) / (hi - lo)) ** 2
+        out[d >= hi] = 0.0
+        return out
+
+    def dchi(d):
+        out = np.zeros_like(d)
+        ramp = (d > lo) & (d < hi)
+        s = 0.5 * math.pi * (d[ramp] - lo) / (hi - lo)
+        out[ramp] = -math.pi * np.cos(s) * np.sin(s) / (hi - lo)
+        return out
+
+    total = 0.0
+    for ell in lengths:
+        m = max(2000, int(round(ell / (eps / 200))))
+        m += m % 2
+        x = np.linspace(0.0, ell, m + 1)
+        d = np.minimum(x, ell - x)
+        dprime = np.where(x <= ell / 2.0, 1.0, -1.0)
+        g, gdot, _ = heteroclinic(d / eps)
+        c = chi(d)
+        u = g * c + (1.0 - c)
+        du = (gdot / eps * c + (g - 1.0) * dchi(d)) * dprime
+        density = 0.5 * eps * du ** 2 + potential(u) / eps
+        total += simpson(density, x[1] - x[0])
+    return total
+
+
+def gamma_sweep(config, eps_grid, points_per_eps=50):
+    """BE over the distinct eps (at least two), first-order Richardson limit
+    from the two smallest, comparator check."""
+    eps_grid = sorted({float(e) for e in eps_grid})
+    if len(eps_grid) < 2:
+        raise DomainError("a gamma sweep needs at least two distinct eps")
+    rows = []
+    for e in eps_grid:
+        bt = broken_transition(config, e, points_per_eps=points_per_eps)
+        comp = comparator_energy(config, e)
+        rows.append({"eps": e, "be": bt.be, "comparator": comp,
+                     "be_below_comparator": bool(bt.be <= comp + 1e-9)})
+    (e2, b2), (e1, b1) = ((r["eps"], r["be"]) for r in rows[:2])  # two smallest
+    limit = (e1 * b2 - e2 * b1) / (e1 - e2)
+    # the energy of one full transition, int_{-1}^{1} sqrt(2 W) = 2 sigma0
+    per_interface = 2.0 * well_constants().sigma0
+    target = config.m * per_interface
+    return {
+        "rows": rows,
+        "extrapolated_limit": limit,
+        "per_interface_constant": per_interface,
+        "limit_target": target,
+        "limit_deviation": abs(limit - target),
+    }
+
+
+def index_table(p_list, eps_list, points_per_eps=100):
+    """Morse-index rows (p, eps, BE and AC counts, v, c) with skip flags."""
+    if len(p_list) != len(eps_list):
+        raise DomainError(f"{len(p_list)} p values for {len(eps_list)} eps values")
+    rows = []
+    ok = True
+    for p, e in zip(p_list, eps_list):
+        if not (isinstance(p, numbers.Integral) and p >= 1):
+            raise DomainError(f"p must be a positive integer, got {p!r}")
+        thr = existence_threshold(1 / (2 * p))
+        if e >= thr:
+            rows.append({"p": p, "eps": e, "skipped": f"eps >= 1/(2 p pi) = {thr:.6g}"})
+            continue
+        sol = nodal_solution(p, e, points_per_eps=points_per_eps)
+        rep = _hessian_of_arc(sol.arc, 2 * p)   # hessian's report, on the same arc
+        ac = ac_spectrum(sol, how_many=2 * p + 3)
+        row = {
+            "p": p, "eps": e,
+            "be_index": rep.index, "be_nullity": rep.nullity,
+            "ac_index": ac.n_negative, "ac_nullity": ac.n_zero,
+            "v": rep.v, "c": rep.c,
+            "matches_theory": bool(
+                rep.index == 2 * p - 1 and rep.nullity == 1
+                and ac.n_negative == 2 * p - 1 and ac.n_zero == 1
+            ),
+        }
+        ok = ok and row["matches_theory"]
+        rows.append(row)
+    return {"rows": rows, "all_match_S1MorseIndexTheorem": ok}

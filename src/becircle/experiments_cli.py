@@ -1,8 +1,8 @@
-"""Reproducible experiment driver: gamma-convergence sweeps, index tables,
-profile dumps, non-existence scans.  JSON records (sorted keys, reals in the
-shortest repr that round-trips) and CSV tables (reals to 17 significant
-digits); golden files regenerate byte-identically with
-``BECIRCLE_REGEN=1 pytest tests/test_cli.py``.
+"""The command line: argument parsing and record writing for the experiments
+(gamma-convergence sweeps, index tables, profile dumps, non-existence scans).
+JSON records (sorted keys, reals in the shortest repr that round-trips) and
+CSV tables (reals to 17 significant digits); golden files regenerate
+byte-identically with ``BECIRCLE_REGEN=1 pytest tests/test_cli.py``.
 
 In-process ``main`` calls share one parser, built on the first call, since
 building it costs more than a small record; ``build_parser()`` returns a
@@ -17,115 +17,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .balanced_energy import (NodeConfig, ac_spectrum, broken_transition,
-                              dirichlet_gap, first_variation, hessian)
-from .bvp_engine import simpson
+from .balanced_energy import (NodeConfig, broken_transition, dirichlet_gap,
+                              first_variation, gamma_sweep, index_table)
 from .errors import BECircleError, DomainError
 from .nonexistence import CutoffSpec, cutoff_energy, two_node_scan
 from .profiles import (DEFAULT_H, DEFAULT_T, halfline, profile_constants,
                        profile_omega, profile_rho, profile_tau_geom,
                        profile_tau_lambda, profile_w)
-from .scalar_field import heteroclinic, potential, well_constants
-from .solver_1d import (existence_threshold, lipschitz_scan, nodal_solution,
-                        solve_dirichlet)
-
-
-def comparator_energy(config, eps):
-    """Energy of the truncated-heteroclinic recovery profile g_k on the circle.
-
-    Per arc: u = g(d/eps) chi(d) + (1 - chi(d)) in the distance d to the node
-    set, with a smooth cos^2 ramp from 1 to 0 on [rho0/4, rho0/2].
-    """
-    lengths = config.arc_lengths()
-    rho0 = float(np.min(lengths)) / 2.0
-    lo, hi = rho0 / 4.0, rho0 / 2.0
-
-    def chi(d):
-        out = np.ones_like(d)
-        ramp = (d > lo) & (d < hi)
-        out[ramp] = np.cos(0.5 * math.pi * (d[ramp] - lo) / (hi - lo)) ** 2
-        out[d >= hi] = 0.0
-        return out
-
-    def dchi(d):
-        out = np.zeros_like(d)
-        ramp = (d > lo) & (d < hi)
-        s = 0.5 * math.pi * (d[ramp] - lo) / (hi - lo)
-        out[ramp] = -math.pi * np.cos(s) * np.sin(s) / (hi - lo)
-        return out
-
-    total = 0.0
-    for ell in lengths:
-        m = max(2000, int(round(ell / (eps / 200))))
-        m += m % 2
-        x = np.linspace(0.0, ell, m + 1)
-        d = np.minimum(x, ell - x)
-        dprime = np.where(x <= ell / 2.0, 1.0, -1.0)
-        g, gdot, _ = heteroclinic(d / eps)
-        c = chi(d)
-        u = g * c + (1.0 - c)
-        du = (gdot / eps * c + (g - 1.0) * dchi(d)) * dprime
-        density = 0.5 * eps * du ** 2 + potential(u) / eps
-        total += simpson(density, x[1] - x[0])
-    return total
-
-
-def gamma_sweep(config, eps_grid, points_per_eps=50):
-    """BE over the distinct eps (at least two), first-order Richardson limit
-    from the two smallest, comparator check."""
-    eps_grid = sorted({float(e) for e in eps_grid})
-    if len(eps_grid) < 2:
-        raise DomainError("a gamma sweep needs at least two distinct eps")
-    rows = []
-    for e in eps_grid:
-        bt = broken_transition(config, e, points_per_eps=points_per_eps)
-        comp = comparator_energy(config, e)
-        rows.append({"eps": e, "be": bt.be, "comparator": comp,
-                     "be_below_comparator": bool(bt.be <= comp + 1e-9)})
-    e1, e2 = eps_grid[1], eps_grid[0]           # two smallest, e2 < e1
-    b1 = next(r["be"] for r in rows if r["eps"] == e1)
-    b2 = next(r["be"] for r in rows if r["eps"] == e2)
-    limit = (e1 * b2 - e2 * b1) / (e1 - e2)
-    # the energy of one full transition, int_{-1}^{1} sqrt(2 W) = 2 sigma0
-    per_interface = 2.0 * well_constants().sigma0
-    target = config.m * per_interface
-    return {
-        "rows": rows,
-        "extrapolated_limit": limit,
-        "per_interface_constant": per_interface,
-        "limit_target": target,
-        "limit_deviation": abs(limit - target),
-    }
-
-
-def index_table(p_list, eps_list, points_per_eps=100):
-    """Morse-index rows (p, eps, BE and AC counts, v, c) with skip flags."""
-    rows = []
-    ok = True
-    for p, e in zip(p_list, eps_list):
-        if p < 1:
-            raise DomainError(f"p must be a positive integer, got {p!r}")
-        thr = existence_threshold(1 / (2 * p))
-        if e >= thr:
-            rows.append({"p": p, "eps": e, "skipped": f"eps >= 1/(2 p pi) = {thr:.6g}"})
-            continue
-        nodes = NodeConfig(np.arange(2 * p) / (2.0 * p))
-        rep = hessian(nodes, e, points_per_eps=points_per_eps)
-        ac = ac_spectrum(nodal_solution(p, e, points_per_eps=points_per_eps),
-                         how_many=2 * p + 3)
-        row = {
-            "p": p, "eps": e,
-            "be_index": rep.index, "be_nullity": rep.nullity,
-            "ac_index": ac.n_negative, "ac_nullity": ac.n_zero,
-            "v": rep.v, "c": rep.c,
-            "matches_theory": bool(
-                rep.index == 2 * p - 1 and rep.nullity == 1
-                and ac.n_negative == 2 * p - 1 and ac.n_zero == 1
-            ),
-        }
-        ok = ok and row["matches_theory"]
-        rows.append(row)
-    return {"rows": rows, "all_match_S1MorseIndexTheorem": ok}
+from .solver_1d import existence_threshold, lipschitz_scan, solve_dirichlet
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +39,7 @@ def _meta(args):
     }
 
 
-def write_record(args, experiment, params, results):
+def _write_record(args, experiment, params, results):
     # json writes float subclasses (np.float64) with float.__repr__; numpy
     # arrays, integers and bools fall through to tolist()
     rec = {"experiment": experiment, "params": params, "results": results,
@@ -173,7 +72,7 @@ def _write_text(args, lines):
 def _cmd_solve(args):
     sol = solve_dirichlet(args.L, args.eps, points_per_eps=args.grid_per_eps,
                           tol=args.tol)
-    write_record(args, "solve", {"L": args.L, "eps": args.eps}, {
+    _write_record(args, "solve", {"L": args.L, "eps": args.eps}, {
         "lam": sol.lam, "energy": sol.energy,
         "slope_left": sol.slope_left, "slope_right": sol.slope_right,
         "max": float(np.max(sol.u.values)),
@@ -185,7 +84,7 @@ def _cmd_solve(args):
 def _cmd_be(args):
     config = NodeConfig(np.array(args.nodes))
     bt = broken_transition(config, args.eps, points_per_eps=args.grid_per_eps)
-    write_record(args, "be", {"nodes": args.nodes, "eps": args.eps}, {
+    _write_record(args, "be", {"nodes": args.nodes, "eps": args.eps}, {
         "be": bt.be,
         "piece_energies": [p.energy for p in bt.pieces],
         "piece_lams": [p.lam for p in bt.pieces],
@@ -197,7 +96,7 @@ def _cmd_variation(args):
     config = NodeConfig(np.array(args.nodes))
     fv = first_variation(config, args.eps, np.array(args.f),
                          points_per_eps=args.grid_per_eps)
-    write_record(args, "variation",
+    _write_record(args, "variation",
                  {"nodes": args.nodes, "eps": args.eps, "f": args.f},
                  {"first_variation": fv})
     return 0
@@ -205,7 +104,7 @@ def _cmd_variation(args):
 
 def _cmd_index(args):
     table = index_table([args.p], [args.eps], points_per_eps=args.grid_per_eps)
-    write_record(args, "index", {"p": args.p, "eps": args.eps}, table)
+    _write_record(args, "index", {"p": args.p, "eps": args.eps}, table)
     if not table["all_match_S1MorseIndexTheorem"]:
         print("assertion failed: S1MorseIndexTheorem", file=sys.stderr)
         return 2
@@ -215,7 +114,7 @@ def _cmd_index(args):
 def _cmd_gamma_sweep(args):
     config = NodeConfig(np.array(args.nodes))
     res = gamma_sweep(config, args.eps, points_per_eps=args.grid_per_eps)
-    write_record(args, "gamma-sweep", {"nodes": args.nodes, "eps": args.eps}, res)
+    _write_record(args, "gamma-sweep", {"nodes": args.nodes, "eps": args.eps}, res)
     if not all(r["be_below_comparator"] for r in res["rows"]):
         print("assertion failed: GammaConSimple comparator", file=sys.stderr)
         return 2
@@ -258,7 +157,7 @@ def _cmd_two_node_scan(args):
                 for p, b, g in zip(scan.p, scan.be, scan.gap)]
         _write_text(args, _csv_lines(["p", "be", "gap"], rows))
         return 0 if np.all(scan.gap > 0) else 2
-    write_record(args, "two-node-scan", {"eps": args.eps, "grid": args.grid}, {
+    _write_record(args, "two-node-scan", {"eps": args.eps, "grid": args.grid}, {
         "p": list(scan.p), "be": list(scan.be), "gap": list(scan.gap),
         "reference": scan.reference,
         "infimum": float(np.min(scan.be)) if len(scan.be) else None,
@@ -273,7 +172,7 @@ def _cmd_two_node_scan(args):
 
 def _cmd_cutoff_nd(args):
     spec = CutoffSpec(n=args.n, k=args.k, eps=args.eps, delta=args.delta)
-    write_record(args, "cutoff-nd",
+    _write_record(args, "cutoff-nd",
                  {"n": args.n, "k": args.k, "eps": args.eps, "delta": spec.delta},
                  {"energy": cutoff_energy(spec)})
     return 0
@@ -282,7 +181,7 @@ def _cmd_cutoff_nd(args):
 def _cmd_gap_sweep(args):
     gaps = [dirichlet_gap(e, args.L, points_per_eps=args.grid_per_eps)
             for e in args.eps]
-    write_record(args, "gap-sweep", {"L": args.L, "eps": args.eps}, {
+    _write_record(args, "gap-sweep", {"L": args.L, "eps": args.eps}, {
         "gaps": gaps, "all_positive": bool(all(g > 0 for g in gaps)),
     })
     if not all(g > 0 for g in gaps):
@@ -297,7 +196,7 @@ def _cmd_lipschitz(args):
         rows = [[float(e), float(g)] for e, g in zip(scan.eps, scan.energies)]
         _write_text(args, _csv_lines(["eps", "energy"], rows))
         return 0
-    write_record(args, "lipschitz", {"L": args.L, "eps": args.eps}, {
+    _write_record(args, "lipschitz", {"L": args.L, "eps": args.eps}, {
         "energies": list(scan.energies),
         "quotients": list(scan.quotients),
         "max_quotient": scan.max_quotient,

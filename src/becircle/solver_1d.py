@@ -7,6 +7,7 @@ amplitude errors sit exactly at the exponentially small energy scales the
 experiments difference against, and the pairing removes them.
 """
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,7 +43,7 @@ class NodalSolution:
     eps: float
     u: GridFunction          # on [0, 1], periodic identification
     nodes: np.ndarray        # the 2p zeros
-    c: float                 # |u_x| at any node
+    arc: DirichletSolution   # the arc glued; |u_x| at any node is arc.slope_left
 
 
 def intervals_for(L, eps, points_per_eps):
@@ -138,8 +139,8 @@ def nodal_solution(p, eps, points_per_eps=50):
 
     Raises NoPositiveSolution (from the arc solve) for eps >= 1/(2 p pi).
     """
-    if p < 1:
-        raise DomainError("p must be a positive integer")
+    if not (isinstance(p, numbers.Integral) and p >= 1):
+        raise DomainError(f"p must be a positive integer, got {p!r}")
     ell = 1.0 / (2 * p)
     arc = solve_dirichlet(ell, eps, points_per_eps=points_per_eps)
     piece = arc.u.values[:-1]
@@ -147,7 +148,7 @@ def nodal_solution(p, eps, points_per_eps=50):
     vals = np.concatenate(blocks + [np.zeros(1)])
     u = GridFunction(a=0.0, b=1.0, n=len(vals) - 2, values=vals)
     nodes = np.arange(2 * p) * ell
-    return NodalSolution(p=p, eps=eps, u=u, nodes=nodes, c=arc.slope_left)
+    return NodalSolution(p=p, eps=eps, u=u, nodes=nodes, arc=arc)
 
 
 def min_energy(eps, L, points_per_eps=50):

@@ -10,7 +10,8 @@ import numpy as np
 from scipy.special import ellipe, ellipkm1
 
 from becircle import (DomainError, EllipticModulus, NoPositiveSolution, heteroclinic,
-                      modulus_for, potential_d1, simpson, zero_spacing_from_kp)
+                      intervals_for, modulus_for, potential_d1, simpson,
+                      zero_spacing_from_kp)
 from becircle.balanced_energy import _pinned_be
 from becircle.profiles import _kappa, _kappa_prime
 
@@ -87,6 +88,37 @@ def exact_transmission(eps, L):
     dZ = 2.0 * dK * math.sqrt(s) - 2.0 * K * kp / math.sqrt(s)
     lam_prime = 2.0 * kp ** 3 / s ** 3 / (eps * dZ)
     return lam_prime, lam_prime / (0.5 - 2.0 * lam)
+
+
+def exact_arc_energy(eps, L):
+    """E_eps of the positive arch on [0, L], in closed form.
+
+    The conserved quantity gives eps u'^2/2 = (W(u) - lambda)/eps, so
+    E = int eps u'^2 dx + lambda L/eps; with u = a sn(bx, k) and
+    int_0^K cn^2 dn^2 = ((1 + k^2) E(k) - kp^2 K)/(3 k^2) this is
+    4 (s E(k) - kp^2 K)/(3 s^{3/2}) + lambda L/eps, s = 2 - kp^2, which tends
+    to 2 sqrt2/3 as kp -> 0.  K = ellipkm1(kp^2) and E = ellipe(1 - kp^2)
+    cancel nothing.  Nothing here runs a grid solve.
+    """
+    kp = modulus_for(eps, L).kp
+    kp2 = kp * kp
+    s = 2.0 - kp2
+    lam = (kp2 / s) ** 2 / 4.0
+    K, E = ellipkm1(kp2), ellipe(1.0 - kp2)
+    return 4.0 * (s * E - kp2 * K) / (3.0 * s ** 1.5) + lam * L / eps
+
+
+def arc_energy_tolerance(eps, L, points_per_eps):
+    """Bound on the relative gap of solve_dirichlet(L, eps, points_per_eps)
+    .energy to exact_arc_energy(eps, L).
+
+    The Richardson-paired energy errs by C (h/eps)^4, h the base grid step.
+    Measured over L in 0.25-1 at 20 and 200 points per eps: C <= 2.75e-4 for
+    L/eps in [4, 480] and C <= 7.4e-4 for L/eps in [3.3, 4), rising towards
+    the existence threshold L/eps = pi.  The bound takes 4e-4 and 1e-3.
+    """
+    h = L / intervals_for(L, eps, points_per_eps)
+    return (4e-4 if L / eps >= 4.0 else 1e-3) * (h / eps) ** 4
 
 
 def cycle_laplacian(m):

@@ -15,10 +15,12 @@ import becircle.solver_1d as solver
 from becircle import (ArcTooShort, DomainError, NodeConfig, NoPositiveSolution,
                       NotCritical, ac_spectrum, broken_transition,
                       dirichlet_gap, dtn_v, fd_first_variation,
-                      first_variation, hessian, lambda_of_eps, nodal_solution,
-                      profile_constants, solve_dirichlet, translation_mode)
+                      first_variation, hessian, index_table, lambda_of_eps,
+                      nodal_solution, profile_constants, solve_dirichlet,
+                      translation_mode)
 from becircle.scalar_field import potential_d2
-from oracles import cycle_laplacian, exact_transmission, fd_second_variation
+from oracles import (arc_energy_tolerance, cycle_laplacian, exact_arc_energy,
+                     exact_transmission, fd_second_variation)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,6 +41,20 @@ def test_broken_transition_symmetry_and_bookkeeping():
     assert abs(bt.be - sum(p.energy for p in bt.pieces)) < 1e-12
     rotated = broken_transition(NodeConfig(np.array([0.13, 0.63])), eps)
     assert abs(bt.be - rotated.be) < 1e-10
+
+
+@pytest.mark.parametrize("nodes, eps", [
+    ([0.0, 0.5], 0.02), ([0.0, 0.3], 0.01), ([0.1, 0.45], 0.005),
+    ([0.0, 0.25, 0.5, 0.75], 0.01), ([0.0, 0.1, 0.4, 0.7], 0.005),
+    ([0.05, 0.2, 0.6, 0.9], 0.02),
+])
+def test_broken_transition_matches_the_closed_form(nodes, eps):
+    # BE against the sum of exact arc energies, each arc within its bound
+    lengths = NodeConfig(np.array(nodes)).arc_lengths()
+    bt = broken_transition(NodeConfig(np.array(nodes)), eps)
+    exact = [exact_arc_energy(eps, ell) for ell in lengths]
+    bound = sum(e * arc_energy_tolerance(eps, ell, 50) for e, ell in zip(exact, lengths))
+    assert abs(bt.be - sum(exact)) <= bound
 
 
 def test_broken_transition_arc_too_short():
@@ -358,6 +374,23 @@ def test_morse_index_table():
         cfg = NodeConfig(np.arange(2 * p) / (2.0 * p))
         rep = hessian(cfg, eps)
         assert (rep.index, rep.nullity) == (2 * p - 1, 1)
+
+
+@pytest.mark.parametrize("p_list, eps_list", [
+    ([1, 2], [0.05]), ([1], [0.05, 0.02]), ([], [0.05]),
+])
+def test_index_table_rejects_lists_of_unequal_length(p_list, eps_list):
+    # zip would drop the unpaired entries and still report every row a match
+    with pytest.raises(DomainError):
+        index_table(p_list, eps_list)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.5])
+@pytest.mark.parametrize("p", [0, -1, 1.5])
+def test_index_table_rejects_p_that_is_not_a_positive_integer(p, eps):
+    # before the skip test too: eps = 0.5 is past every threshold
+    with pytest.raises(DomainError):
+        index_table([p], [eps])
 
 
 def test_ac_spectrum_matches_morse_index():

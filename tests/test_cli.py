@@ -12,8 +12,11 @@ import sys
 import numpy as np
 import pytest
 
+import becircle.balanced_energy as be_mod
 import becircle.experiments_cli as cli
 import becircle.profiles as profiles_mod
+import becircle.solver_1d as solver
+from becircle import index_table
 from becircle.experiments_cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -27,6 +30,8 @@ CASES = {
     "profiles.csv": ["profiles", "--T", "20", "--stride", "2.0"],
     "profiles_T40.csv": ["profiles", "--T", "40", "--stride", "1.0"],
     "lipschitz.json": ["lipschitz", "--L", "0.5", "--eps", "0.01,0.015,0.02,0.03"],
+    "index.json": ["index", "--p", "3", "--eps", "0.01"],
+    "gamma_sweep.json": ["gamma-sweep", "--nodes", "0,0.5", "--eps", "0.02,0.01,0.005"],
 }
 
 
@@ -92,7 +97,6 @@ def test_index_subcommand(tmp_path):
 
 
 def test_index_skips_inadmissible(tmp_path):
-    from becircle.experiments_cli import index_table
     # 0.05305164769729844 is 1/(2 p pi) with the arc length 1/6 rounded first
     table = index_table([3, 3], [0.1, 0.05305164769729844])
     for row in table["rows"]:
@@ -100,22 +104,28 @@ def test_index_skips_inadmissible(tmp_path):
         assert "1/(2 p pi)" in row["skipped"]
 
 
-def test_index_solves_both_sides_on_its_grid(tmp_path, monkeypatch):
-    # --grid-per-eps is written into meta, so the AC side must run on it too
-    import becircle.experiments_cli as cli
-    solve, seen = cli.nodal_solution, []
+def test_index_solves_one_arc_per_row_on_its_grid(tmp_path, monkeypatch):
+    # --grid-per-eps is written into meta, so the one arc solve of a row,
+    # which both the BE and the AC side read, must run on it; a skipped row
+    # solves nothing
+    solve, seen = solver.solve_dirichlet, []
 
-    def recording(p, eps, points_per_eps=50):
-        seen.append(points_per_eps)
-        return solve(p, eps, points_per_eps=points_per_eps)
+    def recording(L, eps, points_per_eps=50, **kwargs):
+        seen.append((L, eps, points_per_eps))
+        return solve(L, eps, points_per_eps=points_per_eps, **kwargs)
 
-    monkeypatch.setattr(cli, "nodal_solution", recording)
+    monkeypatch.setattr(solver, "solve_dirichlet", recording)
+    monkeypatch.setattr(be_mod, "solve_dirichlet", recording)
     out = tmp_path / "index.json"
     assert main(["index", "--p", "1", "--eps", "0.05", "--grid-per-eps", "20",
                  "--out", str(out)]) == 0
     rec = json.loads(out.read_text())
-    assert seen == [rec["meta"]["grid_per_eps"]] == [20]
+    assert seen == [(0.5, 0.05, rec["meta"]["grid_per_eps"])] == [(0.5, 0.05, 20)]
     assert rec["results"]["all_match_S1MorseIndexTheorem"] is True
+    seen.clear()
+    table = index_table([1, 3, 2], [0.05, 0.1, 0.03], points_per_eps=20)
+    assert ["skipped" in row for row in table["rows"]] == [False, True, False]
+    assert seen == [(0.5, 0.05, 20), (0.25, 0.03, 20)]
 
 
 def test_usage_error_exit_code():
@@ -247,7 +257,6 @@ def test_profiles_record_evaluates_the_heteroclinic_once(tmp_path, monkeypatch):
 
     heteroclinic = profiles_mod.heteroclinic
     monkeypatch.setattr(profiles_mod, "heteroclinic", counting)
-    monkeypatch.setattr(cli, "heteroclinic", counting)
     try:
         for name in ("profiles.csv", "profiles_T40.csv"):
             profiles_mod._halfline.cache_clear()

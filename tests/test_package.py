@@ -83,3 +83,19 @@ def test_every_export_is_read():
     unread = sorted(name for name in becircle.__all__
                     if not name.startswith("_") and name not in read)
     assert not unread, unread
+
+
+def test_cli_module_holds_only_the_cli():
+    # experiments_cli parses arguments and writes records; the library
+    # functions it runs live in the library modules, and the package imports
+    # the CLI module itself, no name from it
+    tree = ast.parse((SRC / "experiments_cli.py").read_text())
+    public = sorted(node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_"))
+    assert public == ["build_parser", "main"]
+    init = ast.parse((SRC / "__init__.py").read_text())
+    assert [(node.level, node.module, [a.name for a in node.names])
+            for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
+            and "experiments_cli" in (node.module, *(a.name for a in node.names))
+            ] == [(1, None, ["experiments_cli"])]

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import becircle.solver_1d as solver
-from becircle import (GridFunction, NoPositiveSolution, existence_threshold,
-                      lambda_of_eps, lipschitz_scan, min_energy, modulus_for,
-                      newton_semilinear, nodal_solution, potential,
-                      solve_dirichlet, stencil_slope)
+from becircle import (DomainError, GridFunction, NoPositiveSolution,
+                      existence_threshold, lambda_of_eps, lipschitz_scan,
+                      min_energy, modulus_for, newton_semilinear,
+                      nodal_solution, potential, solve_dirichlet, stencil_slope)
 from becircle.bvp_engine import TridiagonalOperator, eig_sturm
 from becircle.elliptic_oracle import ac_family_mod
-from oracles import periodic_residual
+from oracles import arc_energy_tolerance, exact_arc_energy, periodic_residual
 
 SQRT2 = math.sqrt(2.0)
 
@@ -84,6 +84,21 @@ def test_energy_small_eps_limit():
     assert abs(e - 0.9428090415820634) < 1e-3
 
 
+@settings(max_examples=40, deadline=None)
+@given(L=st.sampled_from([0.25, 0.5, 1.0]), ratio=st.floats(3.3, 480.0),
+       points_per_eps=st.sampled_from([20, 50, 100, 200]))
+@example(L=0.25, ratio=3.3, points_per_eps=100)     # the largest error constant
+@example(L=0.25, ratio=112.3, points_per_eps=20)    # the largest gap, 1.7e-9
+@example(L=1.0, ratio=480.0, points_per_eps=200)    # the finest grid
+def test_energy_matches_the_closed_form(L, ratio, points_per_eps):
+    # the arc energy against its elliptic closed form, within the measured
+    # fourth-order law of arc_energy_tolerance
+    eps = L / ratio
+    exact = exact_arc_energy(eps, L)
+    gap = abs(solve_dirichlet(L, eps, points_per_eps=points_per_eps).energy / exact - 1.0)
+    assert gap <= arc_energy_tolerance(eps, L, points_per_eps)
+
+
 def test_solve_dirichlet_uniqueness_probe():
     # ten random positive guesses in the positive-arch basin all converge to
     # the same solution (at eps = 0.02 the equation has many signed and
@@ -123,7 +138,7 @@ def test_nodal_solution_residual_and_slope():
     assert periodic_residual(sol) <= 1e-8
     lam = lambda_of_eps(0.02, 0.25).lam
     c = math.sqrt(2 * (potential(0.0) - lam)) / 0.02
-    assert abs(sol.c - c) < 1e-7 * c
+    assert abs(sol.arc.slope_left - c) < 1e-7 * c
 
 
 def test_nodal_solution_node_recovery():
@@ -145,6 +160,20 @@ def test_nodal_solution_node_recovery():
 def test_nodal_solution_threshold():
     with pytest.raises(NoPositiveSolution):
         nodal_solution(3, 0.1)   # 0.1 > 1/(6 pi)
+
+
+@pytest.mark.parametrize("p", [0, -1, 1.5])
+def test_nodal_solution_rejects_p_that_is_not_a_positive_integer(p):
+    with pytest.raises(DomainError):
+        nodal_solution(p, 0.01)
+
+
+def test_nodal_solution_is_glued_from_its_arc():
+    sol = nodal_solution(2, 0.02, points_per_eps=20)
+    assert (sol.arc.L, sol.arc.eps) == (0.25, 0.02)
+    piece = sol.arc.u.values[:-1]
+    assert np.array_equal(sol.u.values[:len(piece)], piece)
+    assert np.array_equal(sol.u.values[len(piece):2 * len(piece)], -piece)
 
 
 def test_min_energy_and_lipschitz_scan():
