@@ -99,19 +99,31 @@ def cumulative_simpson(values, h):
     """Cumulative integral on the grid, fourth-order accurate.
 
     Even indices accumulate Simpson pairs; odd indices add the local
-    quadratic partial panel (h/12)(5 f_{j-1} + 8 f_j - f_{j+1}).
+    quadratic partial panel (h/12)(5 f_{j-1} + 8 f_j - f_{j+1}).  It
+    allocates the output and two scratch arrays of (n - 1) // 2 points, and
+    works in place on them with the operands in the order of the plain
+    expressions, so the result is the same bit for bit.
     """
     v = np.asarray(values, dtype=float)
     n = v.shape[0]
     if n < 3:
         raise DomainError("cumulative_simpson needs at least 3 points")
-    out = np.zeros(n)
-    npair = (n - 1) // 2
-    pair = (h / 3.0) * (v[0:2 * npair:2] + 4.0 * v[1:2 * npair:2] + v[2:2 * npair + 2:2])
-    out[2:2 * npair + 2:2] = np.cumsum(pair)
-    k = 2 * npair  # odd indices below k have both neighbours
-    out[1:k:2] = out[0:k - 1:2] + (h / 12.0) * (5.0 * v[0:k - 1:2] + 8.0 * v[1:k:2]
-                                               - v[2:k + 1:2])
+    out = np.empty(n)
+    out[0] = 0.0
+    k = 2 * ((n - 1) // 2)  # odd indices below k have both neighbours
+    # pairs: (h/3)(v[j] + 4 v[j+1] + v[j+2]) at even j
+    a = np.multiply(v[1:k:2], 4.0)
+    np.add(v[0:k:2], a, out=a)
+    a += v[2:k + 1:2]
+    a *= h / 3.0
+    np.cumsum(a, out=out[2:k + 1:2])
+    # partial panels: (h/12)(5 v[j-1] + 8 v[j] - v[j+1]) at odd j
+    np.multiply(v[0:k - 1:2], 5.0, out=a)
+    b = np.multiply(v[1:k:2], 8.0)
+    a += b
+    a -= v[2:k + 1:2]
+    a *= h / 12.0
+    np.add(out[0:k - 1:2], a, out=out[1:k:2])
     if n % 2 == 0:  # last index is odd: backward panel
         out[-1] = out[-2] + (h / 12.0) * (-v[-3] + 8.0 * v[-2] + 5.0 * v[-1])
     return out

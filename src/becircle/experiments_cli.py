@@ -160,11 +160,11 @@ def _cmd_two_node_scan(args):
     _write_record(args, "two-node-scan", {"eps": args.eps, "grid": args.grid}, {
         "p": list(scan.p), "be": list(scan.be), "gap": list(scan.gap),
         "reference": scan.reference,
-        "infimum": float(np.min(scan.be)) if len(scan.be) else None,
+        "infimum": float(np.min(scan.be)),
         "dropped": [list(d) for d in scan.dropped],
         "all_above_reference": bool(np.all(scan.gap > 0)),
     })
-    if len(scan.gap) and not np.all(scan.gap > 0):
+    if not np.all(scan.gap > 0):
         print("assertion failed: NoAbsoluteMinimizerS1", file=sys.stderr)
         return 2
     return 0
@@ -179,6 +179,8 @@ def _cmd_cutoff_nd(args):
 
 
 def _cmd_gap_sweep(args):
+    if not args.eps:
+        raise DomainError("gap-sweep needs at least one eps")
     gaps = [dirichlet_gap(e, args.L, points_per_eps=args.grid_per_eps)
             for e in args.eps]
     _write_record(args, "gap-sweep", {"L": args.L, "eps": args.eps}, {

@@ -85,7 +85,8 @@ def two_node_scan(eps, p_grid, points_per_eps=50):
     """BE({0, p}) over the grid against the merged single-node minimizer.
 
     Grid points whose shorter arc drops to 1.05 pi eps or below are dropped
-    and flagged rather than modeled by the degenerate u = 0 arc.
+    and flagged rather than modeled by the degenerate u = 0 arc; a grid with
+    no point left raises `DomainError`.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     if not np.all(np.isfinite(p_grid)):
@@ -97,6 +98,9 @@ def two_node_scan(eps, p_grid, points_per_eps=50):
             kept.append(p)
         else:
             dropped.append((float(p), f"arc {min(p, 1 - p):.6g} <= 1.05*pi*eps"))
+    if not kept:
+        raise DomainError(f"no grid point of {p_grid.tolist()} has both arcs above "
+                          f"1.05*pi*eps = {floor:.6g}")
     vals = []
     for p in kept:
         bt = broken_transition(NodeConfig(np.array([0.0, p])), eps,

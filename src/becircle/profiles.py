@@ -20,11 +20,16 @@ constant feeding the node Dirichlet-to-Neumann asymptotics is
 
 Every profile of one window (T, h) reads one half-line: the grid t of
 n = round(T/h) steps with g, gdot and gddot on it, evaluated once and cached
-for the last window asked for (`_halfline(T, n)`, one entry: about 2.6 MB at
-80001 points and 8 MB at the edge T ~ 251.2 with h = 1e-3).  Its arrays are
-read-only and are shared by the profiles built on them: `profile_w`'s
-rhs_values is the cached gdot, and `ode_residual` reads g from the half-line
-of the profile's T and number of points.
+for the last window asked for (`_halfline(T, n)`, one entry).  The entry also
+keeps the two results that other window functions read again: w, once
+`profile_w` has solved it (rho, kappa_ode and the constants read it), and
+the four constants, once `profile_constants` has computed them.  It holds
+six arrays of n + 1 floats (t, g, gdot, gddot and w's values and dvalues;
+w's rhs_values is the cached gdot): about 3.8 MB at 80001 points and 12 MB
+at the edge T ~ 251.2 with h = 1e-3.  All of them are read-only and are
+shared by the profiles built on them, and `ode_residual` reads g from the
+half-line of the profile's T and number of points.  The other profiles are
+solved on every call.
 The window ends where gdot(T)^2 leaves the normal float64 range; past it
 `bracket / gdot^2` and kappa's `/ s^2` lose every digit, so a longer T
 raises `DomainError`.
@@ -73,6 +78,19 @@ class ProfileConstants:
     omegadot0: float
 
 
+@dataclass(eq=False)
+class _Window:
+    """The cached entry of one window: its half-line (read-only arrays) and,
+    once computed, w and the constants."""
+    t: np.ndarray
+    h: float
+    g: np.ndarray
+    gdot: np.ndarray
+    gddot: np.ndarray
+    w: ProfileFunction = None
+    constants: ProfileConstants = None
+
+
 def _window(T, h):
     """`_halfline` of the uniform grid of [0, T] with the step nearest h that
     divides T; T may not pass `_T_UNDERFLOW`."""
@@ -88,26 +106,26 @@ def _window(T, h):
 def halfline(T=DEFAULT_T, h=DEFAULT_H):
     """The grid t and the heteroclinic g on it that every profile of the
     window (T, h) reads: read-only, and cached with the window."""
-    t, _, g, _, _ = _window(T, h)
-    return t, g
+    line = _window(T, h)
+    return line.t, line.g
 
 
 @functools.lru_cache(maxsize=1)
 def _halfline(T, n):
-    """(t, step, g, gdot, gddot) on the grid of [0, T] with n steps.
+    """The `_Window` of t, the step, g, gdot and gddot on the grid of
+    [0, T] with n steps.
 
     One entry is cached, so consecutive profile calls on one window evaluate
-    `heteroclinic` once.  It holds four arrays of n + 1 floats: about 2.6 MB
-    at 80001 points, and at most 8 MB at h = 1e-3 (T at the edge).  The
-    arrays are read-only, so no caller can change the cached entry.  Callers
-    pass T as a float, so 40 and 40.0 share an entry and the step is always
-    a float.
+    `heteroclinic` once, and solve w and compute the constants at most once.
+    The arrays are read-only, so no caller can change the cached entry.
+    Callers pass T as a float, so 40 and 40.0 share an entry and the step is
+    always a float.
     """
     t = np.linspace(0.0, T, n + 1)
     g, gdot, gddot = heteroclinic(t)
     for a in (t, g, gdot, gddot):
         a.setflags(write=False)
-    return t, T / n, g, gdot, gddot
+    return _Window(t, T / n, g, gdot, gddot)
 
 
 def _vp_solve(rhs_values, line):
@@ -118,21 +136,32 @@ def _vp_solve(rhs_values, line):
     continuation of the integrand's exponential decay (rate fitted at the
     boundary): without it the bracket loses all relative accuracy near T,
     which matters for sources that do not themselves decay.
+
+    Besides its two `cumulative_simpson` outputs it allocates two arrays,
+    the profile's values and rhs*gdot, whose buffer is reused for r' and
+    then f'; every step runs in place with the operands in the order of
+    bracket = -(itail + tail_inf), r' = bracket / gdot^2, f = r gdot and
+    f' = r' gdot + r gddot.
     """
-    t, h, _, gdot, gddot = line
+    h, gdot = line.h, line.gdot
     rg = rhs_values * gdot
     # int_s^T rhs*gdot accumulated from the right, keeping relative accuracy
     # where the integrand is exponentially small
-    itail = cumulative_simpson(rg[::-1], h)[::-1]
+    bracket = cumulative_simpson(rg[::-1], h)[::-1]
     tail_inf = 0.0
     if rg[-1] != 0.0 and rg[-2] != 0.0 and 0.0 < rg[-1] / rg[-2] < 1.0:
         mu = math.log(rg[-2] / rg[-1]) / h
         tail_inf = rg[-1] / mu
-    bracket = -(itail + tail_inf)             # = -int_s^infty rhs*gdot
-    rprime = bracket / gdot ** 2
+    bracket += tail_inf
+    np.negative(bracket, out=bracket)         # = -int_s^infty rhs*gdot
+    rprime = np.square(gdot, out=rg)
+    np.divide(bracket, rprime, out=rprime)
     r = cumulative_simpson(rprime, h)
-    return ProfileFunction(T=t[-1], h=h, values=r * gdot,
-                           dvalues=rprime * gdot + r * gddot,
+    values = r * gdot
+    rprime *= gdot
+    r *= line.gddot
+    rprime += r
+    return ProfileFunction(T=line.t[-1], h=h, values=values, dvalues=rprime,
                            slope0=bracket[0] / gdot[0], rhs_values=rhs_values)
 
 
@@ -146,7 +175,7 @@ def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H):
     the cached gdot).
     """
     line = _window(T, h)
-    t = line[0]
+    t = line.t
     rhs_values = rhs(t) if callable(rhs) else np.asarray(rhs, dtype=float)
     if rhs_values.shape != t.shape:
         raise TruncationError("rhs grid does not match the profile grid")
@@ -158,9 +187,19 @@ def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H):
 
 
 def profile_w(T=DEFAULT_T, h=DEFAULT_H):
-    """L w = gdot; the mean-curvature response profile.  w'(0) = -2/3."""
-    _, _, _, gdot, _ = _window(T, h)
-    return solve_profile(gdot, T, h)
+    """L w = gdot; the mean-curvature response profile.  w'(0) = -2/3.
+
+    Solved once per window, through `solve_profile`'s decay guard, and kept
+    with the window: the same read-only profile until the window leaves the
+    cache.
+    """
+    line = _window(T, h)
+    if line.w is None:
+        w = solve_profile(line.gdot, T, h)
+        w.values.setflags(write=False)
+        w.dvalues.setflags(write=False)
+        line.w = w
+    return line.w
 
 
 def profile_rho(T=DEFAULT_T, h=DEFAULT_H):
@@ -170,14 +209,13 @@ def profile_rho(T=DEFAULT_T, h=DEFAULT_H):
 
 def profile_tau_geom(T=DEFAULT_T, h=DEFAULT_H):
     """L tau = t gdot; the geometric tau of the curvature expansion."""
-    t, _, _, gdot, _ = _window(T, h)
-    return solve_profile(t * gdot, T, h)
+    line = _window(T, h)
+    return solve_profile(line.t * line.gdot, T, h)
 
 
 def profile_kappa_ode(T=DEFAULT_T, h=DEFAULT_H):
     """L kappa = g w, consuming the computed w profile."""
-    _, _, g, _, _ = _window(T, h)
-    return solve_profile(g * profile_w(T, h).values, T, h)
+    return solve_profile(_window(T, h).g * profile_w(T, h).values, T, h)
 
 
 def _kappa(t, g, gdot):
@@ -209,9 +247,10 @@ def profile_tau_lambda(T=DEFAULT_T, h=DEFAULT_H):
     tau'(0) = sqrt2.  It grows like e^{sqrt2 t}/8: the lambda direction of
     the periodic family is inherently non-decaying toward the far node.
     """
-    t, hh, g, gdot, _ = _window(T, h)
+    line = _window(T, h)
+    t, g, gdot = line.t, line.g, line.gdot
     vals = -_kappa(t, g, gdot)
-    return ProfileFunction(T=T, h=hh, values=vals, dvalues=-_kappa_prime(t, g, gdot),
+    return ProfileFunction(T=T, h=line.h, values=vals, dvalues=-_kappa_prime(t, g, gdot),
                            slope0=SQRT2, rhs_values=np.zeros_like(vals))
 
 
@@ -223,22 +262,26 @@ def profile_omega(T=DEFAULT_T, h=DEFAULT_H):
     bounded with omega(t) -> -3 sqrt2 / 4 and omega'(0) = -2 exactly.
     """
     line = _window(T, h)
-    t, _, g, gdot, _ = line
+    t, g, gdot = line.t, line.g, line.gdot
     return _vp_solve(6.0 * g * (-_kappa(t, g, gdot)) * gdot, line)
 
 
 def profile_constants(T=DEFAULT_T, h=DEFAULT_H):
-    """sigma1, sigma2 by composite Simpson, and the response slopes."""
-    t, hh, g, gdot, gddot = _window(T, h)
-    sigma1 = simpson(t * gdot * gddot, hh)
-    tau = profile_tau_geom(T, h)
-    sigma2 = 6.0 * simpson(tau.values * g * gdot ** 2, hh)
-    return ProfileConstants(
-        sigma1=sigma1,
-        sigma2=sigma2,
-        wdot0=profile_w(T, h).slope0,
-        omegadot0=profile_omega(T, h).slope0,
-    )
+    """sigma1, sigma2 by composite Simpson, and the response slopes; computed
+    once per window and kept with it."""
+    line = _window(T, h)
+    if line.constants is None:
+        t, hh, g, gdot = line.t, line.h, line.g, line.gdot
+        sigma1 = simpson(t * gdot * line.gddot, hh)
+        tau = profile_tau_geom(T, h)
+        sigma2 = 6.0 * simpson(tau.values * g * gdot ** 2, hh)
+        line.constants = ProfileConstants(
+            sigma1=sigma1,
+            sigma2=sigma2,
+            wdot0=profile_w(T, h).slope0,
+            omegadot0=profile_omega(T, h).slope0,
+        )
+    return line.constants
 
 
 def ode_residual(profile, t_max=None):
@@ -253,7 +296,8 @@ def ode_residual(profile, t_max=None):
     if len(f) < 5:
         raise DomainError(f"a profile of {len(f)} points has no grid point in [2h, T - 2h]")
     # the profile's own half-line: a cache hit while its window is the last
-    t, _, g, _, _ = _halfline(float(profile.T), len(f) - 1)
+    line = _halfline(float(profile.T), len(f) - 1)
+    t, g = line.t, line.g
     d2 = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) / (12.0 * h * h)
     res = d2 - potential_d2(g[2:-2]) * f[2:-2] - profile.rhs_values[2:-2]
     if t_max is not None:

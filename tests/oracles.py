@@ -121,6 +121,19 @@ def arc_energy_tolerance(eps, L, points_per_eps):
     return (4e-4 if L / eps >= 4.0 else 1e-3) * (h / eps) ** 4
 
 
+def lame_gap(kp):
+    """The lowest Dirichlet eigenvalue of -eps^2 D^2 + W''(u) on the positive
+    arch at complementary modulus kp, in closed form.
+
+    With u = a sn(bx, k) the operator is (-D_y^2 + 6 k^2 sn^2 y)/(1 + k^2) - 1,
+    Lame's operator with n = 2.  Its band-edge eigenfunction sn dn vanishes
+    at both ends of the arc and is positive inside, so its eigenvalue
+    3 (1 - kp^2)/(2 - kp^2) is the gap.  Nothing here runs a grid solve.
+    """
+    kp2 = kp * kp
+    return 3.0 * (1.0 - kp2) / (2.0 - kp2)
+
+
 def cycle_laplacian(m):
     """2I - S - S^T on m nodes, S the cyclic shift."""
     shift = np.roll(np.eye(m), 1, axis=1)

@@ -19,8 +19,10 @@ from becircle import (ArcTooShort, DomainError, NodeConfig, NoPositiveSolution,
                       nodal_solution, profile_constants, solve_dirichlet,
                       translation_mode)
 from becircle.scalar_field import potential_d2
+from becircle.elliptic_oracle import modulus_for
+from becircle.solver_1d import intervals_for
 from oracles import (arc_energy_tolerance, cycle_laplacian, exact_arc_energy,
-                     exact_transmission, fd_second_variation)
+                     exact_transmission, fd_second_variation, lame_gap)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -473,6 +475,22 @@ def test_translation_mode_rayleigh_quotient():
     assert abs(rq) < (sol.u.h / 0.05) ** 2   # well inside O(h^2)
     # u is odd under the mirror j -> n - j, so u_x is even
     assert np.max(np.abs(ux - ux[-np.arange(len(ux)) % len(ux)])) <= 1e-12 * np.max(np.abs(ux))
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.sampled_from([0.25, 0.5, 1.0]), ratio=st.floats(3.3, 480.0),
+       points_per_eps=st.sampled_from([20, 50, 100]))
+@example(L=0.25, ratio=3.3, points_per_eps=20)      # the largest constant, 0.135
+@example(L=0.25, ratio=4.0, points_per_eps=20)
+@example(L=1.0, ratio=480.0, points_per_eps=100)    # the finest grid
+def test_dirichlet_gap_matches_the_lame_band_edge(L, ratio, points_per_eps):
+    # the gap against Lame's closed form within its second-order grid law
+    # C (h/eps)^2, h the arc's base step: measured C <= 0.051 from L/eps 4
+    # on and 0.135 at L/eps 3.3; the bound takes 0.2
+    eps = L / ratio
+    h = L / intervals_for(L, eps, points_per_eps)
+    gap = dirichlet_gap(eps, L, points_per_eps=points_per_eps)
+    assert abs(gap - lame_gap(modulus_for(eps, L).kp)) <= 0.2 * (h / eps) ** 2 + 1e-9
 
 
 def test_dirichlet_gap_positive():

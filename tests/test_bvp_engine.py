@@ -70,6 +70,37 @@ def test_cumulative_simpson_matches_gather_form(n, seed, h):
     assert np.array_equal(cumulative_simpson(v, h), _cumulative_simpson_gather(v, h))
 
 
+def _cumulative_simpson_out_of_place(values, h):
+    """cumulative_simpson as it was before it worked in place: each step a
+    new array, kept as the oracle of the in-place form."""
+    v = np.asarray(values, dtype=float)
+    n = v.shape[0]
+    out = np.zeros(n)
+    npair = (n - 1) // 2
+    pair = (h / 3.0) * (v[0:2 * npair:2] + 4.0 * v[1:2 * npair:2] + v[2:2 * npair + 2:2])
+    out[2:2 * npair + 2:2] = np.cumsum(pair)
+    k = 2 * npair
+    out[1:k:2] = out[0:k - 1:2] + (h / 12.0) * (5.0 * v[0:k - 1:2] + 8.0 * v[1:k:2]
+                                               - v[2:k + 1:2])
+    if n % 2 == 0:
+        out[-1] = out[-2] + (h / 12.0) * (-v[-3] + 8.0 * v[-2] + 5.0 * v[-1])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 200), seed=st.integers(0, 2**32 - 1), h=st.floats(1e-4, 1.0),
+       reverse=st.booleans())
+@example(n=3, seed=0, h=0.5, reverse=False)
+@example(n=4, seed=0, h=0.5, reverse=True)
+@example(n=80001, seed=2, h=1e-3, reverse=True)     # the bracket's reversed view
+@example(n=80002, seed=3, h=1e-3, reverse=False)
+def test_cumulative_simpson_in_place_matches_out_of_place(n, seed, h, reverse):
+    v = np.random.default_rng(seed).standard_normal(n)
+    if reverse:
+        v = v[::-1]
+    assert np.array_equal(cumulative_simpson(v, h), _cumulative_simpson_out_of_place(v, h))
+
+
 def _grid(a, b, n, fun):
     x = np.linspace(a, b, n + 2)
     return GridFunction(a=a, b=b, n=n, values=fun(x))

@@ -29,6 +29,7 @@ CASES = {
                     "--delta", "0.001"],
     "profiles.csv": ["profiles", "--T", "20", "--stride", "2.0"],
     "profiles_T40.csv": ["profiles", "--T", "40", "--stride", "1.0"],
+    "profiles_T80.csv": ["profiles", "--T", "80", "--stride", "4.0"],
     "lipschitz.json": ["lipschitz", "--L", "0.5", "--eps", "0.01,0.015,0.02,0.03"],
     "index.json": ["index", "--p", "3", "--eps", "0.01"],
     "gamma_sweep.json": ["gamma-sweep", "--nodes", "0,0.5", "--eps", "0.02,0.01,0.005"],
@@ -182,14 +183,19 @@ def test_domain_error_exit_code(capsys):
     ["profiles", "--stride", "nan"],
     ["profiles", "--stride", "0"],
     ["profiles", "--stride", "-1"],
+    ["gap-sweep", "--L", "0.5", "--eps", ","],
+    ["two-node-scan", "--eps", "0.02", "--grid", ","],
+    ["two-node-scan", "--eps", "0.2", "--grid", "0.5"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_bad_input_is_a_typed_error(argv, capsys):
     # sweeps need two distinct eps; eps, L, the grid density, Newton's tol,
     # the profile stride and the cutoff's k and delta must be positive and
     # finite, p positive, the profile truncation T positive and at most
     # 251.19 (where gdot(T)^2 leaves the normal range), nodes, scan grid
-    # points and the node motion f finite: never a traceback, and never a
-    # NaN written into a record
+    # points and the node motion f finite; a gap sweep needs an eps and a
+    # two-node scan a grid point with both arcs above 1.05 pi eps: never a
+    # traceback, never a NaN written into a record, and never a claim made
+    # on no data
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -246,6 +252,26 @@ def test_shared_parser_keeps_records_apart(tmp_path, capsys):
     capsys.readouterr()
     goldens("after")
     assert json.loads((tmp_path / "after-solve.json").read_text())["meta"]["grid_per_eps"] == 50
+
+
+def test_profiles_record_solves_six_profiles(tmp_path, monkeypatch):
+    # w, rho, tau_geom and omega once each, and tau_geom and omega again for
+    # the constants; rho and the constants read the window's w
+    solves = []
+    solve = profiles_mod._vp_solve
+
+    def counting(rhs_values, line):
+        solves.append(1)
+        return solve(rhs_values, line)
+
+    monkeypatch.setattr(profiles_mod, "_vp_solve", counting)
+    profiles_mod._halfline.cache_clear()
+    try:
+        name = "profiles.csv"
+        assert _run(CASES[name], tmp_path / name) == (GOLDEN / name).read_bytes()
+        assert len(solves) == 6
+    finally:
+        profiles_mod._halfline.cache_clear()
 
 
 def test_profiles_record_evaluates_the_heteroclinic_once(tmp_path, monkeypatch):

@@ -238,6 +238,33 @@ def test_one_heteroclinic_evaluation_per_window(monkeypatch):
         profiles_mod._halfline.cache_clear()
 
 
+def test_one_w_solve_per_window(monkeypatch):
+    # w and the constants are kept with the window: w is solved once however
+    # many window functions read it, and the other profiles once each call
+    solves = []
+    solve = profiles_mod._vp_solve
+
+    def counting(rhs_values, line):
+        solves.append("w" if rhs_values is line.gdot else "other")
+        return solve(rhs_values, line)
+
+    monkeypatch.setattr(profiles_mod, "_vp_solve", counting)
+    profiles_mod._halfline.cache_clear()
+    try:
+        for fn in WINDOW_FUNCTIONS:
+            fn(T=20.0, h=1e-3)
+        # rho, tau_geom, kappa_ode, omega, then tau_geom and omega for sigma2
+        # and omega'(0)
+        assert solves.count("w") == 1 and len(solves) == 7
+        profile_w(T=20.0, h=1e-3)
+        profile_constants(T=20.0, h=1e-3)
+        assert len(solves) == 7
+        profile_w(T=20.0, h=5e-4)                   # a new window solves w anew
+        assert solves.count("w") == 2
+    finally:
+        profiles_mod._halfline.cache_clear()
+
+
 WINDOWS = [(40.0, 1e-3), (80.0, 1e-3), (40.0, 5e-4)]
 
 
@@ -275,6 +302,10 @@ def test_cached_halfline_is_read_only():
     assert _bits(w) == ref
     with pytest.raises(ValueError):
         w.rhs_values[0] = 1.0          # the cached gdot itself
+    with pytest.raises(ValueError):
+        w.values[0] = 1.0              # the cached w
+    with pytest.raises(ValueError):
+        w.dvalues[0] = 1.0
     assert _bits(profile_w(T=20.0)) == ref
 
 

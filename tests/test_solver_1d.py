@@ -176,6 +176,25 @@ def test_nodal_solution_is_glued_from_its_arc():
     assert np.array_equal(sol.u.values[len(piece):2 * len(piece)], -piece)
 
 
+@pytest.mark.parametrize("L, eps_grid, points_per_eps", [
+    (0.5, np.linspace(0.01, 0.1, 10), 50),
+    (0.5, np.linspace(0.01, 0.1, 20), 20),
+    (0.25, np.geomspace(6e-4, 0.07, 12), 20),
+    (1.0, np.geomspace(2.5e-3, 0.3, 12), 50),
+    (0.5, [0.01, 0.015, 0.02, 0.03], 100),
+])
+def test_lipschitz_quotients_match_the_exact_energies(L, eps_grid, points_per_eps):
+    # each quotient against |E_exact(e2) - E_exact(e1)| / (e2 - e1): the two
+    # energies err by at most tol1 + tol2, so the quotient by at most
+    # (tol1 + tol2) / (e2 - e1), each tol from arc_energy_tolerance
+    scan = lipschitz_scan(L, eps_grid, points_per_eps=points_per_eps)
+    exact = np.array([exact_arc_energy(e, L) for e in scan.eps])
+    tol = exact * np.array([arc_energy_tolerance(e, L, points_per_eps) for e in scan.eps])
+    step = np.diff(scan.eps)
+    assert np.all(np.abs(scan.quotients - np.abs(np.diff(exact)) / step)
+                  <= (tol[:-1] + tol[1:]) / step)
+
+
 def test_min_energy_and_lipschitz_scan():
     scan = lipschitz_scan(0.5, np.linspace(0.01, 0.1, 10))
     assert np.all(np.isfinite(scan.quotients))
