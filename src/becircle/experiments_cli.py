@@ -66,6 +66,14 @@ def _write_text(args, lines):
         print(text, end="")
 
 
+def _verdict(ok, claim):
+    """0 if ok, else 2 after printing `assertion failed: <claim>` to stderr."""
+    if ok:
+        return 0
+    print(f"assertion failed: {claim}", file=sys.stderr)
+    return 2
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -105,20 +113,15 @@ def _cmd_variation(args):
 def _cmd_index(args):
     table = index_table([args.p], [args.eps], points_per_eps=args.grid_per_eps)
     _write_record(args, "index", {"p": args.p, "eps": args.eps}, table)
-    if not table["all_match_S1MorseIndexTheorem"]:
-        print("assertion failed: S1MorseIndexTheorem", file=sys.stderr)
-        return 2
-    return 0
+    return _verdict(table["all_match_S1MorseIndexTheorem"], "S1MorseIndexTheorem")
 
 
 def _cmd_gamma_sweep(args):
     config = NodeConfig(np.array(args.nodes))
     res = gamma_sweep(config, args.eps, points_per_eps=args.grid_per_eps)
     _write_record(args, "gamma-sweep", {"nodes": args.nodes, "eps": args.eps}, res)
-    if not all(r["be_below_comparator"] for r in res["rows"]):
-        print("assertion failed: GammaConSimple comparator", file=sys.stderr)
-        return 2
-    return 0
+    return _verdict(all(r["be_below_comparator"] for r in res["rows"]),
+                    "GammaConSimple comparator")
 
 
 def _cmd_profiles(args):
@@ -152,22 +155,20 @@ def _cmd_profiles(args):
 
 def _cmd_two_node_scan(args):
     scan = two_node_scan(args.eps, args.grid, points_per_eps=args.grid_per_eps)
+    above = bool(np.all(scan.gap > 0))
     if args.format == "csv":
         rows = [[float(p), float(b), float(g)]
                 for p, b, g in zip(scan.p, scan.be, scan.gap)]
         _write_text(args, _csv_lines(["p", "be", "gap"], rows))
-        return 0 if np.all(scan.gap > 0) else 2
-    _write_record(args, "two-node-scan", {"eps": args.eps, "grid": args.grid}, {
-        "p": list(scan.p), "be": list(scan.be), "gap": list(scan.gap),
-        "reference": scan.reference,
-        "infimum": float(np.min(scan.be)),
-        "dropped": [list(d) for d in scan.dropped],
-        "all_above_reference": bool(np.all(scan.gap > 0)),
-    })
-    if not np.all(scan.gap > 0):
-        print("assertion failed: NoAbsoluteMinimizerS1", file=sys.stderr)
-        return 2
-    return 0
+    else:
+        _write_record(args, "two-node-scan", {"eps": args.eps, "grid": args.grid}, {
+            "p": list(scan.p), "be": list(scan.be), "gap": list(scan.gap),
+            "reference": scan.reference,
+            "infimum": float(np.min(scan.be)),
+            "dropped": [list(d) for d in scan.dropped],
+            "all_above_reference": above,
+        })
+    return _verdict(above, "NoAbsoluteMinimizerS1")
 
 
 def _cmd_cutoff_nd(args):
@@ -183,13 +184,11 @@ def _cmd_gap_sweep(args):
         raise DomainError("gap-sweep needs at least one eps")
     gaps = [dirichlet_gap(e, args.L, points_per_eps=args.grid_per_eps)
             for e in args.eps]
+    positive = all(g > 0 for g in gaps)
     _write_record(args, "gap-sweep", {"L": args.L, "eps": args.eps}, {
-        "gaps": gaps, "all_positive": bool(all(g > 0 for g in gaps)),
+        "gaps": gaps, "all_positive": positive,
     })
-    if not all(g > 0 for g in gaps):
-        print("assertion failed: LinearizedOperatorInverseThm", file=sys.stderr)
-        return 2
-    return 0
+    return _verdict(positive, "LinearizedOperatorInverseThm")
 
 
 def _cmd_lipschitz(args):

@@ -5,14 +5,16 @@ by finite differences, in closed form, or from the discretization's own
 residual.  None of them is on a path the library runs.
 """
 import math
+import numbers
 
 import numpy as np
 from scipy.special import ellipe, ellipkm1
 
 from becircle import (DomainError, EllipticModulus, NoPositiveSolution, heteroclinic,
                       intervals_for, modulus_for, potential_d1, simpson,
-                      zero_spacing_from_kp)
+                      translation_mode, zero_spacing_from_kp)
 from becircle.balanced_energy import _pinned_be
+from becircle.bvp_engine import SpectrumReport, eig_sturm, linearized_operator
 from becircle.profiles import _kappa, _kappa_prime
 
 
@@ -132,6 +134,54 @@ def lame_gap(kp):
     """
     kp2 = kp * kp
     return 3.0 * (1.0 - kp2) / (2.0 - kp2)
+
+
+def lame_edges(kp):
+    """Four band edges of the 2p-gon's linearized operator at complementary
+    modulus kp, in closed form, ascending: mu0, the lowest eigenvalue
+    (theta = 0, band 1); the sn dn edge (theta = pi, band 2, the Dirichlet
+    gap); the sn cn edge (theta = 0, band 2); and the start of band 3.
+
+    With s = 2 - kp^2 and r = sqrt(1 - kp^2 + kp^4) these are
+    -3 kp^4/(s (2r + s)), 3 (1 - kp^2)/s, 3/s and (s + 2r)/s; mu0 is written
+    so that nothing cancels (mu0/lambda -> -6).  Nothing here runs a grid
+    solve.
+    """
+    kp2 = kp * kp
+    s = 2.0 - kp2
+    r = math.sqrt(1.0 - kp2 + kp2 * kp2)
+    return (-3.0 * kp2 * kp2 / (s * (2.0 * r + s)), lame_gap(kp), 3.0 / s,
+            (s + 2.0 * r) / s)
+
+
+def ac_spectrum_by_sectors(sol, how_many):
+    """ac_spectrum computed as its two mirror sectors, one eig_sturm call
+    each, merged by hand: the odd sector on the first-half indices 1..h-1,
+    the even one on 0..h with its end couplings scaled by sqrt2, the lowest
+    how_many eigenvalues of both and the sums of their counts.  The zero
+    threshold comes from the translation mode on the even sector, as in
+    ac_spectrum.
+    """
+    tol = 1e-12
+    n = sol.u.n + 1
+    if not (isinstance(how_many, numbers.Integral) and 1 <= how_many <= n):
+        raise DomainError(f"how_many must be an integer in [1, {n}], got {how_many!r}")
+    h = n // 2
+    c2 = (sol.eps / sol.u.h) ** 2
+    half = sol.u.values[:h + 1]
+    sectors = (linearized_operator(half[1:h], c2), linearized_operator(half, c2))
+    sectors[1].offdiag[[0, -1]] *= math.sqrt(2.0)
+    ux = translation_mode(sol)[:h + 1]
+    ux[1:-1] *= math.sqrt(2.0)
+    rq = float(ux @ sectors[1].matvec(ux) / (ux @ ux))
+    tau = max(10.0 * abs(rq), 40.0 * tol)
+    odd, even = (eig_sturm(op, min(how_many, op.dim), tol=tol, zero_threshold=tau)
+                 for op in sectors)
+    evals = np.sort(np.concatenate((odd.eigenvalues, even.eigenvalues)))[:how_many]
+    return SpectrumReport(eigenvalues=evals, zero_threshold=tau,
+                          n_negative=odd.n_negative + even.n_negative,
+                          n_zero=odd.n_zero + even.n_zero,
+                          n_positive=odd.n_positive + even.n_positive)
 
 
 def cycle_laplacian(m):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import becircle.balanced_energy as be_mod
 import becircle.bvp_engine as engine
 import becircle.solver_1d as solver
 from becircle import (ArcTooShort, DomainError, NodeConfig, NoPositiveSolution,
@@ -21,8 +22,9 @@ from becircle import (ArcTooShort, DomainError, NodeConfig, NoPositiveSolution,
 from becircle.scalar_field import potential_d2
 from becircle.elliptic_oracle import modulus_for
 from becircle.solver_1d import intervals_for
-from oracles import (arc_energy_tolerance, cycle_laplacian, exact_arc_energy,
-                     exact_transmission, fd_second_variation, lame_gap)
+from oracles import (ac_spectrum_by_sectors, arc_energy_tolerance, cycle_laplacian,
+                     exact_arc_energy, exact_transmission, fd_second_variation,
+                     lame_edges, lame_gap)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -407,9 +409,10 @@ def test_ac_spectrum_matches_morse_index():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_ac_spectrum_solves_per_eigenvalue(monkeypatch, p):
-    # the circle operator splits into two mirror sectors that LAPACK's
-    # bisection solves whole: no eigenvalue takes a linear solve, counted at
-    # gtsv, the one LAPACK call behind every tridiagonal solve
+    # the circle operator is block diagonal in its two mirror sectors, and
+    # LAPACK's bisection solves the one block operator whole: no eigenvalue
+    # takes a linear solve, counted at gtsv, the one LAPACK call behind every
+    # tridiagonal solve
     real_gtsv = engine.dgtsv
     solves = []
 
@@ -423,6 +426,53 @@ def test_ac_spectrum_solves_per_eigenvalue(monkeypatch, p):
         solves.clear()
         ac_spectrum(sol, 2 * p + 3)
         assert not solves, (ratio, len(solves))
+
+
+@pytest.mark.parametrize("points_per_eps", [20, 50, 100])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_ac_spectrum_matches_the_two_sector_reference(p, points_per_eps):
+    # the block operator has the two sectors' spectra: the same zero
+    # threshold and Sturm counts bit for bit, and each eigenvalue within the
+    # bisection tolerance 1e-12 (measured at most 8.8e-13).  The counts
+    # agree also from arc/eps 20 on, where both are wrong alike (the fixed
+    # threshold floor lies above the smallest nonzero eigenvalue)
+    for ratio in range(4, 25, 2):
+        sol = nodal_solution(p, 1.0 / (2 * p * ratio), points_per_eps=points_per_eps)
+        rep, ref = ac_spectrum(sol, 4 * p + 1), ac_spectrum_by_sectors(sol, 4 * p + 1)
+        assert rep.zero_threshold == ref.zero_threshold, ratio
+        assert ((rep.n_negative, rep.n_zero, rep.n_positive)
+                == (ref.n_negative, ref.n_zero, ref.n_positive)), ratio
+        assert np.max(np.abs(rep.eigenvalues - ref.eigenvalues)) <= 1e-12, ratio
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_ac_spectrum_makes_one_eig_sturm_call(monkeypatch, p):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eig_sturm(*args, **kwargs)
+
+    eig_sturm = be_mod.eig_sturm
+    monkeypatch.setattr(be_mod, "eig_sturm", counted)
+    ac_spectrum(nodal_solution(p, 1.0 / (2 * p * 9)), 2 * p + 3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("points_per_eps", [20, 50, 100])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_ac_spectrum_matches_the_lame_band_edges(p, points_per_eps):
+    # eigenvalues 0, 2p, 4p - 1 and 4p against Lame's closed forms within
+    # the second-order grid law C (h/eps)^2, h the circle's grid step:
+    # measured C <= 0.039 (mu0), 0.051, 0.44 and 0.43 over arc/eps 4-16; the
+    # bound takes 1.0, plus 1e-11 for the bisection tolerance 1e-12
+    for ratio in range(4, 17, 2):
+        eps = 1.0 / (2 * p * ratio)
+        sol = nodal_solution(p, eps, points_per_eps=points_per_eps)
+        evals = ac_spectrum(sol, 4 * p + 1).eigenvalues[[0, 2 * p, 4 * p - 1, 4 * p]]
+        edges = np.array(lame_edges(modulus_for(eps, 1.0 / (2 * p)).kp))
+        bound = 1.0 * (sol.u.h / eps) ** 2 + 1e-11
+        assert np.max(np.abs(evals - edges)) <= bound, (ratio, evals - edges)
 
 
 def test_ac_spectrum_rejects_bad_how_many():

@@ -18,6 +18,7 @@ import becircle.profiles as profiles_mod
 import becircle.solver_1d as solver
 from becircle import index_table
 from becircle.experiments_cli import main
+from becircle.nonexistence import TwoNodeScan
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -98,11 +99,15 @@ def test_index_subcommand(tmp_path):
 
 
 def test_index_skips_inadmissible(tmp_path):
-    # 0.05305164769729844 is 1/(2 p pi) with the arc length 1/6 rounded first
-    table = index_table([3, 3], [0.1, 0.05305164769729844])
-    for row in table["rows"]:
+    # 0.05305164769729844 is 1/(2 p pi) with the arc length 1/6 rounded
+    # first; the admissible third row keeps the table from raising
+    table = index_table([3, 3, 1], [0.1, 0.05305164769729844, 0.05],
+                        points_per_eps=20)
+    *skipped, kept = table["rows"]
+    for row in skipped:
         assert "skipped" in row
         assert "1/(2 p pi)" in row["skipped"]
+    assert "skipped" not in kept
 
 
 def test_index_solves_one_arc_per_row_on_its_grid(tmp_path, monkeypatch):
@@ -186,6 +191,7 @@ def test_domain_error_exit_code(capsys):
     ["gap-sweep", "--L", "0.5", "--eps", ","],
     ["two-node-scan", "--eps", "0.02", "--grid", ","],
     ["two-node-scan", "--eps", "0.2", "--grid", "0.5"],
+    ["index", "--p", "3", "--eps", "0.1"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_bad_input_is_a_typed_error(argv, capsys):
     # sweeps need two distinct eps; eps, L, the grid density, Newton's tol,
@@ -193,11 +199,41 @@ def test_bad_input_is_a_typed_error(argv, capsys):
     # finite, p positive, the profile truncation T positive and at most
     # 251.19 (where gdot(T)^2 leaves the normal range), nodes, scan grid
     # points and the node motion f finite; a gap sweep needs an eps and a
-    # two-node scan a grid point with both arcs above 1.05 pi eps: never a
-    # traceback, never a NaN written into a record, and never a claim made
-    # on no data
+    # two-node scan a grid point with both arcs above 1.05 pi eps, and an
+    # index table an admissible row: never a traceback, never a NaN written
+    # into a record, and never a claim made on no data
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+_FAILING = {
+    "index_table": {"rows": [], "all_match_S1MorseIndexTheorem": False},
+    "gamma_sweep": {"rows": [{"be_below_comparator": False}]},
+    "two_node_scan": TwoNodeScan(eps=0.02, p=np.array([0.5]), be=np.array([1.0]),
+                                 reference=2.0, gap=np.array([-1.0])),
+    "dirichlet_gap": -1.0,
+}
+
+
+@pytest.mark.parametrize("target, argv, claim", [
+    ("index_table", ["index", "--p", "1", "--eps", "0.05"], "S1MorseIndexTheorem"),
+    ("gamma_sweep", ["gamma-sweep", "--nodes", "0,0.5", "--eps", "0.02,0.01"],
+     "GammaConSimple comparator"),
+    ("two_node_scan", ["two-node-scan", "--eps", "0.02", "--grid", "0.5"],
+     "NoAbsoluteMinimizerS1"),
+    ("two_node_scan", ["two-node-scan", "--eps", "0.02", "--grid", "0.5",
+                       "--format", "csv"], "NoAbsoluteMinimizerS1"),
+    ("dirichlet_gap", ["gap-sweep", "--L", "0.5", "--eps", "0.05"],
+     "LinearizedOperatorInverseThm"),
+], ids=lambda v: "_".join(v).replace("--", "") if isinstance(v, list) else None)
+def test_failed_claim_exits_2(target, argv, claim, monkeypatch, capsys):
+    # a record whose claim fails is still written, in either format, and
+    # the exit code and stderr say which claim failed
+    monkeypatch.setattr(cli, target, lambda *args, **kwargs: _FAILING[target])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out
+    assert err.startswith(f"assertion failed: {claim}")
 
 
 def test_gap_sweep_exit(tmp_path):
