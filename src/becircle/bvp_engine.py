@@ -155,7 +155,17 @@ def solve_tridiagonal(op, rhs):
 
 def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
     """Damped Newton for  eps^2 u'' = W'(u)  with the grid's end values as
-    Dirichlet data.
+    Dirichlet data, for the solution even about the midpoint.
+
+    Raises DomainError unless the interval count n + 1 is even and the two
+    end values are equal.  The iteration runs on u_0..u_M, M = (n + 1)/2,
+    with the ghost value u_{M+1} = u_{M-1}; only the first half of the
+    guess is read.  The midpoint row of the Jacobian couples to u_{M-1}
+    twice, so it and its residual entry are halved: an exact scaling that
+    keeps the matrix symmetric tridiagonal for gtsv.  The result is the
+    palindrome u_0..u_M..u_0 on the full grid, and every residual below is
+    the full grid's: its sup norm, and its 2-norm with each row but the
+    midpoint counted twice.
 
     Accepts the undamped step when the residual 2-norm decreases, otherwise
     halves it (at most 40 times); when no halving descends it raises
@@ -168,32 +178,45 @@ def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    u = grid.values.copy()
+    if grid.n % 2 == 0:
+        raise DomainError(f"newton_semilinear needs an even interval count, got {grid.n + 1}")
+    if grid.values[0] != grid.values[-1]:
+        raise DomainError("newton_semilinear needs equal end values, got "
+                          f"{grid.values[0]!r} and {grid.values[-1]!r}")
+    u = grid.values[:(grid.n + 1) // 2 + 1].copy()
     h = grid.h
     c2 = (eps / h) ** 2
     floor = 16.0 * _EPS_MACH * c2 * max(1.0, float(np.max(np.abs(u))))
 
     def residual(w):
+        w = np.append(w, w[-2])  # the ghost value beyond the midpoint
         return c2 * (w[2:] - 2.0 * w[1:-1] + w[:-2]) - potential_d1(w[1:-1])
 
+    def norm2(r):
+        return math.sqrt(2.0 * float(np.dot(r[:-1], r[:-1])) + r[-1] * r[-1])
+
     r = residual(u)
-    rnorm = float(np.max(np.abs(r))) if r.size else 0.0
-    r2 = float(np.linalg.norm(r))
+    rnorm = float(np.max(np.abs(r)))
+    r2 = norm2(r)
     for it in range(max_iter):
         if rnorm <= tol:
             break
-        delta = solve_tridiagonal(linearized_operator(u[1:-1], c2), r)
+        op = linearized_operator(u[1:], c2)
+        op.diag[-1] *= 0.5
+        rhs = r.copy()
+        rhs[-1] *= 0.5
+        delta = solve_tridiagonal(op, rhs)
         if rnorm <= floor:
             # the residual is rounding noise: take the full step and stop
-            u[1:-1] += delta
+            u[1:] += delta
             break
         t = 1.0
         for _ in range(40):
             trial = u.copy()
-            trial[1:-1] = u[1:-1] + t * delta
+            trial[1:] = u[1:] + t * delta
             rt = residual(trial)
             # accept on the smoother 2-norm; convergence is still sup-norm
-            rt2 = float(np.linalg.norm(rt))
+            rt2 = norm2(rt)
             if rt2 < r2:
                 u, r, r2 = trial, rt, rt2
                 rnorm = float(np.max(np.abs(rt)))
@@ -210,7 +233,7 @@ def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
                 f"newton_semilinear: residual {rnorm:.3e} after {max_iter} iterations",
                 residual=rnorm, iterations=max_iter,
             )
-    return GridFunction(a=grid.a, b=grid.b, n=grid.n, values=u)
+    return GridFunction(a=grid.a, b=grid.b, n=grid.n, values=np.concatenate((u, u[-2::-1])))
 
 
 def _stebz(diag, offdiag, select, select_range, tol):

@@ -77,15 +77,20 @@ def _solve_at(L, eps, guess, tol):
 def dirichlet_pair(L, eps, m, tol=1e-12):
     """Newton on m and 2m intervals of [0, L], started from the closed form.
 
-    The closed form is evaluated once, on the 2m-interval grid; the m-interval
-    guess is every other value of it.  Halving the step is exact, so
-    linspace(0, L, 2m + 1)[::2] is linspace(0, L, m + 1) bit for bit, and the
-    oracle is elementwise: both guesses are the ones a call per grid gives.
-    u is the raw m-interval solution and u_half the raw 2m-interval one;
-    lam, the slopes and the energy are their Richardson combination.
+    The arc is even about L/2, and Newton solves for the even solution on
+    the first half of its grid (see newton_semilinear).  So the closed form
+    is evaluated once, on the first m + 1 points of the 2m-interval grid,
+    and reflected; the m-interval guess is every other value of that.
+    Halving the step is exact, so linspace(0, L, 2m + 1)[::2] is
+    linspace(0, L, m + 1) bit for bit, and the oracle is elementwise: the
+    half that each Newton call reads is the one a call per grid gives.
+    u is the raw m-interval solution and u_half the raw 2m-interval one,
+    both exact palindromes; lam, the slopes and the energy are their
+    Richardson combination.
     """
-    guess = ac_family_mod(np.linspace(0.0, L, 2 * m + 1) / eps, modulus_for(eps, L))
-    guess[0] = guess[-1] = 0.0
+    half = ac_family_mod(np.linspace(0.0, L, 2 * m + 1)[:m + 1] / eps, modulus_for(eps, L))
+    half[0] = 0.0
+    guess = np.concatenate((half, half[-2::-1]))
     sol, sol2 = (_solve_at(L, eps, g, tol) for g in (guess[::2], guess))
     lam_pair = [potential(float(np.max(s.values))) for s in (sol, sol2)]
     lam = (4.0 * lam_pair[1] - lam_pair[0]) / 3.0
@@ -104,16 +109,18 @@ def solve_dirichlet(L, eps, points_per_eps=50, tol=1e-12, refine_values=False):
 
     The arc is solved once on each grid of its Richardson pair (see
     dirichlet_pair), m = intervals_for(L, eps, points_per_eps) and 2m, both
-    started from one closed-form evaluation on the 2m grid, and both grids
-    are returned: u on m intervals and u_half on 2m.  With
-    refine_values u holds the pointwise Richardson combination of the two
+    started from one closed-form evaluation on the first half of the 2m
+    grid, and both grids are returned: u on m intervals and u_half on 2m.
+    With refine_values u holds the pointwise Richardson combination of the two
     (fourth-order accurate against the closed form); by default it is the
     raw base-grid Newton solution, which satisfies the discrete equation to
     the solver tolerance.
 
     lam = W(max u) is resolved only up to L/eps of about 40: beyond, 1 - max u
     falls to the ulp of 1 and lam is rounding noise (7e-5 relative error
-    against lambda_of_eps at L/eps = 40, 1e-2 at 50, 1e11 at 70).
+    against lambda_of_eps at L/eps = 40, 1e-2 at 50).  From L/eps of about
+    55 on, the midpoint of both grids rounds to 1.0 and lam reads exactly
+    0.0, where the true value is 2.7e-33 at 55 and 2.5e-294 at 480.
     first_variation, a difference of the arcs' lam, inherits that noise.
     """
     if eps >= existence_threshold(L):

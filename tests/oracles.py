@@ -10,11 +10,12 @@ import numbers
 import numpy as np
 from scipy.special import ellipe, ellipkm1
 
-from becircle import (DomainError, EllipticModulus, NoPositiveSolution, heteroclinic,
-                      intervals_for, modulus_for, potential_d1, simpson,
-                      translation_mode, zero_spacing_from_kp)
+from becircle import (DomainError, EllipticModulus, GridFunction, NoPositiveSolution,
+                      NonConvergence, heteroclinic, intervals_for, modulus_for,
+                      potential_d1, simpson, translation_mode, zero_spacing_from_kp)
 from becircle.balanced_energy import _pinned_be
-from becircle.bvp_engine import SpectrumReport, eig_sturm, linearized_operator
+from becircle.bvp_engine import (SpectrumReport, eig_sturm, linearized_operator,
+                                 solve_tridiagonal)
 from becircle.profiles import _kappa, _kappa_prime
 
 
@@ -182,6 +183,50 @@ def ac_spectrum_by_sectors(sol, how_many):
                           n_negative=odd.n_negative + even.n_negative,
                           n_zero=odd.n_zero + even.n_zero,
                           n_positive=odd.n_positive + even.n_positive)
+
+
+def newton_full_grid(grid, eps, tol=1e-12, max_iter=100):
+    """newton_semilinear iterated on every interior point of the grid, with
+    no mirror: the same damped step, descent test on the residual 2-norm,
+    sup-norm stop and rounding floor, for any interval count and end data.
+    """
+    u = grid.values.copy()
+    c2 = (eps / grid.h) ** 2
+    floor = 16.0 * np.finfo(float).eps * c2 * max(1.0, float(np.max(np.abs(u))))
+
+    def residual(w):
+        return c2 * (w[2:] - 2.0 * w[1:-1] + w[:-2]) - potential_d1(w[1:-1])
+
+    r = residual(u)
+    rnorm = float(np.max(np.abs(r)))
+    r2 = float(np.linalg.norm(r))
+    for it in range(max_iter):
+        if rnorm <= tol:
+            break
+        delta = solve_tridiagonal(linearized_operator(u[1:-1], c2), r)
+        if rnorm <= floor:
+            u[1:-1] += delta
+            break
+        t = 1.0
+        for _ in range(40):
+            trial = u.copy()
+            trial[1:-1] = u[1:-1] + t * delta
+            rt = residual(trial)
+            rt2 = float(np.linalg.norm(rt))
+            if rt2 < r2:
+                u, r, r2 = trial, rt, rt2
+                rnorm = float(np.max(np.abs(rt)))
+                break
+            t *= 0.5
+        else:
+            raise NonConvergence(f"newton_full_grid stagnated at residual {rnorm:.3e}",
+                                 residual=rnorm, iterations=it)
+    else:
+        if rnorm > max(tol, floor):
+            raise NonConvergence(f"newton_full_grid: residual {rnorm:.3e} after "
+                                 f"{max_iter} iterations", residual=rnorm,
+                                 iterations=max_iter)
+    return GridFunction(a=grid.a, b=grid.b, n=grid.n, values=u)
 
 
 def cycle_laplacian(m):

@@ -199,6 +199,16 @@ def test_newton_solves_per_call(monkeypatch):
         assert len(solves) == 2 and max(solves) <= 3, (ratio, solves)
 
 
+@pytest.mark.parametrize("n, ends", [(98, (0.0, 0.0)), (4, (0.0, 0.0)),
+                                     (99, (0.0, 1e-300)), (99, (0.5, -0.5))])
+def test_newton_rejects_a_grid_without_a_midpoint_mirror(n, ends):
+    # the mirror solve needs an even interval count n + 1 and equal end data
+    vals = np.sin(np.linspace(0.0, math.pi, n + 2))
+    vals[0], vals[-1] = ends
+    with pytest.raises(DomainError):
+        newton_semilinear(GridFunction(a=0.0, b=1.0, n=n, values=vals), 0.1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(ratio=st.floats(3.2, 500.0), points_per_eps=st.sampled_from([10, 50, 100]),
        halved=st.booleans())

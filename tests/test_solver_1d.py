@@ -11,7 +11,8 @@ from becircle import (DomainError, GridFunction, NoPositiveSolution,
                       nodal_solution, potential, solve_dirichlet, stencil_slope)
 from becircle.bvp_engine import TridiagonalOperator, eig_sturm
 from becircle.elliptic_oracle import ac_family_mod
-from oracles import arc_energy_tolerance, exact_arc_energy, periodic_residual
+from oracles import (arc_energy_tolerance, exact_arc_energy, newton_full_grid,
+                     periodic_residual)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -223,7 +224,8 @@ def test_one_closed_form_evaluation_per_pair(monkeypatch):
 
     monkeypatch.setattr(solver, "ac_family_mod", counted)
     solve_dirichlet(0.5, 0.05)
-    assert sizes == [2 * solver.intervals_for(0.5, 0.05, 50) + 1]
+    # the first half of the 2m-interval grid, midpoint included
+    assert sizes == [solver.intervals_for(0.5, 0.05, 50) + 1]
 
 
 def _bits(values):
@@ -231,9 +233,10 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
-def _pair_with_a_guess_per_grid(L, eps, m, tol):
+def _pair_with_a_guess_per_grid(L, eps, m, tol, newton=newton_semilinear):
     """dirichlet_pair's u, u_half, lam and energy, with the closed form
-    evaluated separately on each grid of the pair."""
+    evaluated separately on the whole of each grid of the pair and solved by
+    newton."""
     mod = modulus_for(eps, L)
     sols = []
     for k in (m, 2 * m):
@@ -241,7 +244,7 @@ def _pair_with_a_guess_per_grid(L, eps, m, tol):
         vals[0] = 0.0
         vals[-1] = 0.0
         guess = GridFunction(a=0.0, b=L, n=k - 1, values=vals)
-        sols.append(newton_semilinear(guess, eps, tol=tol))
+        sols.append(newton(guess, eps, tol=tol))
     lam_pair = [potential(float(np.max(s.values))) for s in sols]
     e_pair = [solver.arc_energy(s, eps) for s in sols]
     return (sols[0].values, sols[1].values, (4.0 * lam_pair[1] - lam_pair[0]) / 3.0,
@@ -261,3 +264,42 @@ def test_dirichlet_pair_matches_a_guess_per_grid(L, ratio, points_per_eps):
     assert np.array_equal(_bits(sol.u_half.values), _bits(u_half))
     assert _bits(sol.lam) == _bits(lam)
     assert _bits(sol.energy) == _bits(energy)
+
+
+@settings(max_examples=25, deadline=None)
+@given(L=st.floats(0.1, 2.0), ratio=st.floats(3.2, 200.0),
+       points_per_eps=st.sampled_from([10, 50]))
+@example(L=0.5, ratio=200.0, points_per_eps=50)
+def test_dirichlet_pair_is_a_palindrome(L, ratio, points_per_eps):
+    eps = L / ratio
+    sol = solver.dirichlet_pair(L, eps, solver.intervals_for(L, eps, points_per_eps))
+    for v in (sol.u.values, sol.u_half.values):
+        assert np.array_equal(_bits(v), _bits(v[::-1]))
+
+
+@pytest.mark.parametrize("points_per_eps", [10, 50, 100])
+@pytest.mark.parametrize("ratio", [3.3, 4.0, 5.0, 7.0, 10.0, 12.0, 15.0, 25.0, 35.0,
+                                   50.0, 55.0, 80.0, 150.0, 200.0, 480.0])
+def test_solve_dirichlet_matches_the_full_grid_newton(ratio, points_per_eps):
+    # the mirror solve against Newton on every point of both grids, from the
+    # closed form on each whole grid.  Measured worst moves over these
+    # inputs: u and u_half 1.42e-14 (bound 5e-14); energy 3.6e-16 relative
+    # (bound 1e-15); slopes 4.8e-14 relative (bound 2e-13); lam 3.4e-13
+    # relative up to L/eps 50 (bound 1e-12, most inputs bit for bit).  Past
+    # L/eps ~ 55 the midpoint rounds to 1.0 on both grids and lam reads 0.0,
+    # where the full grid read 5e-32 to 4e-29 of rounding noise.
+    L = 0.5
+    eps = L / ratio
+    sol = solve_dirichlet(L, eps, points_per_eps=points_per_eps)
+    m = solver.intervals_for(L, eps, points_per_eps)
+    u, u_half, lam, energy = _pair_with_a_guess_per_grid(L, eps, m, 1e-12,
+                                                         newton=newton_full_grid)
+    assert np.max(np.abs(sol.u.values - u)) <= 5e-14
+    assert np.max(np.abs(sol.u_half.values - u_half)) <= 5e-14
+    assert abs(sol.energy / energy - 1.0) <= 1e-15
+    slope = math.sqrt(max(0.0, 2.0 * (potential(0.0) - lam))) / eps
+    assert abs(sol.slope_left / slope - 1.0) <= 2e-13
+    if ratio <= 50.0:
+        assert abs(sol.lam / lam - 1.0) <= 1e-12
+    else:
+        assert sol.lam == 0.0 and 0.0 <= lam <= 1e-28
