@@ -22,14 +22,15 @@ Every profile of one window (T, h) reads one half-line: the grid t of
 n = round(T/h) steps with g, gdot and gddot on it, evaluated once and cached
 for the last window asked for (`_halfline(T, n)`, one entry).  The entry also
 keeps the two results that other window functions read again: w, once
-`profile_w` has solved it (rho, kappa_ode and the constants read it), and
-the four constants, once `profile_constants` has computed them.  It holds
-six arrays of n + 1 floats (t, g, gdot, gddot and w's values and dvalues;
-w's rhs_values is the cached gdot): about 3.8 MB at 80001 points and 12 MB
-at the edge T ~ 251.2 with h = 1e-3.  All of them are read-only and are
-shared by the profiles built on them, and `ode_residual` reads g from the
-half-line of the profile's T and number of points.  The other profiles are
-solved on every call.
+`profile_w` has solved it (rho and kappa_ode read it), and the four
+constants, once `profile_constants` has computed them (it reads w'(0) from
+w's tail integral and does not solve w).  It holds four arrays of n + 1
+floats (t, g, gdot and gddot), about 2.6 MB at 80001 points, and two more
+once w is solved (its values and dvalues; its rhs_values is the cached
+gdot): 3.8 MB at 80001 points and 12 MB at the edge T ~ 251.2 with
+h = 1e-3.  All of them are read-only and are shared by the profiles built
+on them, and `ode_residual` reads g from the half-line of the profile's T
+and number of points.  The other profiles are solved on every call.
 The window ends where gdot(T)^2 leaves the normal float64 range; past it
 `bracket / gdot^2` and kappa's `/ s^2` lose every digit, so a longer T
 raises `DomainError`.
@@ -128,23 +129,19 @@ def _halfline(T, n):
     return _Window(t, T / n, g, gdot, gddot)
 
 
-def _vp_solve(rhs_values, line):
-    """Tail-form variation-of-parameters solve of L f = rhs on the half-line
-    `line` from `_halfline`; no decay guard.
+def _tail_bracket(rhs_values, line):
+    """rg = rhs*gdot and the bracket -int_s^infty rhs*gdot on the half-line
+    `line` from `_halfline`, the first half of `_vp_solve`.
 
     The truncated tail integral int_s^T rhs*gdot is closed by analytic
     continuation of the integrand's exponential decay (rate fitted at the
     boundary): without it the bracket loses all relative accuracy near T,
-    which matters for sources that do not themselves decay.
-
-    Besides its two `cumulative_simpson` outputs it allocates two arrays,
-    the profile's values and rhs*gdot, whose buffer is reused for r' and
-    then f'; every step runs in place with the operands in the order of
-    bracket = -(itail + tail_inf), r' = bracket / gdot^2, f = r gdot and
-    f' = r' gdot + r gddot.
+    which matters for sources that do not themselves decay.  The profile's
+    slope f'(0) is bracket[0] / gdot[0], so a caller that needs only the
+    slope stops here.
     """
-    h, gdot = line.h, line.gdot
-    rg = rhs_values * gdot
+    h = line.h
+    rg = rhs_values * line.gdot
     # int_s^T rhs*gdot accumulated from the right, keeping relative accuracy
     # where the integrand is exponentially small
     bracket = cumulative_simpson(rg[::-1], h)[::-1]
@@ -154,6 +151,21 @@ def _vp_solve(rhs_values, line):
         tail_inf = rg[-1] / mu
     bracket += tail_inf
     np.negative(bracket, out=bracket)         # = -int_s^infty rhs*gdot
+    return rg, bracket
+
+
+def _vp_solve(rhs_values, line):
+    """Tail-form variation-of-parameters solve of L f = rhs on the half-line
+    `line` from `_halfline`; no decay guard.
+
+    rhs*gdot and the bracket come from `_tail_bracket`.  Besides the two
+    `cumulative_simpson` outputs (the bracket and r) it allocates two
+    arrays, the profile's values and rhs*gdot, whose buffer is reused for
+    r' and then f'; every step runs in place with the operands in the order
+    of r' = bracket / gdot^2, f = r gdot and f' = r' gdot + r gddot.
+    """
+    h, gdot = line.h, line.gdot
+    rg, bracket = _tail_bracket(rhs_values, line)
     rprime = np.square(gdot, out=rg)
     np.divide(bracket, rprime, out=rprime)
     r = cumulative_simpson(rprime, h)
@@ -168,22 +180,31 @@ def _vp_solve(rhs_values, line):
 def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H):
     """Unique decaying solution of L f = rhs with f(0) = 0.
 
-    rhs may be a callable of t or an array on the uniform grid.  Data that
-    fail exponential decay at the truncation boundary are rejected.  The
-    grid and heteroclinic values come from the cached `_window(T, h)`: t
-    is read-only, and an array rhs is kept as given (for `profile_w` it is
-    the cached gdot).
+    rhs may be a callable of t or an array on the uniform grid; either is
+    read as a float array.  Data off the grid raise `TruncationError`, a
+    non-finite value `DomainError`, and data that fail exponential decay at
+    the truncation boundary `TruncationError`.  The grid and heteroclinic
+    values come from the cached `_window(T, h)`: t is read-only, and a
+    float64 array rhs is kept as given (for `profile_w` it is the cached
+    gdot).
     """
     line = _window(T, h)
     t = line.t
-    rhs_values = rhs(t) if callable(rhs) else np.asarray(rhs, dtype=float)
+    rhs_values = np.asarray(rhs(t) if callable(rhs) else rhs, dtype=float)
     if rhs_values.shape != t.shape:
         raise TruncationError("rhs grid does not match the profile grid")
+    if not np.isfinite(rhs_values).all():
+        raise DomainError("rhs has a non-finite value on the profile grid")
+    _check_decay(rhs_values, T)
+    return _vp_solve(rhs_values, line)
+
+
+def _check_decay(rhs_values, T):
+    """`solve_profile`'s decay guard: |rhs(T)| may not pass 1e-6."""
     if abs(rhs_values[-1]) > 1e-6:
         raise TruncationError(
             f"rhs({T}) = {rhs_values[-1]:.3e} fails the decay requirement"
         )
-    return _vp_solve(rhs_values, line)
 
 
 def profile_w(T=DEFAULT_T, h=DEFAULT_H):
@@ -250,7 +271,7 @@ def profile_tau_lambda(T=DEFAULT_T, h=DEFAULT_H):
     line = _window(T, h)
     t, g, gdot = line.t, line.g, line.gdot
     vals = -_kappa(t, g, gdot)
-    return ProfileFunction(T=T, h=line.h, values=vals, dvalues=-_kappa_prime(t, g, gdot),
+    return ProfileFunction(T=t[-1], h=line.h, values=vals, dvalues=-_kappa_prime(t, g, gdot),
                            slope0=SQRT2, rhs_values=np.zeros_like(vals))
 
 
@@ -262,24 +283,39 @@ def profile_omega(T=DEFAULT_T, h=DEFAULT_H):
     bounded with omega(t) -> -3 sqrt2 / 4 and omega'(0) = -2 exactly.
     """
     line = _window(T, h)
+    return _vp_solve(_omega_source(line), line)
+
+
+def _omega_source(line):
+    """omega's source 6 g tau_lambda gdot on the half-line `line`."""
     t, g, gdot = line.t, line.g, line.gdot
-    return _vp_solve(6.0 * g * (-_kappa(t, g, gdot)) * gdot, line)
+    return 6.0 * g * (-_kappa(t, g, gdot)) * gdot
 
 
 def profile_constants(T=DEFAULT_T, h=DEFAULT_H):
-    """sigma1, sigma2 by composite Simpson, and the response slopes; computed
-    once per window and kept with it."""
+    """sigma1, sigma2 by composite Simpson, and the response slopes w'(0)
+    and omega'(0); computed once per window and kept with it.
+
+    sigma2 reads tau_geom's values, so tau_geom is solved in full, through
+    `solve_profile`'s decay guard.  Each slope is read from its source's
+    tail integral alone, bracket[0] / gdot[0] from `_tail_bracket`: the
+    value `profile_w` and `profile_omega` report as slope0, bit for bit,
+    without solving either profile.  The window's w is left as it is.
+    w's decay guard is still applied: tau_geom's source t*gdot is below
+    gdot only on windows T < 1, where the two guards differ.
+    """
     line = _window(T, h)
     if line.constants is None:
         t, hh, g, gdot = line.t, line.h, line.g, line.gdot
         sigma1 = simpson(t * gdot * line.gddot, hh)
         tau = profile_tau_geom(T, h)
         sigma2 = 6.0 * simpson(tau.values * g * gdot ** 2, hh)
+        _check_decay(gdot, T)
         line.constants = ProfileConstants(
             sigma1=sigma1,
             sigma2=sigma2,
-            wdot0=profile_w(T, h).slope0,
-            omegadot0=profile_omega(T, h).slope0,
+            wdot0=_tail_bracket(gdot, line)[1][0] / gdot[0],
+            omegadot0=_tail_bracket(_omega_source(line), line)[1][0] / gdot[0],
         )
     return line.constants
 

@@ -290,9 +290,10 @@ def test_shared_parser_keeps_records_apart(tmp_path, capsys):
     assert json.loads((tmp_path / "after-solve.json").read_text())["meta"]["grid_per_eps"] == 50
 
 
-def test_profiles_record_solves_six_profiles(tmp_path, monkeypatch):
-    # w, rho, tau_geom and omega once each, and tau_geom and omega again for
-    # the constants; rho and the constants read the window's w
+def test_profiles_record_solves_five_profiles(tmp_path, monkeypatch):
+    # w, rho, tau_geom and omega once each, and tau_geom again for the
+    # constants; rho reads the window's w, and the constants read w'(0) and
+    # omega'(0) from their tail integrals
     solves = []
     solve = profiles_mod._vp_solve
 
@@ -305,7 +306,7 @@ def test_profiles_record_solves_six_profiles(tmp_path, monkeypatch):
     try:
         name = "profiles.csv"
         assert _run(CASES[name], tmp_path / name) == (GOLDEN / name).read_bytes()
-        assert len(solves) == 6
+        assert len(solves) == 5
     finally:
         profiles_mod._halfline.cache_clear()
 

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import becircle.profiles as profiles_mod
 from becircle import (DomainError, ProfileFunction, TruncationError,
@@ -21,6 +22,39 @@ def test_solve_profile_zero_rhs():
     p = solve_profile(lambda t: np.zeros_like(t))
     assert np.max(np.abs(p.values)) == 0.0
     assert p.slope0 == 0.0
+
+
+@pytest.mark.parametrize("rhs", [lambda t: 0.0, lambda t: [0.0, 0.0]],
+                         ids=["scalar", "short-list"])
+def test_solve_profile_rejects_a_callable_off_the_grid(rhs):
+    with pytest.raises(TruncationError, match="does not match"):
+        solve_profile(rhs, T=20.0)
+
+
+def test_solve_profile_reads_a_list_valued_callable_as_an_array():
+    ref = solve_profile(lambda t: t * heteroclinic(t)[1], T=20.0)
+    p = solve_profile(lambda t: list(t * heteroclinic(t)[1]), T=20.0)
+    assert p.values.tobytes() == ref.values.tobytes() and p.slope0 == ref.slope0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", [0, 1000, -1])
+def test_solve_profile_rejects_a_non_finite_source(bad, where):
+    def rhs(t):
+        v = t * heteroclinic(t)[1]
+        v[where] = bad
+        return v
+
+    with pytest.raises(DomainError, match="non-finite"):
+        solve_profile(rhs, T=20.0)
+
+
+def test_solve_profile_keeps_an_array_source():
+    t, _ = profiles_mod.halfline(T=20.0)
+    rhs = t * heteroclinic(t)[1]
+    assert solve_profile(rhs, T=20.0).rhs_values is rhs
+    line = profiles_mod._window(20.0, 1e-3)
+    assert profile_w(T=20.0).rhs_values is line.gdot
 
 
 def test_solve_profile_rejects_nondecaying_rhs():
@@ -70,6 +104,21 @@ def test_decays_follows_its_definition(profile, T):
             profile(T=T)
         return
     profile(T=T)
+
+
+def test_constants_keep_the_short_window_guard():
+    # tau_geom's source t*gdot is above the decay guard at T = 12; the
+    # constants solve tau_geom and raise its error
+    with pytest.raises(TruncationError, match=r"rhs\(12\.0\) = 1\.447e-06 fails"):
+        profile_constants(T=12.0)
+    # below T = 1 w's source gdot fails its guard first
+    with pytest.raises(TruncationError, match="7.071e-01 fails"):
+        profile_constants(T=1e-6, h=5e-7)
+
+
+def test_every_profile_reports_the_window_end():
+    ends = [fn(T=40).T for fn in PROFILES]
+    assert all(T == 40.0 and type(T) is np.float64 for T in ends)
 
 
 @pytest.mark.parametrize("profile", [profile_rho, profile_kappa_ode],
@@ -238,9 +287,10 @@ def test_one_heteroclinic_evaluation_per_window(monkeypatch):
         profiles_mod._halfline.cache_clear()
 
 
-def test_one_w_solve_per_window(monkeypatch):
-    # w and the constants are kept with the window: w is solved once however
-    # many window functions read it, and the other profiles once each call
+@pytest.fixture
+def vp_solves(monkeypatch):
+    """One entry per `_vp_solve` call from a cold half-line cache: "w" when
+    the source is the window's gdot, "other" otherwise."""
     solves = []
     solve = profiles_mod._vp_solve
 
@@ -250,19 +300,56 @@ def test_one_w_solve_per_window(monkeypatch):
 
     monkeypatch.setattr(profiles_mod, "_vp_solve", counting)
     profiles_mod._halfline.cache_clear()
-    try:
-        for fn in WINDOW_FUNCTIONS:
-            fn(T=20.0, h=1e-3)
-        # rho, tau_geom, kappa_ode, omega, then tau_geom and omega for sigma2
-        # and omega'(0)
-        assert solves.count("w") == 1 and len(solves) == 7
-        profile_w(T=20.0, h=1e-3)
-        profile_constants(T=20.0, h=1e-3)
-        assert len(solves) == 7
-        profile_w(T=20.0, h=5e-4)                   # a new window solves w anew
-        assert solves.count("w") == 2
-    finally:
-        profiles_mod._halfline.cache_clear()
+    yield solves
+    profiles_mod._halfline.cache_clear()
+
+
+def test_one_w_solve_per_window(vp_solves):
+    # w and the constants are kept with the window: w is solved once however
+    # many window functions read it, and the other profiles once each call
+    for fn in WINDOW_FUNCTIONS:
+        fn(T=20.0, h=1e-3)
+    # rho, tau_geom, kappa_ode, omega, then tau_geom for sigma2; the
+    # constants read w'(0) and omega'(0) from their tail integrals
+    assert vp_solves.count("w") == 1 and len(vp_solves) == 6
+    profile_w(T=20.0, h=1e-3)
+    profile_constants(T=20.0, h=1e-3)
+    assert len(vp_solves) == 6
+    profile_w(T=20.0, h=5e-4)                   # a new window solves w anew
+    assert vp_solves.count("w") == 2
+
+
+def test_constants_solve_only_tau_geom(vp_solves):
+    profile_constants(T=80.0)
+    assert vp_solves == ["other"]
+    assert profiles_mod._window(80.0, 1e-3).w is None
+
+
+@pytest.mark.parametrize("T, h", [(20.0, 1e-3), (40.0, 1e-3), (80.0, 1e-3), (40.0, 5e-4),
+                                  (20.001, 1e-3)])
+def test_constant_slopes_equal_the_solved_profiles_bit_for_bit(T, h):
+    # 20.001 has 20002 points: cumulative_simpson closes it with its
+    # backward panel
+    profiles_mod._halfline.cache_clear()
+    pc = profile_constants(T=T, h=h)
+    profiles_mod._halfline.cache_clear()
+    w = profile_w(T=T, h=h)
+    profiles_mod._halfline.cache_clear()
+    om = profile_omega(T=T, h=h)
+    profiles_mod._halfline.cache_clear()
+    assert pc.wdot0 == w.slope0 and pc.omegadot0 == om.slope0
+
+
+@settings(max_examples=40, deadline=None)
+@given(T=st.floats(15.0, 120.0), a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0),
+       c=st.floats(-10.0, 10.0))
+def test_tail_bracket_slope_is_the_solve_slope(T, a, b, c):
+    # decaying sources a gdot + b t gdot + c g gdot^2, on windows of 15-120
+    line = profiles_mod._window(T, 1e-2)
+    t, g, gdot = line.t, line.g, line.gdot
+    rhs = a * gdot + b * t * gdot + c * g * gdot * gdot
+    _, bracket = profiles_mod._tail_bracket(rhs, line)
+    assert bracket[0] / gdot[0] == profiles_mod._vp_solve(rhs, line).slope0
 
 
 WINDOWS = [(40.0, 1e-3), (80.0, 1e-3), (40.0, 5e-4)]
