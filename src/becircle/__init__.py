@@ -12,7 +12,7 @@ from .elliptic_oracle import (EllipticModulus, LambdaEpsPair, ac_family_mod,
                               lambda_of_eps, modulus_for, zero_spacing_from_kp)
 from .bvp_engine import (GridFunction, SpectrumReport, TridiagonalOperator,
                          cumulative_simpson, eig_sturm, linearized_operator,
-                         newton_semilinear, simpson)
+                         newton_semilinear, richardson, simpson)
 from .profiles import (ProfileConstants, ProfileFunction, ode_residual,
                        profile_constants, profile_kappa_ode, profile_omega,
                        profile_rho, profile_tau_geom, profile_tau_lambda,
@@ -20,7 +20,7 @@ from .profiles import (ProfileConstants, ProfileFunction, ode_residual,
 from .solver_1d import (DirichletSolution, LipschitzScan, NodalSolution,
                         arc_energy, dirichlet_pair, existence_threshold,
                         intervals_for, lipschitz_scan, min_energy,
-                        nodal_solution, solve_dirichlet, stencil_slope)
+                        nodal_solution, solve_dirichlet)
 from .balanced_energy import (BrokenTransition, HessianReport, NodeConfig,
                               ac_spectrum, broken_transition, dirichlet_gap,
                               dtn_v, fd_first_variation, first_variation,

@@ -21,17 +21,18 @@ solver_1d.existence_threshold); a shorter arc raises ArcTooShort.
 """
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bvp_engine import (SpectrumReport, TridiagonalOperator, eig_sturm,
-                         linearized_operator, simpson, solve_tridiagonal)
+                         linearized_operator, richardson, simpson,
+                         solve_tridiagonal)
 from .errors import (ArcTooShort, DomainError, NotCritical, SingularJacobian,
                      SingularSystem)
 from .scalar_field import SQRT2, heteroclinic, potential, well_constants
 from .solver_1d import (dirichlet_pair, existence_threshold, intervals_for,
-                        nodal_solution, solve_dirichlet, stencil_slope)
+                        nodal_solution, solve_dirichlet)
 
 
 @dataclass(frozen=True)
@@ -120,14 +121,15 @@ def _transmission(arc):
     (1, 0) on a solved arc, h^2-Richardson paired over the arc's own grids u
     and u_half.
 
-    One gtsv solve per grid; b is the five-point stencil slope at the right
-    end, where the data vanish, so the stencil cancels nothing.  The
-    continuum translation identity forces the near-end slope a = -b; the
-    near-end extraction carries the discrete defect a + b, while b converges
-    cleanly at second order (verified against the closed-form lambda
-    asymptotics).  b ~ lambda/eps underflows float64 near L/eps = 505, so a
-    b that is not a normal number raises DomainError instead of passing a
-    zero or a subnormal on as v or Q.
+    One gtsv solve per grid; b is the one-sided five-point slope
+    -(48 x_{-1} - 36 x_{-2} + 16 x_{-3} - 3 x_{-4})/(12 h) of the solved
+    values x at the right end, where the datum is 0, so the stencil cancels
+    nothing.  The continuum translation identity forces the near-end slope
+    a = -b; the near-end extraction carries the discrete defect a + b, while
+    b converges cleanly at second order (verified against the closed-form
+    lambda asymptotics).  b ~ lambda/eps underflows float64 near L/eps = 505,
+    so a b that is not a normal number raises DomainError instead of passing
+    a zero or a subnormal on as v or Q.
     """
     vals = []
     for u in (arc.u, arc.u_half):
@@ -138,14 +140,14 @@ def _transmission(arc):
             x = solve_tridiagonal(linearized_operator(u.values[1:-1], c2), rhs)
         except SingularJacobian as exc:
             raise SingularSystem(f"linearized solve: {exc}") from exc
-        b = stencil_slope(replace(u, values=np.concatenate(([1.0], x, [0.0]))), "right")
+        b = -(48.0 * x[-1] - 36.0 * x[-2] + 16.0 * x[-3] - 3.0 * x[-4]) / (12.0 * u.h)
         if not abs(b) >= np.finfo(float).tiny:
             raise DomainError(
                 f"transmission {b:.3g} at L/eps = {arc.L / arc.eps:.6g} is not a "
                 "normal float64 (underflow)"
             )
         vals.append(b)
-    return (4.0 * vals[1] - vals[0]) / 3.0
+    return richardson(*vals)
 
 
 def dtn_v(eps, L, points_per_eps=50):

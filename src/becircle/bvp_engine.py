@@ -95,6 +95,11 @@ def simpson(values, h):
     return simpson(v[:-1], h) + 0.5 * h * (v[-2] + v[-1])
 
 
+def richardson(coarse, fine):
+    """h^2-Richardson combination of a quantity on grids of step h and h/2."""
+    return (4.0 * fine - coarse) / 3.0
+
+
 def cumulative_simpson(values, h):
     """Cumulative integral on the grid, fourth-order accurate.
 
@@ -154,18 +159,16 @@ def solve_tridiagonal(op, rhs):
 
 
 def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
-    """Damped Newton for  eps^2 u'' = W'(u)  with the grid's end values as
-    Dirichlet data, for the solution even about the midpoint.
+    """Damped Newton for  eps^2 u'' = W'(u)  on the half [0, L/2] of an arc
+    whose solution is even about its midpoint L/2.
 
-    Raises DomainError unless the interval count n + 1 is even and the two
-    end values are equal.  The iteration runs on u_0..u_M, M = (n + 1)/2,
-    with the ghost value u_{M+1} = u_{M-1}; only the first half of the
-    guess is read.  The midpoint row of the Jacobian couples to u_{M-1}
-    twice, so it and its residual entry are halved: an exact scaling that
-    keeps the matrix symmetric tridiagonal for gtsv.  The result is the
-    palindrome u_0..u_M..u_0 on the full grid, and every residual below is
-    the full grid's: its sup norm, and its 2-norm with each row but the
-    midpoint counted twice.
+    The grid is the half: its left value is the Dirichlet datum and its right
+    end, u_M, is the midpoint, an unknown with the ghost value u_{M+1} =
+    u_{M-1}.  The midpoint row of the Jacobian couples to u_{M-1} twice, so
+    it and its residual entry are halved: an exact scaling that keeps the
+    matrix symmetric tridiagonal for gtsv.  The result is the solved half on
+    the same grid, and every residual below is the full arc's: its sup norm,
+    and its 2-norm with each row but the midpoint counted twice.
 
     Accepts the undamped step when the residual 2-norm decreases, otherwise
     halves it (at most 40 times); when no halving descends it raises
@@ -178,12 +181,7 @@ def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    if grid.n % 2 == 0:
-        raise DomainError(f"newton_semilinear needs an even interval count, got {grid.n + 1}")
-    if grid.values[0] != grid.values[-1]:
-        raise DomainError("newton_semilinear needs equal end values, got "
-                          f"{grid.values[0]!r} and {grid.values[-1]!r}")
-    u = grid.values[:(grid.n + 1) // 2 + 1].copy()
+    u = grid.values.copy()
     h = grid.h
     c2 = (eps / h) ** 2
     floor = 16.0 * _EPS_MACH * c2 * max(1.0, float(np.max(np.abs(u))))
@@ -233,7 +231,7 @@ def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
                 f"newton_semilinear: residual {rnorm:.3e} after {max_iter} iterations",
                 residual=rnorm, iterations=max_iter,
             )
-    return GridFunction(a=grid.a, b=grid.b, n=grid.n, values=np.concatenate((u, u[-2::-1])))
+    return GridFunction(a=grid.a, b=grid.b, n=grid.n, values=u)
 
 
 def _stebz(diag, offdiag, select, select_range, tol):

@@ -13,13 +13,16 @@ from .errors import DomainError
 from .scalar_field import potential
 from .solver_1d import min_energy
 
+_LOG_MAX = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class CutoffSpec:
     """Radial log-cutoff 0 -> 1 between delta and k*delta in flat R^n.
 
     For n = 2 the coupled choice delta = 1/(k ln k) is applied automatically
-    when delta is omitted, keeping k*delta bounded.
+    when delta is omitted, keeping k*delta bounded.  Gamma(n/2) (so n <= 343)
+    and (k*delta)^n, which the energy forms, must be finite in float64.
     """
     n: int
     k: float
@@ -40,6 +43,9 @@ class CutoffSpec:
                 raise DomainError("delta required for n >= 3")
         if not 0.0 < self.delta < math.inf:
             raise DomainError("delta must be positive and finite")
+        if max(math.lgamma(self.n / 2.0), self.n * math.log(self.k * self.delta)) >= _LOG_MAX:
+            raise DomainError(f"Gamma(n/2) or (k*delta)^n overflows float64 at n = {self.n}, "
+                              f"k*delta = {self.k * self.delta:.6g}")
 
 
 def _sphere_area(n):

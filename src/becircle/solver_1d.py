@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bvp_engine import GridFunction, newton_semilinear, simpson
+from .bvp_engine import GridFunction, newton_semilinear, richardson, simpson
 from .elliptic_oracle import ac_family_mod, modulus_for
 from .errors import DomainError, NoPositiveSolution
 from .scalar_field import potential
@@ -67,35 +67,34 @@ def arc_energy(u, eps):
     return 0.5 * eps * grad + pot / eps
 
 
-def _solve_at(L, eps, guess, tol):
-    """Newton on the uniform grid of [0, L] that the guess values sample;
-    the guess's end values are the zero Dirichlet data."""
-    grid = GridFunction(a=0.0, b=L, n=len(guess) - 2, values=guess)
-    return newton_semilinear(grid, eps, tol=tol)
-
-
 def dirichlet_pair(L, eps, m, tol=1e-12):
     """Newton on m and 2m intervals of [0, L], started from the closed form.
 
-    The arc is even about L/2, and Newton solves for the even solution on
-    the first half of its grid (see newton_semilinear).  So the closed form
-    is evaluated once, on the first m + 1 points of the 2m-interval grid,
-    and reflected; the m-interval guess is every other value of that.
-    Halving the step is exact, so linspace(0, L, 2m + 1)[::2] is
-    linspace(0, L, m + 1) bit for bit, and the oracle is elementwise: the
-    half that each Newton call reads is the one a call per grid gives.
-    u is the raw m-interval solution and u_half the raw 2m-interval one,
-    both exact palindromes; lam, the slopes and the energy are their
-    Richardson combination.
+    The arc is even about L/2, and Newton solves for it on the half [0, L/2]
+    of each grid (see newton_semilinear).  The closed form is evaluated once,
+    on the half of the 2m-interval grid, m + 1 points; the m-interval half is
+    every other value of that.  Halving the step is exact, so
+    linspace(0, L, 2m + 1)[::2] is linspace(0, L, m + 1) bit for bit, and the
+    oracle is elementwise: each half is the one a call per grid gives.  m
+    must be even, or the coarse half misses the midpoint, and at least 8, so
+    that the coarse half has 5 points; DomainError otherwise.  u is the
+    m-interval solution and u_half the 2m-interval one, each half mirrored
+    into an exact palindrome on [0, L]; lam and the energy are their
+    Richardson combination, and the slopes follow from lam.
     """
+    if m % 2 or m < 8:
+        raise DomainError(f"dirichlet_pair needs an even interval count >= 8, got {m!r}")
     half = ac_family_mod(np.linspace(0.0, L, 2 * m + 1)[:m + 1] / eps, modulus_for(eps, L))
     half[0] = 0.0
-    guess = np.concatenate((half, half[-2::-1]))
-    sol, sol2 = (_solve_at(L, eps, g, tol) for g in (guess[::2], guess))
-    lam_pair = [potential(float(np.max(s.values))) for s in (sol, sol2)]
-    lam = (4.0 * lam_pair[1] - lam_pair[0]) / 3.0
-    e_pair = [arc_energy(s, eps) for s in (sol, sol2)]
-    energy = (4.0 * e_pair[1] - e_pair[0]) / 3.0
+
+    def solve(g):
+        v = newton_semilinear(GridFunction(a=0.0, b=0.5 * L, n=len(g) - 2, values=g),
+                              eps, tol=tol).values
+        return GridFunction(a=0.0, b=L, n=2 * len(v) - 3, values=np.concatenate((v, v[-2::-1])))
+
+    sol, sol2 = solve(half[::2]), solve(half)
+    lam = richardson(*(potential(float(np.max(s.values))) for s in (sol, sol2)))
+    energy = richardson(*(arc_energy(s, eps) for s in (sol, sol2)))
     c = math.sqrt(max(0.0, 2.0 * (potential(0.0) - lam))) / eps
     return DirichletSolution(L=L, eps=eps, u=sol, u_half=sol2, lam=lam,
                              slope_left=c, slope_right=-c, energy=energy)
@@ -129,16 +128,9 @@ def solve_dirichlet(L, eps, points_per_eps=50, tol=1e-12, refine_values=False):
         )
     sol = dirichlet_pair(L, eps, intervals_for(L, eps, points_per_eps), tol)
     if refine_values:
-        refined = (4.0 * sol.u_half.values[::2] - sol.u.values) / 3.0
+        refined = richardson(sol.u.values, sol.u_half.values[::2])
         sol = replace(sol, u=replace(sol.u, values=refined))
     return sol
-
-
-def stencil_slope(u, side="left"):
-    """One-sided fourth-order endpoint derivative of a grid function."""
-    v = u.values if side == "left" else u.values[::-1]
-    s = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * u.h)
-    return s if side == "left" else -s
 
 
 def nodal_solution(p, eps, points_per_eps=50):

@@ -186,9 +186,10 @@ def ac_spectrum_by_sectors(sol, how_many):
 
 
 def newton_full_grid(grid, eps, tol=1e-12, max_iter=100):
-    """newton_semilinear iterated on every interior point of the grid, with
-    no mirror: the same damped step, descent test on the residual 2-norm,
-    sup-norm stop and rounding floor, for any interval count and end data.
+    """newton_semilinear's iteration on every interior point of a whole
+    grid, with no mirror: the same damped step, descent test on the residual
+    2-norm, sup-norm stop and rounding floor, for any interval count and end
+    data.
     """
     u = grid.values.copy()
     c2 = (eps / grid.h) ** 2
@@ -227,6 +228,13 @@ def newton_full_grid(grid, eps, tol=1e-12, max_iter=100):
                                  f"{max_iter} iterations", residual=rnorm,
                                  iterations=max_iter)
     return GridFunction(a=grid.a, b=grid.b, n=grid.n, values=u)
+
+
+def stencil_slope(u, side="left"):
+    """One-sided fourth-order endpoint derivative of a grid function."""
+    v = u.values if side == "left" else u.values[::-1]
+    s = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * u.h)
+    return s if side == "left" else -s
 
 
 def cycle_laplacian(m):

@@ -101,45 +101,62 @@ def test_cumulative_simpson_in_place_matches_out_of_place(n, seed, h, reverse):
     assert np.array_equal(cumulative_simpson(v, h), _cumulative_simpson_out_of_place(v, h))
 
 
-def _grid(a, b, n, fun):
-    x = np.linspace(a, b, n + 2)
-    return GridFunction(a=a, b=b, n=n, values=fun(x))
+def _half(L, m, fun):
+    """fun on the first half [0, L/2] of the m-interval grid of [0, L], with
+    the Dirichlet datum 0 at x = 0: the grid newton_semilinear takes, whose
+    right end is the midpoint."""
+    x = np.linspace(0.0, L, m + 1)[:m // 2 + 1]
+    values = fun(x)
+    values[0] = 0.0
+    return x, GridFunction(a=0.0, b=0.5 * L, n=m // 2 - 1, values=values)
+
+
+def _mirror(values):
+    """The palindrome on [0, L] of the values on its first half."""
+    return np.concatenate((values, values[-2::-1]))
+
+
+def _arc_residual(values, h, eps):
+    """Sup norm of eps^2 D2 u - W'(u) at the interior points of a full arc."""
+    c2 = (eps / h) ** 2
+    return float(np.max(np.abs(c2 * (values[2:] - 2 * values[1:-1] + values[:-2])
+                               - potential_d1(values[1:-1]))))
 
 
 def test_newton_zero_fixed_point():
-    g = _grid(0.0, 1.0, 99, lambda x: np.zeros_like(x))
+    _, g = _half(1.0, 100, np.zeros_like)
     out = newton_semilinear(g, 0.1)
     assert np.all(out.values == 0.0)
+
+
+def test_newton_returns_its_half_grid():
+    eps, L, m = 0.05, 0.5, 500
+    mod = modulus_for(eps, L)
+    _, guess = _half(L, m, lambda x: ac_family_mod(x / eps, mod))
+    out = newton_semilinear(guess, eps, tol=1e-12)
+    assert (out.a, out.b, out.n) == (0.0, 0.5 * L, m // 2 - 1)
+    assert out.values[0] == 0.0                    # the Dirichlet datum is kept
+    assert out.h == L / m                          # the full grid's step, exactly
 
 
 def test_newton_matches_oracle():
     eps, L = 0.02, 0.5
     mod = modulus_for(eps, L)
-    n = int(round(L / (eps / 50))) - 1
-    x = np.linspace(0.0, L, n + 2)
-    vals = np.array([ac_family_mod(xi / eps, mod) for xi in x])
-    vals[0] = vals[-1] = 0.0
-    guess = GridFunction(a=0.0, b=L, n=n, values=vals)
+    m = int(round(L / (eps / 50)))
+    _, guess = _half(L, m, lambda x: ac_family_mod(x / eps, mod))
     out = newton_semilinear(guess, eps, tol=1e-12)
-    h = out.h
-    c2 = (eps / h) ** 2
-    res = c2 * (out.values[2:] - 2 * out.values[1:-1] + out.values[:-2]) \
-        - potential_d1(out.values[1:-1])
-    assert np.max(np.abs(res)) <= 1e-12
+    assert _arc_residual(_mirror(out.values), out.h, eps) <= 1e-12
 
 
 def test_newton_basin():
     eps, L = 0.05, 0.5
     mod = modulus_for(eps, L)
-    n = int(round(L / (eps / 50))) - 1
-    x = np.linspace(0.0, L, n + 2)
-    vals = np.array([ac_family_mod(xi / eps, mod) for xi in x])
-    vals[0] = vals[-1] = 0.0
-    base = newton_semilinear(GridFunction(a=0.0, b=L, n=n, values=vals),
-                             eps, tol=1e-12)
+    m = int(round(L / (eps / 50)))
+    x, guess = _half(L, m, lambda x: ac_family_mod(x / eps, mod))
+    base = newton_semilinear(guess, eps, tol=1e-12)
     pert = base.values + 1e-3 * np.sin(math.pi * x / L)
-    pert[0] = pert[-1] = 0.0
-    again = newton_semilinear(GridFunction(a=0.0, b=L, n=n, values=pert),
+    pert[0] = 0.0
+    again = newton_semilinear(GridFunction(a=0.0, b=0.5 * L, n=m // 2 - 1, values=pert),
                               eps, tol=1e-12)
     assert np.max(np.abs(again.values - base.values)) < 2e-12
 
@@ -148,25 +165,16 @@ def test_newton_quadratic_decay():
     # residual after k undamped steps from a smooth guess contracts
     # quadratically once in the basin
     eps, L = 0.05, 0.5
-    n = int(round(L / (eps / 50))) - 1
-    x = np.linspace(0.0, L, n + 2)
-    h = L / (n + 1)
-    c2 = (eps / h) ** 2
-
-    def resid(u):
-        return float(np.max(np.abs(
-            c2 * (u[2:] - 2 * u[1:-1] + u[:-2]) - potential_d1(u[1:-1]))))
+    m = int(round(L / (eps / 50)))
 
     from becircle import NonConvergence
 
-    vals = 0.9 * np.sin(math.pi * x / L)
-    vals[0] = vals[-1] = 0.0       # the end values are the Dirichlet data
     hist = []
     for k in range(1, 9):
-        guess = GridFunction(a=0.0, b=L, n=n, values=vals)
+        _, guess = _half(L, m, lambda x: 0.9 * np.sin(math.pi * x / L))
         try:
             out = newton_semilinear(guess, eps, tol=1e-13, max_iter=k)
-            hist.append(resid(out.values))
+            hist.append(_arc_residual(_mirror(out.values), out.h, eps))
             break
         except NonConvergence as exc:
             hist.append(exc.residual)
@@ -199,16 +207,6 @@ def test_newton_solves_per_call(monkeypatch):
         assert len(solves) == 2 and max(solves) <= 3, (ratio, solves)
 
 
-@pytest.mark.parametrize("n, ends", [(98, (0.0, 0.0)), (4, (0.0, 0.0)),
-                                     (99, (0.0, 1e-300)), (99, (0.5, -0.5))])
-def test_newton_rejects_a_grid_without_a_midpoint_mirror(n, ends):
-    # the mirror solve needs an even interval count n + 1 and equal end data
-    vals = np.sin(np.linspace(0.0, math.pi, n + 2))
-    vals[0], vals[-1] = ends
-    with pytest.raises(DomainError):
-        newton_semilinear(GridFunction(a=0.0, b=1.0, n=n, values=vals), 0.1)
-
-
 @settings(max_examples=30, deadline=None)
 @given(ratio=st.floats(3.2, 500.0), points_per_eps=st.sampled_from([10, 50, 100]),
        halved=st.booleans())
@@ -218,16 +216,15 @@ def test_newton_ends_at_floor_on_a_fixed_point(ratio, points_per_eps, halved):
     L, tol = 0.5, 1e-12
     eps = L / ratio
     m = solver.intervals_for(L, eps, points_per_eps) * (2 if halved else 1)
-    guess = ac_family_mod(np.linspace(0.0, L, m + 1) / eps, modulus_for(eps, L))
-    guess[0] = guess[-1] = 0.0
-    out = solver._solve_at(L, eps, guess, tol)
-    v = out.values
+    mod = modulus_for(eps, L)
+    _, guess = _half(L, m, lambda x: ac_family_mod(x / eps, mod))
+    out = newton_semilinear(guess, eps, tol=tol)
+    v = _mirror(out.values)
     c2 = (eps / out.h) ** 2
-    res = c2 * (v[2:] - 2 * v[1:-1] + v[:-2]) - potential_d1(v[1:-1])
     floor = 16.0 * np.finfo(float).eps * c2 * max(1.0, float(np.max(np.abs(v))))
-    assert np.max(np.abs(res)) <= max(tol, floor)
+    assert _arc_residual(v, out.h, eps) <= max(tol, floor)
     again = newton_semilinear(out, eps, tol=tol)
-    assert np.max(np.abs(again.values - v)) <= 1e-12
+    assert np.max(np.abs(again.values - out.values)) <= 1e-12
 
 
 def test_eig_dirichlet_laplacian():

@@ -181,6 +181,9 @@ def test_domain_error_exit_code(capsys):
     ["cutoff-nd", "--n", "2", "--k", "1e4", "--eps", "nan"],
     ["cutoff-nd", "--n", "2", "--k", "nan", "--eps", "0.1"],
     ["cutoff-nd", "--n", "3", "--k", "10", "--eps", "0.1", "--delta", "inf"],
+    ["cutoff-nd", "--n", "400", "--k", "10", "--eps", "0.1", "--delta", "0.001"],
+    ["cutoff-nd", "--n", "200", "--k", "10", "--eps", "0.1", "--delta", "100"],
+    ["cutoff-nd", "--n", "3", "--k", "1e300", "--eps", "0.1", "--delta", "0.001"],
     ["variation", "--nodes", "0,0.5", "--eps", "0.05", "--f", "0,nan"],
     ["solve", "--L", "0.5", "--eps", "0.05", "--tol", "inf"],
     ["solve", "--L", "0.5", "--eps", "0.05", "--tol", "nan"],
@@ -196,7 +199,7 @@ def test_domain_error_exit_code(capsys):
 def test_bad_input_is_a_typed_error(argv, capsys):
     # sweeps need two distinct eps; eps, L, the grid density, Newton's tol,
     # the profile stride and the cutoff's k and delta must be positive and
-    # finite, p positive, the profile truncation T positive and at most
+    # finite, with Gamma(n/2) and (k delta)^n finite, p positive, the profile truncation T positive and at most
     # 251.19 (where gdot(T)^2 leaves the normal range), nodes, scan grid
     # points and the node motion f finite; a gap sweep needs an eps and a
     # two-node scan a grid point with both arcs above 1.05 pi eps, and an

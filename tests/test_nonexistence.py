@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,18 @@ def test_cutoff_spec_validation():
         CutoffSpec(n=3, k=10.0, eps=0.1)        # delta required for n >= 3
     spec = CutoffSpec(n=2, k=100.0, eps=0.1)    # coupled delta automatic
     assert abs(spec.delta - 1.0 / (100.0 * math.log(100.0))) < 1e-15
+
+
+@pytest.mark.parametrize("n, k, delta", [(400, 10.0, 1e-3), (200, 10.0, 100.0),
+                                         (3, 1e300, 1e-3)])
+def test_cutoff_overflow_is_a_domain_error(n, k, delta):
+    # Gamma(200) of the sphere area, delta^n and r^2 on the ramp overflow
+    # float64: the first two raised OverflowError, the last wrote a NaN energy
+    # after two RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            cutoff_energy(CutoffSpec(n=n, k=k, eps=0.1, delta=delta))
 
 
 def test_cutoff_energy_n3_delta_limit():

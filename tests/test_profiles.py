@@ -241,6 +241,29 @@ def test_profile_constants():
     assert abs(pc.omegadot0 + 2.0) < 1e-7
 
 
+@pytest.mark.parametrize("T, h", [(20.0, 1e-3), (40.0, 1e-3), (80.0, 1e-3), (40.0, 5e-4),
+                                  (40.0, 2e-3), (40.0, 5e-3), (40.0, 1e-2)])
+def test_profile_constants_follow_their_measured_laws(T, h):
+    # measured over these windows: sigma1 within 5.6e-17 of -sqrt2/6, w'(0)
+    # within 4.4e-16 of -2/3 and omega'(0) within 5.8e-15 of -2; sigma2 off
+    # by 4.4e-3 h^4 to 4.9e-3 h^4 (4.5e-15 at h = 1e-3, 4.6e-11 at 1e-2)
+    pc = profile_constants(T=T, h=h)
+    target = -1.0 / (3.0 * SQRT2)
+    assert abs(pc.sigma1 - target) <= 1e-15
+    assert abs(pc.wdot0 + 2.0 / 3.0) <= 1e-15
+    assert abs(pc.omegadot0 + 2.0) <= 2e-14
+    assert abs(pc.sigma2 - target) <= 6e-3 * h ** 4 + 1e-14
+
+
+@pytest.mark.parametrize("h", [5e-4, 1e-3, 2e-3, 5e-3, 1e-2])
+def test_ode_residual_is_second_order_in_h(h):
+    # the residual divided by (h/1e-3)^2 was measured in [8.98e-7, 9.41e-7]
+    # for omega and [3.0e-7, 3.14e-7] for w over these steps
+    scale = (h / 1e-3) ** 2
+    assert 0.8e-6 <= ode_residual(profile_omega(h=h)) / scale <= 1.0e-6
+    assert 2.7e-7 <= ode_residual(profile_w(h=h)) / scale <= 3.4e-7
+
+
 def test_constants_stability():
     base = profile_constants()
     t_doubled = profile_constants(T=80.0)

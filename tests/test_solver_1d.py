@@ -8,11 +8,11 @@ import becircle.solver_1d as solver
 from becircle import (DomainError, GridFunction, NoPositiveSolution,
                       existence_threshold, lambda_of_eps, lipschitz_scan,
                       min_energy, modulus_for, newton_semilinear,
-                      nodal_solution, potential, solve_dirichlet, stencil_slope)
+                      nodal_solution, potential, solve_dirichlet)
 from becircle.bvp_engine import TridiagonalOperator, eig_sturm
 from becircle.elliptic_oracle import ac_family_mod
 from oracles import (arc_energy_tolerance, exact_arc_energy, newton_full_grid,
-                     periodic_residual)
+                     periodic_residual, stencil_slope)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -108,17 +108,17 @@ def test_solve_dirichlet_uniqueness_probe():
     eps, L = 0.02, 0.5
     ref = solve_dirichlet(L, eps)
     rng = np.random.default_rng(5)
-    m = len(ref.u.values) - 1
-    x = ref.u.x()
-    arch = ref.u.values
+    half = (len(ref.u.values) - 1) // 2 + 1       # the points of [0, L/2]
+    x = ref.u.x()[:half]
+    arch = ref.u.values[:half]
     for _ in range(10):
         amp = rng.uniform(0.7, 1.3)
         wobble = 1.0 + 0.05 * np.sin(rng.integers(1, 5) * math.pi * x / L)
         vals = amp * arch * wobble
-        vals[0] = vals[-1] = 0.0
-        guess = GridFunction(a=0.0, b=L, n=m - 1, values=vals)
+        vals[0] = 0.0
+        guess = GridFunction(a=0.0, b=0.5 * L, n=half - 2, values=vals)
         out = newton_semilinear(guess, eps, tol=1e-12)
-        assert np.max(np.abs(out.values - ref.u.values)) < 1e-7
+        assert np.max(np.abs(out.values - arch)) < 1e-7
 
 
 def test_nodal_solution_structure():
@@ -228,15 +228,55 @@ def test_one_closed_form_evaluation_per_pair(monkeypatch):
     assert sizes == [solver.intervals_for(0.5, 0.05, 50) + 1]
 
 
+def test_one_pair_makes_two_newton_calls_on_the_halves(monkeypatch):
+    # Newton iterates on the half [0, L/2] of each grid of the pair, midpoint
+    # included: m/2 + 1 points on the m-interval grid, m + 1 on the 2m one
+    points = []
+    real = solver.newton_semilinear
+
+    def counted(grid, *args, **kwargs):
+        points.append(grid.n + 2)
+        return real(grid, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_semilinear", counted)
+    for L, eps in ((0.5, 0.05), (1.0, 0.004)):
+        points.clear()
+        solve_dirichlet(L, eps)
+        m = solver.intervals_for(L, eps, 50)
+        assert points == [m // 2 + 1, m + 1], (L, eps, points)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 7, 9, 401])
+def test_dirichlet_pair_rejects_an_odd_or_small_interval_count(m):
+    # for an odd m the coarse half misses the midpoint; below m = 8 it has
+    # fewer than 5 points
+    with pytest.raises(DomainError):
+        solver.dirichlet_pair(0.5, 0.05, m)
+
+
+def test_dirichlet_pair_accepts_the_smallest_even_count():
+    sol = solver.dirichlet_pair(0.5, 0.05, 8)
+    assert (len(sol.u.values), len(sol.u_half.values)) == (9, 17)
+
+
 def _bits(values):
     """Bit patterns of float64 values, so that -0.0 and 0.0 differ too."""
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
-def _pair_with_a_guess_per_grid(L, eps, m, tol, newton=newton_semilinear):
+def _newton_on_the_half(grid, eps, tol):
+    """newton_semilinear on the first half of an arc's grid, mirrored back
+    onto the whole grid."""
+    k = (grid.n + 1) // 2                          # the intervals of [0, L/2]
+    half = GridFunction(a=grid.a, b=0.5 * grid.b, n=k - 1, values=grid.values[:k + 1])
+    v = newton_semilinear(half, eps, tol=tol).values
+    return GridFunction(a=grid.a, b=grid.b, n=grid.n, values=np.concatenate((v, v[-2::-1])))
+
+
+def _pair_with_a_guess_per_grid(L, eps, m, tol, newton=_newton_on_the_half):
     """dirichlet_pair's u, u_half, lam and energy, with the closed form
     evaluated separately on the whole of each grid of the pair and solved by
-    newton."""
+    newton, which takes and returns the whole grid."""
     mod = modulus_for(eps, L)
     sols = []
     for k in (m, 2 * m):
