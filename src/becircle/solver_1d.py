@@ -17,6 +17,8 @@ from .elliptic_oracle import ac_family_mod, modulus_for
 from .errors import DomainError, NoPositiveSolution
 from .scalar_field import potential
 
+_TINY = np.finfo(float).tiny  # the smallest normal float64
+
 
 def existence_threshold(L):
     """Largest eps admitting a positive Dirichlet solution on length L: L/pi."""
@@ -49,22 +51,38 @@ class NodalSolution:
 def intervals_for(L, eps, points_per_eps):
     """Even interval count for [0, L] at points_per_eps grid points per eps;
     every arc solve takes its grid here, so eps and points_per_eps must be
-    positive and finite."""
+    positive and finite, the step a normal float (a subnormal eps gives a
+    subnormal step) and the count finite."""
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
     if not 0.0 < points_per_eps < math.inf:
         raise DomainError(f"points per eps must be positive and finite, got {points_per_eps!r}")
-    m = int(round(L / min(eps / points_per_eps, L / 400.0)))  # at least 400
+    step = min(eps / points_per_eps, L / 400.0)  # at least 400 intervals
+    if not (step >= _TINY and L / step < math.inf):
+        raise DomainError(f"no normal grid step with a finite interval count for L = {L}, "
+                          f"eps = {eps} at {points_per_eps} points per eps")
+    m = int(round(L / step))
     return m + (m % 2)  # even interval count keeps the Simpson point count odd
 
 
 def arc_energy(u, eps):
-    """E_eps of a grid function: midpoint-rule gradient + Simpson potential."""
+    """E_eps of a grid function: midpoint-rule gradient + Simpson potential.
+
+    The squared difference quotients scale as 1/eps^2: DomainError when
+    their sum overflows or their largest is not a normal float, so that the
+    gradient term lost its digits or vanished.  At L/eps = 20 and 50 points
+    per eps that leaves eps from about 1e-153 to 4.7e153.
+    """
     h = u.h
     du = np.diff(u.values) / h
-    grad = np.sum(du * du) * h
+    with np.errstate(over="ignore", under="ignore"):
+        du *= du
+        grad = np.sum(du)
+    if not (grad < math.inf and np.max(du) >= _TINY):
+        raise DomainError(f"the gradient term of the energy is not representable "
+                          f"in float64 at eps = {eps!r}, h = {h!r}")
     pot = simpson(potential(u.values), h)
-    return 0.5 * eps * grad + pot / eps
+    return 0.5 * eps * (grad * h) + pot / eps
 
 
 def dirichlet_pair(L, eps, m, tol=1e-12):
@@ -84,7 +102,8 @@ def dirichlet_pair(L, eps, m, tol=1e-12):
     """
     if m % 2 or m < 8:
         raise DomainError(f"dirichlet_pair needs an even interval count >= 8, got {m!r}")
-    half = ac_family_mod(np.linspace(0.0, L, 2 * m + 1)[:m + 1] / eps, modulus_for(eps, L))
+    mod = modulus_for(eps, L)  # rejects L/eps past ~1958 before the grid is built
+    half = ac_family_mod(np.linspace(0.0, L, 2 * m + 1)[:m + 1] / eps, mod)
     half[0] = 0.0
 
     def solve(g):

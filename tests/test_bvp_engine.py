@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import becircle.bvp_engine as engine
 import becircle.solver_1d as solver
-from becircle import (DomainError, GridFunction, SingularJacobian, TridiagonalOperator,
-                      cumulative_simpson, eig_sturm, heteroclinic,
+from becircle import (DomainError, GridFunction, NonConvergence, SingularJacobian,
+                      TridiagonalOperator, cumulative_simpson, eig_sturm, heteroclinic,
                       newton_semilinear, simpson, solve_dirichlet)
 from becircle.bvp_engine import solve_tridiagonal
 from becircle.elliptic_oracle import ac_family_mod, modulus_for
@@ -167,8 +168,6 @@ def test_newton_quadratic_decay():
     eps, L = 0.05, 0.5
     m = int(round(L / (eps / 50)))
 
-    from becircle import NonConvergence
-
     hist = []
     for k in range(1, 9):
         _, guess = _half(L, m, lambda x: 0.9 * np.sin(math.pi * x / L))
@@ -187,7 +186,7 @@ def test_newton_quadratic_decay():
 def test_newton_solves_per_call(monkeypatch):
     # on the halved grid of a Richardson pair the rounding floor sits above
     # tol; the iteration must end there with one full step, not keep
-    # line-searching among noise-level residuals
+    # stepping among noise-level residuals
     real_solve, real_newton = engine.solve_tridiagonal, solver.newton_semilinear
     solves = []
 
@@ -205,6 +204,40 @@ def test_newton_solves_per_call(monkeypatch):
         solves.clear()
         solve_dirichlet(0.5, 0.5 / ratio)
         assert len(solves) == 2 and max(solves) <= 3, (ratio, solves)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ratio=st.floats(3.2, 1950.0), points_per_eps=st.sampled_from([10, 20, 50, 100]),
+       halved=st.booleans())
+@example(ratio=1950.0, points_per_eps=100, halved=True)
+@example(ratio=3.2, points_per_eps=10, halved=False)
+@example(ratio=3.2, points_per_eps=100, halved=True)
+def test_newton_full_steps_contract_from_the_closed_form(ratio, points_per_eps, halved):
+    # Newton takes every step whole, with no globalization: from the closed
+    # form, as dirichlet_pair starts it, each step must cut the sup-norm
+    # residual at least 10x until it is below max(tol, floor) (measured worst
+    # 0.055, at L/eps 4.9 on a 400-interval grid), and a call makes at most 3
+    # linear solves
+    L, tol = 0.5, 1e-12
+    eps = L / ratio
+    m = solver.intervals_for(L, eps, points_per_eps) * (2 if halved else 1)
+    _, guess = _half(L, m, lambda x: ac_family_mod(x / eps, modulus_for(eps, L)))
+    c2 = (eps / guess.h) ** 2
+    floor = 16.0 * np.finfo(float).eps * c2 * max(1.0, float(np.max(np.abs(guess.values))))
+    hist = [_arc_residual(_mirror(guess.values), guess.h, eps)]
+    for k in range(1, 4):
+        if hist[-1] <= max(tol, floor):
+            break
+        try:
+            out = newton_semilinear(guess, eps, tol=tol, max_iter=k)
+            hist.append(_arc_residual(_mirror(out.values), out.h, eps))
+        except NonConvergence as exc:
+            hist.append(exc.residual)
+        assert hist[-1] <= 0.1 * hist[-2], hist
+    assert hist[-1] <= max(tol, floor), hist
+    with mock.patch.object(engine, "solve_tridiagonal", wraps=engine.solve_tridiagonal) as solve:
+        newton_semilinear(guess, eps, tol=tol)
+    assert solve.call_count <= 3, (solve.call_count, hist)
 
 
 @settings(max_examples=30, deadline=None)

@@ -195,13 +195,22 @@ def test_domain_error_exit_code(capsys):
     ["two-node-scan", "--eps", "0.02", "--grid", ","],
     ["two-node-scan", "--eps", "0.2", "--grid", "0.5"],
     ["index", "--p", "3", "--eps", "0.1"],
+    ["cutoff-nd", "--n", "3", "--k", "10", "--eps", "1e-320", "--delta", "0.001"],
+    ["cutoff-nd", "--n", "3", "--k", "1.0000000000001", "--eps", "1e300", "--delta", "0.001"],
+    ["solve", "--L", "0.5", "--eps", "1e-320"],
+    ["be", "--nodes", "0,0.5", "--eps", "1e-320"],
+    ["solve", "--L", "0.5", "--eps", "5e-6"],
+    ["solve", "--L", "2e-153", "--eps", "1e-154"],
+    ["solve", "--L", "2e200", "--eps", "1e198"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_bad_input_is_a_typed_error(argv, capsys):
     # sweeps need two distinct eps; eps, L, the grid density, Newton's tol,
     # the profile stride and the cutoff's k and delta must be positive and
-    # finite, with Gamma(n/2) and (k delta)^n finite, p positive, the profile truncation T positive and at most
-    # 251.19 (where gdot(T)^2 leaves the normal range), nodes, scan grid
-    # points and the node motion f finite; a gap sweep needs an eps and a
+    # finite, with Gamma(n/2), (k delta)^n and each term of the cutoff energy
+    # finite, an arc's grid step normal, L/eps within the representable
+    # moduli and its gradient term inside float64, p positive, the profile
+    # truncation T positive and at most 251.19 (where gdot(T)^2 leaves the
+    # normal range), nodes, scan grid points and the node motion f finite; a gap sweep needs an eps and a
     # two-node scan a grid point with both arcs above 1.05 pi eps, and an
     # index table an admissible row: never a traceback, never a NaN written
     # into a record, and never a claim made on no data

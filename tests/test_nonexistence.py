@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from becircle import (CutoffSpec, DomainError, cutoff_energy,
                       cutoff_gradient_closed, min_energy, two_node_scan)
@@ -28,6 +29,37 @@ def test_cutoff_overflow_is_a_domain_error(n, k, delta):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             cutoff_energy(CutoffSpec(n=n, k=k, eps=0.1, delta=delta))
+
+
+@pytest.mark.parametrize("k, eps", [(10.0, 1e-320), (1.0000000000001, 1e300)])
+def test_cutoff_energy_past_float64_is_a_domain_error(k, eps):
+    # the ball and ramp terms divide by eps, and the gradient term is
+    # eps w radial / ln(k)^2: both wrote an infinite energy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            CutoffSpec(n=3, k=k, eps=eps, delta=1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 343), log10_k_minus_1=st.floats(-14.0, 300.0),
+       log10_eps=st.floats(-323.0, 308.0), log10_delta=st.floats(-323.0, 300.0))
+@example(n=3, log10_k_minus_1=math.log10(9.0), log10_eps=-300.0, log10_delta=-3.0)
+@example(n=3, log10_k_minus_1=-13.0, log10_eps=280.0, log10_delta=-3.0)
+@example(n=3, log10_k_minus_1=100.0, log10_eps=-15.0, log10_delta=0.0)    # the ramp overflows
+@example(n=120, log10_k_minus_1=-4.0, log10_eps=-1.0,                     # Simpson's sum does
+         log10_delta=math.log10(366.6))
+def test_an_accepted_cutoff_has_a_finite_energy(n, log10_k_minus_1, log10_eps, log10_delta):
+    # CutoffSpec bounds every value cutoff_energy forms: what it accepts
+    # evaluates to a finite energy with no overflow warning
+    k = 1.0 + 10.0 ** log10_k_minus_1
+    try:
+        spec = CutoffSpec(n=n, k=k, eps=10.0 ** log10_eps, delta=10.0 ** log10_delta)
+    except DomainError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(cutoff_energy(spec))
 
 
 def test_cutoff_energy_n3_delta_limit():

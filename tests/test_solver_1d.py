@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,49 @@ def test_energy_matches_the_closed_form(L, ratio, points_per_eps):
     exact = exact_arc_energy(eps, L)
     gap = abs(solve_dirichlet(L, eps, points_per_eps=points_per_eps).energy / exact - 1.0)
     assert gap <= arc_energy_tolerance(eps, L, points_per_eps)
+
+
+@pytest.mark.parametrize("L, eps", [(0.5, 1e-320), (0.5, 5e-324), (1e-319, 1e-320),
+                                     (1.0, 49 * np.finfo(float).tiny), (1e10, 1e-300)])
+def test_no_normal_grid_step_is_a_domain_error(L, eps):
+    # a subnormal eps gives a subnormal step, and a large L over a small
+    # step an infinite count: int(round(inf)) raised OverflowError
+    with pytest.raises(DomainError):
+        solver.intervals_for(L, eps, 50)
+    with pytest.raises(DomainError):
+        solve_dirichlet(L, eps)
+
+
+def test_the_smallest_normal_grid_step_is_accepted():
+    assert solver.intervals_for(1.0, 50 * np.finfo(float).tiny, 50) > 1e307
+
+
+def test_an_arc_past_the_moduli_is_rejected_before_its_grid_is_built():
+    # L/eps = 1e5 is past the largest representable modulus (about 1958);
+    # the 2m + 1 = 1e7-point grid took 114 MiB before the rejection
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            solve_dirichlet(0.5, 5e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ratio", [3.5, 20.0, 200.0])
+def test_arc_energy_is_scale_free_until_its_gradient_term_leaves_float64(ratio):
+    # the squared difference quotients scale as 1/eps^2: their sum overflows
+    # below eps ~ 1e-153 (the energy read NaN) and their largest leaves the
+    # normal range above ~4.7e153 (the energy lost digits, and at 1e200
+    # read the potential term alone)
+    ref = solve_dirichlet(1.0, 1.0 / ratio).energy
+    for eps in (1e-153, 1e-150, 1e-100, 1e100, 1e150, 1e153):
+        assert abs(solve_dirichlet(ratio * eps, eps).energy / ref - 1.0) <= 1e-14, eps
+    for eps in (1e-154, 1e-200, 1e-300, 5e153, 1e156, 1e200):
+        with pytest.raises(DomainError):
+            solve_dirichlet(ratio * eps, eps)
 
 
 def test_solve_dirichlet_uniqueness_probe():
@@ -321,13 +365,15 @@ def test_dirichlet_pair_is_a_palindrome(L, ratio, points_per_eps):
 @pytest.mark.parametrize("ratio", [3.3, 4.0, 5.0, 7.0, 10.0, 12.0, 15.0, 25.0, 35.0,
                                    50.0, 55.0, 80.0, 150.0, 200.0, 480.0])
 def test_solve_dirichlet_matches_the_full_grid_newton(ratio, points_per_eps):
-    # the mirror solve against Newton on every point of both grids, from the
-    # closed form on each whole grid.  Measured worst moves over these
-    # inputs: u and u_half 1.42e-14 (bound 5e-14); energy 3.6e-16 relative
-    # (bound 1e-15); slopes 4.8e-14 relative (bound 2e-13); lam 3.4e-13
-    # relative up to L/eps 50 (bound 1e-12, most inputs bit for bit).  Past
-    # L/eps ~ 55 the midpoint rounds to 1.0 on both grids and lam reads 0.0,
-    # where the full grid read 5e-32 to 4e-29 of rounding noise.
+    # the mirror solve against the damped Newton on every point of both
+    # grids, from the closed form on each whole grid; the full-step library
+    # iteration agreeing with it shows that damping does not change the
+    # solution from the closed form on these inputs.  Measured worst moves
+    # over these inputs: u and u_half 1.42e-14 (bound 5e-14); energy 3.6e-16
+    # relative (bound 1e-15); slopes 4.8e-14 relative (bound 2e-13); lam
+    # 3.4e-13 relative up to L/eps 50 (bound 1e-12, most inputs bit for
+    # bit).  Past L/eps ~ 55 the midpoint rounds to 1.0 on both grids and lam
+    # reads 0.0, where the full grid read 5e-32 to 4e-29 of rounding noise.
     L = 0.5
     eps = L / ratio
     sol = solve_dirichlet(L, eps, points_per_eps=points_per_eps)
