@@ -70,6 +70,7 @@ be --nodes 0,0.5 --eps 1e-320
 solve --L 0.5 --eps 5e-6
 solve --L 2e-153 --eps 1e-154
 solve --L 2e200 --eps 1e198
+solve --L 0.5 --eps 0.05 --grid-per-eps 801
 ROWS
 echo "ok: $rows rows"
 

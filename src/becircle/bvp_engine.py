@@ -172,12 +172,14 @@ def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
 
     Every iteration takes the full step: callers start it from the elliptic
     closed form, where each step cuts the residual at least 18x (L/eps from
-    pi to 1950, 10-100 points per eps).  Rounding limits the residual to
-    about machine_eps * (eps/h)^2.  Below tol the iteration stops; below
-    that floor the residual is rounding noise, so the step just solved for
-    is applied and the iteration stops: the error after it is O(|step|^2)
-    (the error-based termination of Deuflhard, Newton Methods for Nonlinear
-    Problems, 2.1).  NonConvergence if max_iter steps end above both.
+    pi to 1950, every grid intervals_for gives).  Rounding limits the
+    residual to about machine_eps * (eps/h)^2.  Below tol the iteration
+    stops; below that floor the residual is rounding noise, so the step
+    just solved for is applied and the iteration stops: the error after it
+    is O(|step|^2) (Deuflhard, Newton Methods for Nonlinear Problems, 2.1).
+    NonConvergence if max_iter steps end above both.  A guess far from the
+    closed form crawls (a cubic W' shrinks a large u by a third per step)
+    or overflows W'(u): NonConvergence or SingularJacobian.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")

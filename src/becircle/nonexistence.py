@@ -2,7 +2,6 @@
 driving the infimum of the balanced energy to zero, and the two-node
 non-attainment scan on the circle.
 """
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -15,7 +14,6 @@ from .scalar_field import potential
 from .solver_1d import min_energy
 
 _LOG_MAX = math.log(np.finfo(float).max)
-_RAMP_POINTS = 4001  # cutoff_energy's Simpson grid on [delta, k delta]
 
 
 @dataclass(frozen=True)
@@ -24,9 +22,7 @@ class CutoffSpec:
 
     For n = 2 the coupled choice delta = 1/(k ln k) is applied automatically
     when delta is omitted, keeping k*delta bounded.  Gamma(n/2) (so n <= 343)
-    and (k*delta)^n, which the energy forms, must be finite in float64, and
-    so must an upper bound on each value cutoff_energy forms; DomainError
-    otherwise.
+    and (k*delta)^n, which the energy forms, must be finite in float64.
     """
     n: int
     k: float
@@ -50,32 +46,6 @@ class CutoffSpec:
         if max(math.lgamma(self.n / 2.0), self.n * math.log(self.k * self.delta)) >= _LOG_MAX:
             raise DomainError(f"Gamma(n/2) or (k*delta)^n overflows float64 at n = {self.n}, "
                               f"k*delta = {self.k * self.delta:.6g}")
-        # upper bounds on the logs of the values cutoff_energy forms, in its
-        # order: no term, partial product or Simpson sum may overflow (eps
-        # near either end of the float64 range, or k near 1 in the gradient's
-        # 1/ln(k)^2), nor the sum of the three terms (the log(3) below)
-        n, lk, ld, le = self.n, math.log(self.k), math.log(self.delta), math.log(self.eps)
-        lw = math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n)
-        ramp_length = math.log(self.k - 1.0) + ld
-        # int_delta^{k delta} r^{n-3} dr, at most the length times (k delta)^{n-3}
-        radial = math.log(lk) if n == 2 else ramp_length + (n - 3) * (ld + lk)
-        gradient = _log_peak(math.log(0.5) + le, lw, radial, -2.0 * math.log(lk))
-        ball = _log_peak(n * ld, lw, -math.log(n), math.log(potential(0.0)), -le)
-        # Simpson's bracket is at most 3 (_RAMP_POINTS - 1) times the largest
-        # integrand W(f) r^(n-1) <= (k delta)^(n-1) / 4; times h/3 it is at
-        # most that times the ramp length
-        bracket = math.log(3.0 * (_RAMP_POINTS - 1))
-        ramp = _log_peak((n - 1) * (ld + lk) + math.log(potential(0.0)), bracket,
-                         ramp_length - bracket, lw, -le)
-        if math.log(3.0) + max(gradient, ball, ramp) >= _LOG_MAX:
-            raise DomainError(f"the cutoff energy overflows float64 at n = {self.n}, "
-                              f"k = {self.k!r}, eps = {self.eps!r}, delta = {self.delta!r}")
-
-
-def _log_peak(*log_factors):
-    """Log magnitude of the largest running product of factors given by
-    their log magnitudes, taken left to right."""
-    return max(itertools.accumulate(log_factors))
 
 
 def _sphere_area(n):
@@ -97,14 +67,21 @@ def cutoff_gradient_closed(spec):
 
 def cutoff_energy(spec):
     """Exact radial energy of the log cutoff: closed-form gradient plus the
-    potential term quadrature (W = 1/4 on the inner ball, W(f) on the ramp)."""
+    potential term quadrature (W = 1/4 on the inner ball, W(f) on the ramp).
+    DomainError if the energy is not finite in float64 (eps near either end
+    of its range, or k near 1 in the gradient's 1/ln(k)^2)."""
     w = _sphere_area(spec.n)
-    ball = w * spec.delta ** spec.n / spec.n * potential(0.0) / spec.eps
-    r = np.linspace(spec.delta, spec.k * spec.delta, _RAMP_POINTS)
-    h = r[1] - r[0]
-    f = np.log(r / spec.delta) / math.log(spec.k)
-    ramp = w * simpson(potential(f) * r ** (spec.n - 1), h) / spec.eps
-    return cutoff_gradient_closed(spec) + ball + ramp
+    with np.errstate(over="ignore", invalid="ignore"):
+        ball = w * spec.delta ** spec.n / spec.n * potential(0.0) / spec.eps
+        r = np.linspace(spec.delta, spec.k * spec.delta, 4001)
+        h = r[1] - r[0]
+        f = np.log(r / spec.delta) / math.log(spec.k)
+        ramp = w * simpson(potential(f) * r ** (spec.n - 1), h) / spec.eps
+        energy = cutoff_gradient_closed(spec) + ball + ramp
+    if not math.isfinite(energy):
+        raise DomainError(f"the cutoff energy overflows float64 at n = {spec.n}, "
+                          f"k = {spec.k!r}, eps = {spec.eps!r}, delta = {spec.delta!r}")
+    return energy
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,10 @@ from .errors import DomainError, NoPositiveSolution
 from .scalar_field import potential
 
 _TINY = np.finfo(float).tiny  # the smallest normal float64
+# finest grid accepted: from the closed form, Newton's full steps are tested
+# to contract from 400 intervals up to here, and the 2m-interval grid of a
+# Richardson pair stays below 3.2e6 points at L/eps <= 1958
+_MAX_POINTS_PER_EPS = 800
 
 
 def existence_threshold(L):
@@ -50,13 +54,14 @@ class NodalSolution:
 
 def intervals_for(L, eps, points_per_eps):
     """Even interval count for [0, L] at points_per_eps grid points per eps;
-    every arc solve takes its grid here, so eps and points_per_eps must be
-    positive and finite, the step a normal float (a subnormal eps gives a
-    subnormal step) and the count finite."""
+    every arc solve takes its grid here, so eps must be positive and finite,
+    points_per_eps positive and at most 800, the step a normal float (a
+    subnormal eps gives a subnormal step) and the count finite."""
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
-    if not 0.0 < points_per_eps < math.inf:
-        raise DomainError(f"points per eps must be positive and finite, got {points_per_eps!r}")
+    if not 0.0 < points_per_eps <= _MAX_POINTS_PER_EPS:
+        raise DomainError(f"points per eps must be positive and at most "
+                          f"{_MAX_POINTS_PER_EPS}, got {points_per_eps!r}")
     step = min(eps / points_per_eps, L / 400.0)  # at least 400 intervals
     if not (step >= _TINY and L / step < math.inf):
         raise DomainError(f"no normal grid step with a finite interval count for L = {L}, "

@@ -207,17 +207,22 @@ def test_newton_solves_per_call(monkeypatch):
 
 
 @settings(max_examples=30, deadline=None)
-@given(ratio=st.floats(3.2, 1950.0), points_per_eps=st.sampled_from([10, 20, 50, 100]),
+@given(ratio=st.floats(3.2, 1950.0),
+       points_per_eps=st.sampled_from([0.2, 1, 2, 5, 10, 20, 50, 100, 200, 800]),
        halved=st.booleans())
-@example(ratio=1950.0, points_per_eps=100, halved=True)
+@example(ratio=1950.0, points_per_eps=800, halved=True)   # the largest accepted grid
+@example(ratio=407.0, points_per_eps=0.2, halved=False)   # 400 intervals, 4 solves
 @example(ratio=3.2, points_per_eps=10, halved=False)
 @example(ratio=3.2, points_per_eps=100, halved=True)
 def test_newton_full_steps_contract_from_the_closed_form(ratio, points_per_eps, halved):
     # Newton takes every step whole, with no globalization: from the closed
     # form, as dirichlet_pair starts it, each step must cut the sup-norm
-    # residual at least 10x until it is below max(tol, floor) (measured worst
-    # 0.055, at L/eps 4.9 on a 400-interval grid), and a call makes at most 3
-    # linear solves
+    # residual at least 10x or end below max(tol, floor) (measured worst
+    # 0.054, at L/eps 4.9 on a 400-interval grid).  Points per eps run over
+    # the whole accepted range: at or below 0.2, every grid up to L/eps 1958
+    # is intervals_for's 400-interval floor, so 0.2 stands for all of them.
+    # A call makes at most 3 linear solves on a grid of at least one point
+    # per eps, 4 below
     L, tol = 0.5, 1e-12
     eps = L / ratio
     m = solver.intervals_for(L, eps, points_per_eps) * (2 if halved else 1)
@@ -225,7 +230,7 @@ def test_newton_full_steps_contract_from_the_closed_form(ratio, points_per_eps, 
     c2 = (eps / guess.h) ** 2
     floor = 16.0 * np.finfo(float).eps * c2 * max(1.0, float(np.max(np.abs(guess.values))))
     hist = [_arc_residual(_mirror(guess.values), guess.h, eps)]
-    for k in range(1, 4):
+    for k in range(1, 5):
         if hist[-1] <= max(tol, floor):
             break
         try:
@@ -233,11 +238,13 @@ def test_newton_full_steps_contract_from_the_closed_form(ratio, points_per_eps, 
             hist.append(_arc_residual(_mirror(out.values), out.h, eps))
         except NonConvergence as exc:
             hist.append(exc.residual)
-        assert hist[-1] <= 0.1 * hist[-2], hist
+        # a converged step ends at rounding, about floor / 8, which can be
+        # less than a 10x cut of a residual just above the floor
+        assert hist[-1] <= max(0.1 * hist[-2], tol, floor), hist
     assert hist[-1] <= max(tol, floor), hist
     with mock.patch.object(engine, "solve_tridiagonal", wraps=engine.solve_tridiagonal) as solve:
         newton_semilinear(guess, eps, tol=tol)
-    assert solve.call_count <= 3, (solve.call_count, hist)
+    assert solve.call_count <= (3 if points_per_eps >= 1 else 4), (solve.call_count, hist)
 
 
 @settings(max_examples=30, deadline=None)

@@ -202,6 +202,7 @@ def test_domain_error_exit_code(capsys):
     ["solve", "--L", "0.5", "--eps", "5e-6"],
     ["solve", "--L", "2e-153", "--eps", "1e-154"],
     ["solve", "--L", "2e200", "--eps", "1e198"],
+    ["solve", "--L", "0.5", "--eps", "0.05", "--grid-per-eps", "801"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_bad_input_is_a_typed_error(argv, capsys):
     # sweeps need two distinct eps; eps, L, the grid density, Newton's tol,

@@ -35,10 +35,11 @@ def test_cutoff_overflow_is_a_domain_error(n, k, delta):
 def test_cutoff_energy_past_float64_is_a_domain_error(k, eps):
     # the ball and ramp terms divide by eps, and the gradient term is
     # eps w radial / ln(k)^2: both wrote an infinite energy
+    spec = CutoffSpec(n=3, k=k, eps=eps, delta=1e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
-            CutoffSpec(n=3, k=k, eps=eps, delta=1e-3)
+            cutoff_energy(spec)
 
 
 @settings(max_examples=200, deadline=None)
@@ -49,17 +50,18 @@ def test_cutoff_energy_past_float64_is_a_domain_error(k, eps):
 @example(n=3, log10_k_minus_1=100.0, log10_eps=-15.0, log10_delta=0.0)    # the ramp overflows
 @example(n=120, log10_k_minus_1=-4.0, log10_eps=-1.0,                     # Simpson's sum does
          log10_delta=math.log10(366.6))
-def test_an_accepted_cutoff_has_a_finite_energy(n, log10_k_minus_1, log10_eps, log10_delta):
-    # CutoffSpec bounds every value cutoff_energy forms: what it accepts
-    # evaluates to a finite energy with no overflow warning
+def test_a_cutoff_energy_is_finite_or_a_domain_error(n, log10_k_minus_1, log10_eps,
+                                                     log10_delta):
+    # with no warning, even where a term overflows float64
     k = 1.0 + 10.0 ** log10_k_minus_1
-    try:
-        spec = CutoffSpec(n=n, k=k, eps=10.0 ** log10_eps, delta=10.0 ** log10_delta)
-    except DomainError:
-        return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert math.isfinite(cutoff_energy(spec))
+        try:
+            energy = cutoff_energy(CutoffSpec(n=n, k=k, eps=10.0 ** log10_eps,
+                                              delta=10.0 ** log10_delta))
+        except DomainError:
+            return
+    assert math.isfinite(energy)
 
 
 def test_cutoff_energy_n3_delta_limit():

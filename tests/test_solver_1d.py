@@ -112,6 +112,15 @@ def test_no_normal_grid_step_is_a_domain_error(L, eps):
         solve_dirichlet(L, eps)
 
 
+@pytest.mark.parametrize("points_per_eps", [800.0000000000001, 1e3, 1e7, math.inf])
+def test_points_per_eps_past_800_is_a_domain_error(points_per_eps):
+    # the finest grid on which Newton's full steps are tested to contract;
+    # past it the grid, and memory, grew without bound
+    with pytest.raises(DomainError):
+        solver.intervals_for(0.5, 0.05, points_per_eps)
+    assert solver.intervals_for(0.5, 0.05, 800) == 8000
+
+
 def test_the_smallest_normal_grid_step_is_accepted():
     assert solver.intervals_for(1.0, 50 * np.finfo(float).tiny, 50) > 1e307
 
