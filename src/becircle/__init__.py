@@ -8,8 +8,8 @@ from .errors import (ArcTooShort, BECircleError, DomainError, NonConvergence,
                      SingularSystem, TruncationError)
 from .scalar_field import (WellConstants, heteroclinic, potential,
                            potential_d1, potential_d2, well_constants)
-from .elliptic_oracle import (EllipticModulus, LambdaEpsPair, ac_family_mod,
-                              lambda_of_eps, modulus_for, zero_spacing_from_kp)
+from .elliptic_oracle import (LambdaEpsPair, ac_family_mod, lambda_of_eps,
+                              modulus_for, zero_spacing_from_kp)
 from .bvp_engine import (GridFunction, SpectrumReport, TridiagonalOperator,
                          cumulative_simpson, eig_sturm, linearized_operator,
                          newton_semilinear, richardson, simpson)

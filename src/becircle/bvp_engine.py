@@ -22,30 +22,30 @@ _EPS_MACH = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Uniformly sampled function on [a, b] including both endpoints."""
-    a: float
-    b: float
-    n: int                   # interior point count
-    values: np.ndarray       # n + 2 values
+    """Uniformly sampled function on [0, L], endpoints included: n + 2 >= 5 values."""
+    L: float
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.b <= self.a:
-            raise DomainError("GridFunction requires a < b")
-        if self.n < 3:
-            raise DomainError("GridFunction requires n >= 3")
+        if not 0.0 < self.L < math.inf:
+            raise DomainError(f"GridFunction requires 0 < L < inf, got {self.L!r}")
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.n + 2,):
-            raise DomainError("values must have n + 2 entries")
+        if v.ndim != 1 or len(v) < 5:
+            raise DomainError("values must be one-dimensional with at least 5 entries")
         if not np.all(np.isfinite(v)):
             raise DomainError("values must be finite")
         object.__setattr__(self, "values", v)
 
     @property
+    def n(self):
+        return len(self.values) - 2
+
+    @property
     def h(self):
-        return (self.b - self.a) / (self.n + 1)
+        return self.L / (self.n + 1)
 
     def x(self):
-        return np.linspace(self.a, self.b, self.n + 2)
+        return np.linspace(0.0, self.L, self.n + 2)
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
                 f"newton_semilinear: residual {rnorm:.3e} after {max_iter} iterations",
                 residual=rnorm, iterations=max_iter,
             )
-    return GridFunction(a=grid.a, b=grid.b, n=grid.n, values=u)
+    return GridFunction(L=grid.L, values=u)
 
 
 def _stebz(diag, offdiag, select, select_range, tol):

@@ -4,10 +4,11 @@ The family  g(x, k) = k sqrt(2/(1+k^2)) sn(x / sqrt(1+k^2), k)  provides an
 analytic oracle for every grid solver in the package, together with the
 eps <-> lambda correspondence of the conserved quantity.
 
-All internals are parameterized by the complementary modulus kp = sqrt(1-k^2)
-so that moduli exponentially close to 1 (the interesting regime) keep full
-relative accuracy; k itself rounds to 1.0 in double precision long before
-the underlying solution family degenerates.  `modulus_for` finds kp by
+The modulus is the complementary modulus kp = sqrt(1-k^2), a float:
+`modulus_for` returns it and `ac_family_mod` takes it, so that moduli
+exponentially close to 1 (the interesting regime) keep full relative
+accuracy; k itself rounds to 1.0 in double precision long before the
+underlying solution family degenerates.  `modulus_for` finds kp by
 bisection on ln kp, seeded by secant steps: the spacing is evaluated only
 inside a window around the crossing that the secant steps locate, and every
 bisection step outside it takes the branch its side dictates, so the result
@@ -129,12 +130,6 @@ def _fold(x, K):
 
 
 @dataclass(frozen=True)
-class EllipticModulus:
-    k: float
-    kp: float  # complementary modulus, exact carrier of 1 - k^2
-
-
-@dataclass(frozen=True)
 class LambdaEpsPair:
     eps: float
     lam: float        # conserved quantity, in (0, 1/4)
@@ -146,19 +141,20 @@ def zero_spacing_from_kp(kp):
     return 2.0 * _complete_K_from_kp(kp) * math.sqrt(2.0 - kp * kp)
 
 
-def _amplitude_from_mod(mod):
-    return mod.k * SQRT2 / math.sqrt(2.0 - mod.kp * mod.kp)
+def _amplitude_from_kp(kp):
+    return math.sqrt((1.0 - kp) * (1.0 + kp)) * SQRT2 / math.sqrt(2.0 - kp * kp)
 
 
-def ac_family_mod(x, mod):
+def ac_family_mod(x, kp):
     """The family g(x, k) = k sqrt(2/(1+k^2)) sn(x / sqrt(1+k^2), k) at the
-    modulus mod, computed through kp so it stays accurate as k -> 1.
+    complementary modulus kp = sqrt(1 - k^2), the float modulus_for returns,
+    computed through kp so it stays accurate as k -> 1.
 
     x is a float or an array; one call evaluates a whole grid.
     """
-    t = x / math.sqrt(2.0 - mod.kp * mod.kp)
-    t, sign = _fold(t, _landen_plan(mod.kp).K)
-    return sign * _amplitude_from_mod(mod) * _sn_kp(t, mod.kp)
+    t = x / math.sqrt(2.0 - kp * kp)
+    t, sign = _fold(t, _landen_plan(kp).K)
+    return sign * _amplitude_from_kp(kp) * _sn_kp(t, kp)
 
 
 _KP_FLOOR = 1e-300
@@ -219,7 +215,8 @@ def _crossing_window(target):
 
 
 def modulus_for(eps, L):
-    """Modulus whose zero spacing matches the rescaled interval length L/eps.
+    """Complementary modulus kp (a float) whose zero spacing matches the
+    rescaled interval length L/eps.
 
     Monotone bisection on ln(kp), so that complementary moduli exponentially
     close to 0 (k -> 1) retain relative accuracy, run from (ln 1e-300, -1e-18)
@@ -251,9 +248,7 @@ def modulus_for(eps, L):
             lo = mid
         else:
             hi = mid
-    kp = math.exp(0.5 * (lo + hi))
-    k = math.sqrt((1.0 - kp) * (1.0 + kp))
-    return EllipticModulus(k=k, kp=kp)
+    return math.exp(0.5 * (lo + hi))
 
 
 def lambda_of_eps(eps, L):
@@ -264,13 +259,13 @@ def lambda_of_eps(eps, L):
     underflows float64 near L/eps = 503, so a lam that is not a normal number
     raises DomainError instead of being returned as a subnormal or a zero.
     """
-    mod = modulus_for(eps, L)
-    one_plus_k2 = 2.0 - mod.kp * mod.kp
-    one_minus_amp2 = mod.kp * mod.kp / one_plus_k2
+    kp = modulus_for(eps, L)
+    one_plus_k2 = 2.0 - kp * kp
+    one_minus_amp2 = kp * kp / one_plus_k2
     lam = one_minus_amp2 * one_minus_amp2 / 4.0
     if not lam >= np.finfo(float).tiny:
         raise DomainError(
             f"lambda {lam:.3g} at L/eps = {L / eps:.6g} is not a normal float64 "
             "(underflow)"
         )
-    return LambdaEpsPair(eps=eps, lam=lam, amplitude=_amplitude_from_mod(mod))
+    return LambdaEpsPair(eps=eps, lam=lam, amplitude=_amplitude_from_kp(kp))

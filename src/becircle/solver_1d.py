@@ -107,14 +107,13 @@ def dirichlet_pair(L, eps, m, tol=1e-12):
     """
     if m % 2 or m < 8:
         raise DomainError(f"dirichlet_pair needs an even interval count >= 8, got {m!r}")
-    mod = modulus_for(eps, L)  # rejects L/eps past ~1958 before the grid is built
-    half = ac_family_mod(np.linspace(0.0, L, 2 * m + 1)[:m + 1] / eps, mod)
+    kp = modulus_for(eps, L)  # rejects L/eps past ~1958 before the grid is built
+    half = ac_family_mod(np.linspace(0.0, L, 2 * m + 1)[:m + 1] / eps, kp)
     half[0] = 0.0
 
     def solve(g):
-        v = newton_semilinear(GridFunction(a=0.0, b=0.5 * L, n=len(g) - 2, values=g),
-                              eps, tol=tol).values
-        return GridFunction(a=0.0, b=L, n=2 * len(v) - 3, values=np.concatenate((v, v[-2::-1])))
+        v = newton_semilinear(GridFunction(L=0.5 * L, values=g), eps, tol=tol).values
+        return GridFunction(L=L, values=np.concatenate((v, v[-2::-1])))
 
     sol, sol2 = solve(half[::2]), solve(half)
     lam = richardson(*(potential(float(np.max(s.values))) for s in (sol, sol2)))
@@ -169,7 +168,7 @@ def nodal_solution(p, eps, points_per_eps=50):
     piece = arc.u.values[:-1]
     blocks = [((-1) ** i) * piece for i in range(2 * p)]
     vals = np.concatenate(blocks + [np.zeros(1)])
-    u = GridFunction(a=0.0, b=1.0, n=len(vals) - 2, values=vals)
+    u = GridFunction(L=1.0, values=vals)
     nodes = np.arange(2 * p) * ell
     return NodalSolution(p=p, eps=eps, u=u, nodes=nodes, arc=arc)
 

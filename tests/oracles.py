@@ -7,10 +7,11 @@ residual.  None of them is on a path the library runs.
 import math
 import numbers
 
+import mpmath as mp
 import numpy as np
 from scipy.special import ellipe, ellipkm1
 
-from becircle import (DomainError, EllipticModulus, GridFunction, NoPositiveSolution,
+from becircle import (DomainError, GridFunction, NoPositiveSolution,
                       NonConvergence, heteroclinic, intervals_for, modulus_for,
                       potential_d1, simpson, translation_mode, zero_spacing_from_kp)
 from becircle.balanced_energy import _pinned_be
@@ -35,6 +36,18 @@ def cutoff_gradient_quadrature(spec):
     h = r[1] - r[0]
     integrand = (1.0 / (r * math.log(spec.k))) ** 2 * r ** (spec.n - 1)
     return 0.5 * spec.eps * area * simpson(integrand, h)
+
+
+def cutoff_potential_quadrature(spec):
+    """The cutoff's potential term on the ramp, int W(f) over delta < r < k delta,
+    by mpmath quadrature in s = ln(r/delta)/ln k, where f = s and the
+    measure r^(n-1) dr is delta^n ln k e^(n s ln k) ds:
+    omega_n delta^n ln k int_0^1 W(s) e^(n s ln k) ds / eps."""
+    with mp.workdps(30):
+        n, lk = spec.n, mp.log(spec.k)
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        integral = mp.quad(lambda s: (1 - s * s) ** 2 / 4 * mp.exp(n * s * lk), [0, 1])
+        return float(area * mp.mpf(spec.delta) ** n * lk * integral / spec.eps)
 
 
 def fd_second_variation(config, eps, f, points_per_eps=50):
@@ -67,9 +80,7 @@ def modulus_by_bisection(eps, L):
             lo = mid
         else:
             hi = mid
-    kp = math.exp(0.5 * (lo + hi))
-    k = math.sqrt((1.0 - kp) * (1.0 + kp))
-    return EllipticModulus(k=k, kp=kp)
+    return math.exp(0.5 * (lo + hi))
 
 
 def exact_transmission(eps, L):
@@ -82,7 +93,7 @@ def exact_transmission(eps, L):
     cancels.  The conserved quantity gives eps^2 c^2 = 1/2 - 2 lambda at the
     end, so v = lambda'/(1/2 - 2 lambda).  Nothing here runs a grid solve.
     """
-    kp = modulus_for(eps, L).kp
+    kp = modulus_for(eps, L)
     k2 = (1.0 - kp) * (1.0 + kp)
     K, E = ellipkm1(kp * kp), ellipe(1.0 - kp * kp)
     dK = -(E - kp * kp * K) / (k2 * kp)
@@ -103,7 +114,7 @@ def exact_arc_energy(eps, L):
     to 2 sqrt2/3 as kp -> 0.  K = ellipkm1(kp^2) and E = ellipe(1 - kp^2)
     cancel nothing.  Nothing here runs a grid solve.
     """
-    kp = modulus_for(eps, L).kp
+    kp = modulus_for(eps, L)
     kp2 = kp * kp
     s = 2.0 - kp2
     lam = (kp2 / s) ** 2 / 4.0
@@ -229,7 +240,7 @@ def newton_full_grid(grid, eps, tol=1e-12, max_iter=100):
             raise NonConvergence(f"newton_full_grid: residual {rnorm:.3e} after "
                                  f"{max_iter} iterations", residual=rnorm,
                                  iterations=max_iter)
-    return GridFunction(a=grid.a, b=grid.b, n=grid.n, values=u)
+    return GridFunction(L=grid.L, values=u)
 
 
 def stencil_slope(u, side="left"):

@@ -63,9 +63,9 @@ def test_criterion_03_oracle_equivalence():
     t0 = time.time()
     eps, L = 0.02, 0.5
     sol = bc.solve_dirichlet(L, eps, refine_values=True)
-    mod = bc.modulus_for(eps, L)
+    kp = bc.modulus_for(eps, L)
     x = sol.u.x()
-    oracle = np.array([bc.ac_family_mod(xi / eps, mod) for xi in x])
+    oracle = np.array([bc.ac_family_mod(xi / eps, kp) for xi in x])
     sup = float(np.max(np.abs(sol.u.values - oracle)))
     # conserved quantity eps^2 u_x^2 / 2 - W(u) = -lam along the solution
     v = sol.u.values

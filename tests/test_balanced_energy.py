@@ -172,6 +172,23 @@ def test_dtn_v_matches_closed_form(ratio, points_per_eps):
     assert abs(v / exact_transmission(eps, 0.5)[1] - 1.0) < bound
 
 
+@pytest.mark.parametrize("L", [0.5, 1.0 / 3.0])
+@pytest.mark.parametrize("ratio", np.linspace(10.0, 20.0, 21).tolist())
+def test_v_follows_its_next_order_law(ratio, L):
+    # v = -2 sqrt2 lam/eps (1 + rho), rho = (3/(2 sqrt2)) lam L/eps + (3/4) lam
+    # + O((lam L/eps)^2).  The closed form's rho leaves the model by
+    # 1.17-1.26 (lam L/eps)^2 over L/eps 10-16 (a relative error of 1.3e-4 at
+    # 10 and 4e-8 at 16); from L/eps ~ 17 on, rounding in rho = x - 1 leaves
+    # at most 6.4e-16.  The bound takes 1.4 and 1e-15: worst ratio 0.90.
+    # dtn_v's own grid error exceeds the (3/4) lam term past L/eps ~ 12, so
+    # this checks the closed form's law, not dtn_v
+    eps = L / ratio
+    lam = lambda_of_eps(eps, L).lam
+    rho = exact_transmission(eps, L)[1] / (-2.0 * SQRT2 * lam / eps) - 1.0
+    model = 3.0 / (2.0 * SQRT2) * lam * L / eps + 0.75 * lam
+    assert abs(rho - model) <= 1.4 * (lam * L / eps) ** 2 + 1e-15
+
+
 def test_dtn_v_one_column_per_grid(monkeypatch):
     # the transmission needs only the data-(1, 0) solve: one banded solve
     # with a one-column right-hand side on each grid of the pair
@@ -470,7 +487,7 @@ def test_ac_spectrum_matches_the_lame_band_edges(p, points_per_eps):
         eps = 1.0 / (2 * p * ratio)
         sol = nodal_solution(p, eps, points_per_eps=points_per_eps)
         evals = ac_spectrum(sol, 4 * p + 1).eigenvalues[[0, 2 * p, 4 * p - 1, 4 * p]]
-        edges = np.array(lame_edges(modulus_for(eps, 1.0 / (2 * p)).kp))
+        edges = np.array(lame_edges(modulus_for(eps, 1.0 / (2 * p))))
         bound = 1.0 * (sol.u.h / eps) ** 2 + 1e-11
         assert np.max(np.abs(evals - edges)) <= bound, (ratio, evals - edges)
 
@@ -540,7 +557,7 @@ def test_dirichlet_gap_matches_the_lame_band_edge(L, ratio, points_per_eps):
     eps = L / ratio
     h = L / intervals_for(L, eps, points_per_eps)
     gap = dirichlet_gap(eps, L, points_per_eps=points_per_eps)
-    assert abs(gap - lame_gap(modulus_for(eps, L).kp)) <= 0.2 * (h / eps) ** 2 + 1e-9
+    assert abs(gap - lame_gap(modulus_for(eps, L))) <= 0.2 * (h / eps) ** 2 + 1e-9
 
 
 def test_dirichlet_gap_positive():

@@ -102,6 +102,45 @@ def test_cumulative_simpson_in_place_matches_out_of_place(n, seed, h, reverse):
     assert np.array_equal(cumulative_simpson(v, h), _cumulative_simpson_out_of_place(v, h))
 
 
+@pytest.mark.parametrize("L, values, message", [
+    (0.0, np.zeros(5), "0 < L < inf"),
+    (-0.5, np.zeros(5), "0 < L < inf"),
+    (math.nan, np.zeros(5), "0 < L < inf"),
+    (math.inf, np.zeros(5), "0 < L < inf"),
+    (0.5, np.zeros(4), "at least 5 entries"),
+    (0.5, np.zeros((5, 5)), "one-dimensional"),
+    (0.5, [0.0, 1.0, math.nan, 1.0, 0.0], "finite"),
+    (0.5, [0.0, 1.0, math.inf, 1.0, 0.0], "finite"),
+])
+def test_grid_function_rejects(L, values, message):
+    with pytest.raises(DomainError, match=message):
+        GridFunction(L=L, values=values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.floats(0.01, 3.0), ratio=st.floats(math.pi * (1 + 1e-12), 1950.0),
+       points_per_eps=st.sampled_from([10, 20, 50, 100]))
+@example(L=0.5, ratio=1950.0, points_per_eps=100)
+@example(L=1.0 / 3.0, ratio=math.pi * 1.0001, points_per_eps=10)
+def test_grid_function_derives_the_old_fields_bit_for_bit(L, ratio, points_per_eps):
+    # a grid used to store (a, b, n, values), with h = (b - a)/(n + 1) and
+    # x = linspace(a, b, n + 2); every one was built at a = 0.0 with
+    # n = len(values) - 2.  On the grids dirichlet_pair builds, the halves
+    # [0, L/2] that Newton solves and their mirrors on [0, L], of m and 2m
+    # intervals, the derived n, h and x() are those doubles
+    def bits(v):
+        return np.asarray(v, dtype=np.float64).view(np.int64)
+
+    m = solver.intervals_for(L, L / ratio, points_per_eps)
+    for k in (m, 2 * m):
+        for b, count in ((0.5 * L, k // 2 + 1), (L, k + 1)):
+            grid = GridFunction(L=b, values=np.zeros(count))
+            a, n = 0.0, count - 2
+            assert grid.n == n
+            assert bits(grid.h) == bits((b - a) / (n + 1))
+            assert np.array_equal(bits(grid.x()), bits(np.linspace(a, b, n + 2)))
+
+
 def _half(L, m, fun):
     """fun on the first half [0, L/2] of the m-interval grid of [0, L], with
     the Dirichlet datum 0 at x = 0: the grid newton_semilinear takes, whose
@@ -109,7 +148,7 @@ def _half(L, m, fun):
     x = np.linspace(0.0, L, m + 1)[:m // 2 + 1]
     values = fun(x)
     values[0] = 0.0
-    return x, GridFunction(a=0.0, b=0.5 * L, n=m // 2 - 1, values=values)
+    return x, GridFunction(L=0.5 * L, values=values)
 
 
 def _mirror(values):
@@ -132,33 +171,32 @@ def test_newton_zero_fixed_point():
 
 def test_newton_returns_its_half_grid():
     eps, L, m = 0.05, 0.5, 500
-    mod = modulus_for(eps, L)
-    _, guess = _half(L, m, lambda x: ac_family_mod(x / eps, mod))
+    kp = modulus_for(eps, L)
+    _, guess = _half(L, m, lambda x: ac_family_mod(x / eps, kp))
     out = newton_semilinear(guess, eps, tol=1e-12)
-    assert (out.a, out.b, out.n) == (0.0, 0.5 * L, m // 2 - 1)
+    assert (out.L, out.n) == (0.5 * L, m // 2 - 1)
     assert out.values[0] == 0.0                    # the Dirichlet datum is kept
     assert out.h == L / m                          # the full grid's step, exactly
 
 
 def test_newton_matches_oracle():
     eps, L = 0.02, 0.5
-    mod = modulus_for(eps, L)
+    kp = modulus_for(eps, L)
     m = int(round(L / (eps / 50)))
-    _, guess = _half(L, m, lambda x: ac_family_mod(x / eps, mod))
+    _, guess = _half(L, m, lambda x: ac_family_mod(x / eps, kp))
     out = newton_semilinear(guess, eps, tol=1e-12)
     assert _arc_residual(_mirror(out.values), out.h, eps) <= 1e-12
 
 
 def test_newton_basin():
     eps, L = 0.05, 0.5
-    mod = modulus_for(eps, L)
+    kp = modulus_for(eps, L)
     m = int(round(L / (eps / 50)))
-    x, guess = _half(L, m, lambda x: ac_family_mod(x / eps, mod))
+    x, guess = _half(L, m, lambda x: ac_family_mod(x / eps, kp))
     base = newton_semilinear(guess, eps, tol=1e-12)
     pert = base.values + 1e-3 * np.sin(math.pi * x / L)
     pert[0] = 0.0
-    again = newton_semilinear(GridFunction(a=0.0, b=0.5 * L, n=m // 2 - 1, values=pert),
-                              eps, tol=1e-12)
+    again = newton_semilinear(GridFunction(L=0.5 * L, values=pert), eps, tol=1e-12)
     assert np.max(np.abs(again.values - base.values)) < 2e-12
 
 
@@ -256,8 +294,8 @@ def test_newton_ends_at_floor_on_a_fixed_point(ratio, points_per_eps, halved):
     L, tol = 0.5, 1e-12
     eps = L / ratio
     m = solver.intervals_for(L, eps, points_per_eps) * (2 if halved else 1)
-    mod = modulus_for(eps, L)
-    _, guess = _half(L, m, lambda x: ac_family_mod(x / eps, mod))
+    kp = modulus_for(eps, L)
+    _, guess = _half(L, m, lambda x: ac_family_mod(x / eps, kp))
     out = newton_semilinear(guess, eps, tol=tol)
     v = _mirror(out.values)
     c2 = (eps / out.h) ** 2

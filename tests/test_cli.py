@@ -34,6 +34,9 @@ CASES = {
     "lipschitz.json": ["lipschitz", "--L", "0.5", "--eps", "0.01,0.015,0.02,0.03"],
     "index.json": ["index", "--p", "3", "--eps", "0.01"],
     "gamma_sweep.json": ["gamma-sweep", "--nodes", "0,0.5", "--eps", "0.02,0.01,0.005"],
+    "be.json": ["be", "--nodes", "0,0.5", "--eps", "0.05"],
+    "two_node_scan.json": ["two-node-scan", "--eps", "0.02", "--grid", "0.3,0.5"],
+    "gap_sweep.json": ["gap-sweep", "--L", "0.5", "--eps", "0.05,0.03"],
 }
 
 

@@ -10,8 +10,8 @@ from becircle import (DomainError, NoPositiveSolution, ac_family_mod, heteroclin
                       lambda_of_eps, modulus_for, potential, potential_d1,
                       zero_spacing_from_kp)
 from becircle import elliptic_oracle
-from becircle.elliptic_oracle import (EllipticModulus, _agm, _complete_K_from_kp, _fold,
-                                      _landen_plan, _sn_kp)
+from becircle.elliptic_oracle import (_agm, _complete_K_from_kp, _fold, _landen_plan,
+                                      _sn_kp)
 from oracles import modulus_by_bisection
 
 
@@ -46,7 +46,7 @@ def test_complete_K_monotone():
 
 # kp at k = 0.8, and the moduli of arcs at L/eps 10, 60 and 200, where k
 # itself rounds to 1.0 from L/eps ~ 55 on
-_ORACLE_KPS = [0.6] + [modulus_for(0.5 / r, 0.5).kp for r in (10.0, 60.0, 200.0)]
+_ORACLE_KPS = [0.6] + [modulus_for(0.5 / r, 0.5) for r in (10.0, 60.0, 200.0)]
 
 
 def _sn_cn_dn(x, kp):
@@ -61,9 +61,9 @@ def test_jacobi_sn_degenerate_moduli():
         assert all(type(v) is float for v in ours)
         assert np.array_equal(_bits(ours), _bits((math.sin(x), math.cos(x), 1.0)))
     # the k = 1 limit: the family becomes the heteroclinic tanh(x / sqrt 2)
-    mod = modulus_for(0.5 / 200.0, 0.5)
+    kp = modulus_for(0.5 / 200.0, 0.5)
     x = np.linspace(0.0, 20.0, 2001)
-    assert np.max(np.abs(ac_family_mod(x, mod) - heteroclinic(x)[0])) < 1e-15
+    assert np.max(np.abs(ac_family_mod(x, kp) - heteroclinic(x)[0])) < 1e-15
 
 
 def test_jacobi_identities():
@@ -78,12 +78,11 @@ def test_jacobi_identities():
 def test_jacobi_periodicity():
     # zeros of the family are Z apart and it alternates sign between them
     for kp in _ORACLE_KPS:
-        mod = EllipticModulus(k=_kp(kp), kp=kp)
         Z = zero_spacing_from_kp(kp)
         x = np.linspace(0.0, 2.0 * Z, 401)
-        g = ac_family_mod(x, mod)
-        assert np.max(np.abs(ac_family_mod(x + Z, mod) + g)) < 1e-11
-        assert np.max(np.abs(ac_family_mod(x + 2.0 * Z, mod) - g)) < 1e-11
+        g = ac_family_mod(x, kp)
+        assert np.max(np.abs(ac_family_mod(x + Z, kp) + g)) < 1e-11
+        assert np.max(np.abs(ac_family_mod(x + 2.0 * Z, kp) - g)) < 1e-11
 
 
 def test_jacobi_derivative_relations():
@@ -107,31 +106,31 @@ _ARC_MODULI = [modulus_for(0.5 / r, 0.5) for r in (4.0, 10.0, 25.0, 60.0, 200.0)
 
 
 def test_ac_family_basic():
-    for mod in _ARC_MODULI:
-        Z = zero_spacing_from_kp(mod.kp)
-        assert ac_family_mod(0.0, mod) == 0.0
+    for kp in _ARC_MODULI:
+        Z = zero_spacing_from_kp(kp)
+        assert ac_family_mod(0.0, kp) == 0.0
         # the max sits half way between the zeros and equals the amplitude
-        amp = mod.k * math.sqrt(2.0 / (2.0 - mod.kp * mod.kp))
-        assert abs(ac_family_mod(0.5 * Z, mod) - amp) < 1e-10
-        assert np.max(ac_family_mod(np.linspace(0.0, Z, 4001), mod)) <= amp + 1e-12
+        amp = _kp(kp) * math.sqrt(2.0 / (2.0 - kp * kp))
+        assert abs(ac_family_mod(0.5 * Z, kp) - amp) < 1e-10
+        assert np.max(ac_family_mod(np.linspace(0.0, Z, 4001), kp)) <= amp + 1e-12
         # past the first zero the family is negative, also where k rounds to 1.0
-        assert ac_family_mod(1.5 * Z, mod) < 0.0
+        assert ac_family_mod(1.5 * Z, kp) < 0.0
 
 
 def test_ac_family_solves_equation():
     # fourth-order FD residual of g'' = W'(g) at 50 sample points per arc
     h = 5e-3
-    for mod in _ARC_MODULI:
-        x = np.linspace(0.3, zero_spacing_from_kp(mod.kp) - 0.3, 50)
-        v = [ac_family_mod(x + j * h, mod) for j in (-2, -1, 0, 1, 2)]
+    for kp in _ARC_MODULI:
+        x = np.linspace(0.3, zero_spacing_from_kp(kp) - 0.3, 50)
+        v = [ac_family_mod(x + j * h, kp) for j in (-2, -1, 0, 1, 2)]
         d2 = (-v[4] + 16 * v[3] - 30 * v[2] + 16 * v[1] - v[0]) / (12 * h * h)
         assert np.max(np.abs(d2 - potential_d1(v[2]))) < 1e-9
 
 
 def test_zero_spacing_against_root_finding():
-    mod = modulus_for(0.05, 0.5)   # spacing 10
-    f = lambda x: ac_family_mod(x, mod)
-    Z = zero_spacing_from_kp(mod.kp)
+    kp = modulus_for(0.05, 0.5)   # spacing 10
+    f = lambda x: ac_family_mod(x, kp)
+    Z = zero_spacing_from_kp(kp)
     lo, hi = 0.5 * Z, 1.5 * Z
     assert f(lo) > 0 and f(hi) < 0
     for _ in range(60):
@@ -150,15 +149,16 @@ def test_modulus_for_threshold_and_monotonicity():
         modulus_for(math.inf, 0.5)
     with pytest.raises(DomainError):
         modulus_for(0.05, math.inf)
-    assert modulus_for(0.001, 0.5).k > 0.999
-    assert modulus_for(0.01, 0.5).k > modulus_for(0.05, 0.5).k
-    mod = modulus_for(0.02, 0.5)
-    assert abs(zero_spacing_from_kp(mod.kp) - 25.0) < 1e-9
+    # k = _kp(kp): the complement is the same expression both ways
+    assert _kp(modulus_for(0.001, 0.5)) > 0.999
+    assert _kp(modulus_for(0.01, 0.5)) > _kp(modulus_for(0.05, 0.5))
+    assert abs(zero_spacing_from_kp(modulus_for(0.02, 0.5)) - 25.0) < 1e-9
     # the printed-formula identity, at a moderate modulus where a
     # k-parameterized K carries full precision
-    mod2 = modulus_for(0.1, 0.5)
-    assert abs(zero_spacing_from_kp(mod2.kp)
-               - 2.0 * ellipk(mod2.k**2) * math.sqrt(1 + mod2.k**2)) < 1e-10
+    kp2 = modulus_for(0.1, 0.5)
+    k2 = _kp(kp2)
+    assert abs(zero_spacing_from_kp(kp2)
+               - 2.0 * ellipk(k2**2) * math.sqrt(1 + k2**2)) < 1e-10
 
 
 @pytest.mark.parametrize("eps, L", [(math.nan, 0.5), (0.05, math.nan)])
@@ -205,24 +205,24 @@ def _bits(values):
 # moduli as the arc solves meet them (L/eps in [3.2, 650]), plus k = 0
 _MODULI = st.one_of(
     st.floats(3.2, 650.0).map(lambda r: modulus_for(0.5 / r, 0.5)),
-    st.just(EllipticModulus(k=0.0, kp=1.0)),
+    st.just(1.0),
 )
 
 
 @settings(max_examples=80, deadline=None)
-@given(mod=_MODULI, data=st.data())
-def test_ac_family_mod_array_equals_scalar_calls(mod, data):
-    K = _complete_K_from_kp(mod.kp)
-    scale = math.sqrt(2.0 - mod.kp * mod.kp)
+@given(kp=_MODULI, data=st.data())
+def test_ac_family_mod_array_equals_scalar_calls(kp, data):
+    K = _complete_K_from_kp(kp)
+    scale = math.sqrt(2.0 - kp * kp)
     reach = 12.0 * K                    # three periods of sn on either side
     t = data.draw(st.lists(st.floats(-reach, reach), min_size=1, max_size=40))
     t += [j * K for j in range(-12, 13)] + [2.0 * j * K for j in range(-6, 7)]
     # abscissae on and next to the fold points K, 2K, ... of the rescaled t
     x = np.array(t) * scale
     x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
-    scalar = [ac_family_mod(float(xi), mod) for xi in x]
+    scalar = [ac_family_mod(float(xi), kp) for xi in x]
     assert all(type(v) is float for v in scalar)
-    assert np.array_equal(_bits(ac_family_mod(x, mod)), _bits(scalar))
+    assert np.array_equal(_bits(ac_family_mod(x, kp)), _bits(scalar))
     # the fold alone, at exact multiples of K and 2K
     folded = _fold(np.array(t), K)
     for i, ti in enumerate(t):
@@ -320,7 +320,7 @@ def test_cached_landen_plan_matches_per_call_chain(kp, frac):
 
 
 def test_scalar_calls_at_one_modulus_build_K_once(monkeypatch):
-    mod = modulus_for(0.005, 0.5)
+    kp = modulus_for(0.005, 0.5)
     calls = []
 
     def counting_agm(a, b):
@@ -330,7 +330,7 @@ def test_scalar_calls_at_one_modulus_build_K_once(monkeypatch):
     monkeypatch.setattr(elliptic_oracle, "_agm", counting_agm)
     _landen_plan.cache_clear()
     for x in np.linspace(0.0, 100.0, 200):
-        ac_family_mod(float(x), mod)
+        ac_family_mod(float(x), kp)
     assert len(calls) == 1
     assert _landen_plan.cache_info().misses == 1
 
@@ -343,10 +343,10 @@ def test_modulus_for_leaves_the_plan_cache_alone():
 
 def _modulus_or_error(fn, eps, L):
     try:
-        mod = fn(eps, L)
+        kp = fn(eps, L)
     except (DomainError, NoPositiveSolution) as exc:
         return type(exc)
-    return int(_bits(mod.k)), int(_bits(mod.kp))
+    return int(_bits(kp))
 
 
 # L/eps at the lower edge pi and beyond it, and at the upper edge (the

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from becircle import (CutoffSpec, DomainError, cutoff_energy,
                       cutoff_gradient_closed, min_energy, two_node_scan)
-from oracles import cutoff_gradient_quadrature
+from oracles import cutoff_gradient_quadrature, cutoff_potential_quadrature
 
 
 def test_cutoff_spec_validation():
@@ -86,6 +86,28 @@ def test_cutoff_gradient_closed_matches_quadrature():
     spec = CutoffSpec(n=2, k=100.0, eps=0.1, delta=1e-3)
     assert abs(cutoff_gradient_closed(spec)
                - cutoff_gradient_quadrature(spec)) < 1e-10
+
+
+# n = 2 at the coupled delta = 1/(k ln k): relative errors 3e-16, 1.25e-10
+# and 1.26e-9 at k = 1e2, 1e4 and 1e6 (a table: no law in k was fitted);
+# n = 3 at delta 1e-3 to 0.1: at most 2.3e-14, 1.1e-13 and 1.0e-12 at k = 10,
+# 1e2 and 1e3, about 1e-15 k; n = 5: at most 3.2e-14 at every k.  Worst
+# ratio to the bound 0.63
+_CUTOFF_CASES = ([(2, k, None, bound) for k, bound in ((1e2, 1e-15), (1e4, 2e-10),
+                                                      (1e6, 2e-9))]
+                 + [(n, k, delta, 2e-15 * k + 2e-14 if n == 3 else 5e-14)
+                    for n in (3, 5) for k in (10.0, 1e2, 1e3) for delta in (1e-3, 1e-2, 0.1)])
+
+
+@pytest.mark.parametrize("n, k, delta, bound", _CUTOFF_CASES)
+def test_cutoff_energy_matches_its_oracles(n, k, delta, bound):
+    # the closed gradient term, the closed ball term omega_n delta^n/(4 n eps)
+    # and the ramp's potential term by mpmath quadrature in s = ln(r/delta)/ln k
+    spec = CutoffSpec(n=n, k=k, eps=0.1, delta=delta)
+    area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    ball = area * spec.delta ** n / (4.0 * n * spec.eps)
+    exact = cutoff_gradient_closed(spec) + ball + cutoff_potential_quadrature(spec)
+    assert abs(cutoff_energy(spec) / exact - 1.0) <= bound
 
 
 def test_two_node_scan():

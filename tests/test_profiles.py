@@ -192,9 +192,9 @@ def test_kappa_lambda_finite_difference_oracle():
             hi = eps
     eps = 0.5 * (lo + hi)
     pair = lambda_of_eps(eps, 1.0)
-    mod = modulus_for(eps, 1.0)
+    kp = modulus_for(eps, 1.0)
     for tt in (0.5, 1.0, 2.0):
-        u_lam = ac_family_mod(tt, mod)
+        u_lam = ac_family_mod(tt, kp)
         g = heteroclinic(tt)[0]
         fd = (u_lam - g) / pair.lam
         assert abs(fd - kappa_lambda(tt)) < 2e-3
@@ -228,6 +228,17 @@ def test_profile_omega():
     tau_l = -kappa_lambda(t)
     quad = -simpson(6.0 * g * tau_l * gd ** 2, om.h) * SQRT2
     assert abs(om.slope0 - quad) < 1e-7
+
+
+@pytest.mark.parametrize("T", [20.0, 40.0, 80.0, 160.0])
+@pytest.mark.parametrize("h", [5e-4, 1e-3, 2e-3, 5e-3, 1e-2])
+def test_omega_tail_follows_its_measured_law(T, h):
+    # |omega(T) + 3 sqrt2/4| measured over these windows: 8.25e-10 (h/1e-2)^4
+    # at h = 5e-3 and 1e-2, 2.2e-13 to 1.7e-11 for h <= 2e-3, plus a
+    # truncation term of 5.9 T e^{-sqrt2 T} (6.1e-11 at T = 20, 1.4e-8 at
+    # 16, below rounding from T ~ 24 on).  Worst ratio to the bound 0.89
+    tail = abs(profile_omega(T=T, h=h).values[-1] + 3.0 * SQRT2 / 4.0)
+    assert tail <= 9e-10 * (h / 1e-2) ** 4 + 6.5 * T * math.exp(-SQRT2 * T) + 2.5e-11
 
 
 def test_profile_constants():

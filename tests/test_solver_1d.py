@@ -42,9 +42,9 @@ def test_solve_dirichlet_above_threshold():
 def test_solve_dirichlet_oracle_equivalence():
     eps, L = 0.02, 0.5
     sol = solve_dirichlet(L, eps, refine_values=True)
-    mod = modulus_for(eps, L)
+    kp = modulus_for(eps, L)
     x = sol.u.x()
-    oracle = np.array([ac_family_mod(xi / eps, mod) for xi in x])
+    oracle = np.array([ac_family_mod(xi / eps, kp) for xi in x])
     assert np.max(np.abs(sol.u.values - oracle)) < 1e-8
 
 
@@ -169,7 +169,7 @@ def test_solve_dirichlet_uniqueness_probe():
         wobble = 1.0 + 0.05 * np.sin(rng.integers(1, 5) * math.pi * x / L)
         vals = amp * arch * wobble
         vals[0] = 0.0
-        guess = GridFunction(a=0.0, b=0.5 * L, n=half - 2, values=vals)
+        guess = GridFunction(L=0.5 * L, values=vals)
         out = newton_semilinear(guess, eps, tol=1e-12)
         assert np.max(np.abs(out.values - arch)) < 1e-7
 
@@ -271,9 +271,9 @@ def test_one_closed_form_evaluation_per_pair(monkeypatch):
     sizes = []
     real = solver.ac_family_mod
 
-    def counted(x, mod):
+    def counted(x, kp):
         sizes.append(np.size(x))
-        return real(x, mod)
+        return real(x, kp)
 
     monkeypatch.setattr(solver, "ac_family_mod", counted)
     solve_dirichlet(0.5, 0.05)
@@ -321,22 +321,22 @@ def _newton_on_the_half(grid, eps, tol):
     """newton_semilinear on the first half of an arc's grid, mirrored back
     onto the whole grid."""
     k = (grid.n + 1) // 2                          # the intervals of [0, L/2]
-    half = GridFunction(a=grid.a, b=0.5 * grid.b, n=k - 1, values=grid.values[:k + 1])
+    half = GridFunction(L=0.5 * grid.L, values=grid.values[:k + 1])
     v = newton_semilinear(half, eps, tol=tol).values
-    return GridFunction(a=grid.a, b=grid.b, n=grid.n, values=np.concatenate((v, v[-2::-1])))
+    return GridFunction(L=grid.L, values=np.concatenate((v, v[-2::-1])))
 
 
 def _pair_with_a_guess_per_grid(L, eps, m, tol, newton=_newton_on_the_half):
     """dirichlet_pair's u, u_half, lam and energy, with the closed form
     evaluated separately on the whole of each grid of the pair and solved by
     newton, which takes and returns the whole grid."""
-    mod = modulus_for(eps, L)
+    kp = modulus_for(eps, L)
     sols = []
     for k in (m, 2 * m):
-        vals = ac_family_mod(np.linspace(0.0, L, k + 1) / eps, mod)
+        vals = ac_family_mod(np.linspace(0.0, L, k + 1) / eps, kp)
         vals[0] = 0.0
         vals[-1] = 0.0
-        guess = GridFunction(a=0.0, b=L, n=k - 1, values=vals)
+        guess = GridFunction(L=L, values=vals)
         sols.append(newton(guess, eps, tol=tol))
     lam_pair = [potential(float(np.max(s.values))) for s in sols]
     e_pair = [solver.arc_energy(s, eps) for s in sols]
