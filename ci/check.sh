@@ -27,9 +27,11 @@ python -W error::RuntimeWarning -m becircle profiles --T 15 --stride 5 > /dev/nu
 $BECIRCLE index --p 3 --eps 0.01 | cmp - tests/golden/index.json
 python -W error::RuntimeWarning -m becircle index --p 1 --eps 0.05 > /dev/null
 python -W error::RuntimeWarning -m becircle index --p 2 --eps 0.02 > /dev/null
+python -W error::RuntimeWarning -m becircle index --p 4 --eps 0.01 > /dev/null
 $BECIRCLE be --nodes 0,0.5 --eps 0.05 | cmp - tests/golden/be.json
 $BECIRCLE two-node-scan --eps 0.02 --grid 0.3,0.5 | cmp - tests/golden/two_node_scan.json
 $BECIRCLE gap-sweep --L 0.5 --eps 0.05,0.03 | cmp - tests/golden/gap_sweep.json
+python -W error::RuntimeWarning -m becircle gap-sweep --L 0.5 --eps 0.158,0.0005 > /dev/null
 $BECIRCLE gamma-sweep --nodes 0,0.5 --eps 0.02,0.01,0.005 | cmp - tests/golden/gamma_sweep.json
 python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["results"]["limit_deviation"] < 1e-3 else 1)' < tests/golden/gamma_sweep.json
 echo "ok"

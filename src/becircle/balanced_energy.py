@@ -1,9 +1,10 @@
 """The balanced energy on node configurations of the circle: first variation,
 the second-variation Hessian over node perturbations, the Dirichlet-to-Neumann
 quantity v(eps), Morse index and nullity, the Allen-Cahn spectrum of the
-2p-node solution on the circle, one operator of its two mirror sectors, and
-the experiments: the index table, which solves each row's arc once for Q and
-the AC spectrum, and the Gamma sweep of BE against a recovery comparator.
+2p-node solution on the circle, one operator of its four quarter-circle
+blocks, the Dirichlet gap of an arc on its even half, and the experiments:
+the index table, which solves each row's arc once for Q and the AC
+spectrum, and the Gamma sweep of BE against a recovery comparator.
 
 Every linearized quantity reads one operator, bvp_engine.linearized_operator
 (-eps^2 D^2 + W''(u) with zero Dirichlet ends).  The transmission is one
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvp_engine import (SpectrumReport, TridiagonalOperator, eig_sturm,
-                         linearized_operator, richardson, simpson,
-                         solve_tridiagonal)
+from .bvp_engine import (SpectrumReport, eig_sturm, linearized_operator,
+                         richardson, simpson, solve_tridiagonal)
 from .errors import (ArcTooShort, DomainError, NotCritical, SingularJacobian,
                      SingularSystem)
 from .scalar_field import SQRT2, heteroclinic, potential, well_constants
@@ -241,34 +241,57 @@ def ac_spectrum(sol, how_many):
     """Spectrum of -(eps^2 d^2 - W''(u)) on the circle at the nodal solution,
     with a translation-calibrated zero threshold.
 
-    The solution is odd under the mirror j -> n - j, so the periodic central
-    differences (diagonal 2 c2 + W''(v_j), couplings -c2, c2 = eps^2/dx^2)
-    are block diagonal in the orthonormal mirror basis: one linearized_operator
-    holds the odd block on indices 1..h-1, h = n/2, and the even block on 0..h
-    (basis e_0, (e_j + e_{n-j})/sqrt2, e_h, so its end couplings scale by
-    sqrt2), with a zero coupling between them.  The discrete derivative of
-    the solution is an exact, even kernel element of the discretization; its
-    Rayleigh quotient on the even block calibrates the zero threshold.
+    The periodic central differences (diagonal 2 c2 + W''(v_j), couplings
+    -c2, c2 = eps^2/dx^2) commute with two mirrors: W''(v) is the same bit
+    for bit at j and n - j (the solution is odd there) and at j and h - j,
+    h = n/2 (each arc is an exact palindrome, and the half circle holds p
+    of them; x = 1/4, index q = h/2, is a node for even p and an arc
+    midpoint for odd p).  In the orthonormal basis of both mirrors the
+    operator splits into four real blocks on the first quarter, named by
+    their parity about x = 0 and about x = 1/4 (N even, D odd): (N,N) on
+    indices 0..q, (N,D) on 0..q-1, (D,N) on 1..q and (D,D) on 1..q-1.  An
+    even end keeps its point, whose neighbour is the pair
+    (e_j + e_j')/sqrt2, so the coupling into it scales by sqrt2; an odd end
+    drops its point.  One linearized_operator holds the four blocks in that
+    order, with zero couplings between them, and one eig_sturm call
+    bisects each block on its own.
+
+    The discrete derivative of the solution is an exact kernel element of
+    the discretization, even under j -> n - j; its Rayleigh quotient on
+    that mirror's even sector (indices 0..h, end couplings times sqrt2)
+    calibrates the zero threshold.
     """
     tol = 1e-12
     h = (sol.u.n + 1) // 2
+    q = h // 2
     c2 = (sol.eps / sol.u.h) ** 2
     half = sol.u.values[:h + 1]
-    op = linearized_operator(np.concatenate((half[1:h], half)), c2)
-    op.offdiag[h - 2] = 0.0
-    op.offdiag[[h - 1, -1]] *= SQRT2
-    even = TridiagonalOperator(op.diag[h - 1:], op.offdiag[h - 1:])
+    even = linearized_operator(half, c2)
+    even.offdiag[[0, -1]] *= SQRT2
     ux = translation_mode(sol)[:h + 1]
     ux[1:-1] *= SQRT2
     rq = float(ux @ even.matvec(ux) / (ux @ ux))
     tau = max(10.0 * abs(rq), 40.0 * tol)
+    op = linearized_operator(
+        np.concatenate((half[:q + 1], half[:q], half[1:q + 1], half[1:q])), c2)
+    op.offdiag[[q, 2 * q, 3 * q]] = 0.0
+    op.offdiag[[0, q - 1, q + 1, 3 * q - 1]] *= SQRT2
     return eig_sturm(op, how_many, tol=tol, zero_threshold=tau)
 
 
 def dirichlet_gap(eps, L, points_per_eps=50):
-    """Lowest Dirichlet eigenvalue of -(eps^2 d^2 - W''(u)) on the arc."""
+    """Lowest Dirichlet eigenvalue of -(eps^2 d^2 - W''(u)) on the arc.
+
+    The arc operator has negative couplings, so its ground state is
+    positive, hence even about the midpoint M = m/2 of the m-interval arc
+    (W''(u) is a palindrome there).  It is the lowest eigenvalue of the
+    even half block: the interior points 1..M, with the coupling into the
+    midpoint scaled by sqrt2, bisected by one eig_sturm call.
+    """
     arc = solve_dirichlet(L, eps, points_per_eps=points_per_eps)
-    op = linearized_operator(arc.u.values[1:-1], (eps / arc.u.h) ** 2)
+    mid = (arc.u.n + 1) // 2
+    op = linearized_operator(arc.u.values[1:mid + 1], (eps / arc.u.h) ** 2)
+    op.offdiag[-1] *= SQRT2
     return float(eig_sturm(op, 1, tol=1e-10).eigenvalues[0])
 
 

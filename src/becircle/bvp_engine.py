@@ -2,7 +2,9 @@
 for the semilinear two-point problem (started from the closed form), and the
 linearized operator -eps^2 D^2 + W''(u) with its tridiagonal solve (LAPACK
 gtsv) and symmetric-tridiagonal eigensolver.  Every eigenproblem is
-bisected on Sturm counts by LAPACK (stebz).
+bisected on Sturm counts by LAPACK (stebz, called directly), in one
+eig_sturm call per spectrum, on an operator whose zero couplings split it
+into the smallest symmetric blocks its caller can build.
 """
 import math
 import numbers
@@ -11,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 # solve_banded is not called: bench/tracing.py reads bvp_engine.solve_banded;
 # once the tracer drops that read (ROADMAP item 4), drop it from this import
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import DomainError, NonConvergence, SingularJacobian
 from .scalar_field import potential_d1, potential_d2
@@ -215,30 +217,54 @@ def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
 
 
 def _stebz(diag, offdiag, select, select_range, tol):
-    """LAPACK bisection (Kahan's Sturm counts) on a symmetric tridiagonal matrix."""
-    try:
-        return eigvalsh_tridiagonal(diag, offdiag, select=select,
-                                    select_range=select_range,
-                                    lapack_driver="stebz", tol=tol)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"stebz bisection failed: {exc}") from exc
+    """LAPACK bisection (Kahan's Sturm counts) on a symmetric tridiagonal
+    matrix, one direct dstebz call, as solve_tridiagonal calls dgtsv.
+
+    select "i" returns the ascending eigenvalues of 0-based indices
+    select_range = (lo, hi), inclusive (dstebz range 2, 1-based il, iu);
+    select "v" those in the half-open (lo, hi] (range 1).  Order "E": one
+    ascending list over the whole matrix.  dstebz splits the matrix at its
+    zero couplings and bisects each block on that block alone, so the
+    blocks of a block-diagonal operator cost their own sizes.  The result is
+    eigvalsh_tridiagonal(..., lapack_driver="stebz")'s, bit for bit, without
+    that wrapper's finiteness and argument checks, which eig_sturm makes
+    once.  A nonzero info raises NonConvergence.
+    """
+    lo, hi = select_range
+    if select == "i":
+        args = (2, 0.0, 1.0, lo + 1, hi + 1)   # vl, vu unread
+    else:
+        args = (1, lo, hi, 1, 1)               # il, iu unread
+    if len(diag) == 1:
+        offdiag = np.zeros(1)   # the wrapper wants a slot that dstebz leaves unread
+    m, w, _, _, info = dstebz(diag, offdiag, *args, tol, "E")
+    if info != 0:
+        raise NonConvergence(f"stebz bisection failed: info = {info}")
+    return w[:m]
 
 
 def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
     """Lowest eigenvalues to tol, with exact global sign counts.
 
-    The eigenvalues come from LAPACK's Sturm bisection, stebz.  Each count
-    at +-tau is one stebz call over (-inf, x] with an unbounded tolerance:
-    stebz clips the interval to its own Gershgorin bounds, takes the count
-    from the Sturm counts at its ends and refines no eigenvalue inside.  The
-    zero threshold tau defaults to 1e-8 times the largest returned magnitude.
-    An operator with a non-finite entry raises DomainError.
+    The eigenvalues come from LAPACK's Sturm bisection, stebz, one call for
+    the whole operator: a block-diagonal operator (zero couplings between
+    its blocks) is bisected block by block.  Each count at +-tau is one
+    stebz call over (-inf, x] with an unbounded tolerance: stebz clips the
+    interval to its own Gershgorin bounds, takes the count from the Sturm
+    counts at its ends and refines no eigenvalue inside.  The zero
+    threshold tau defaults to 1e-8 times the largest returned magnitude.
+    DomainError, before any LAPACK call, for an operator with a non-finite
+    entry, a tol outside (0, inf) or a zero_threshold outside [0, inf).
     """
     n = op.dim
     if not (isinstance(how_many, numbers.Integral) and 1 <= how_many <= n):
         raise DomainError(f"how_many must be an integer in [1, {n}], got {how_many!r}")
     if not (np.all(np.isfinite(op.diag)) and np.all(np.isfinite(op.offdiag))):
         raise DomainError("operator entries must be finite")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    if zero_threshold is not None and not 0.0 <= zero_threshold < math.inf:
+        raise DomainError(f"zero_threshold must be None or in [0, inf), got {zero_threshold!r}")
     evals = _stebz(op.diag, op.offdiag, "i", (0, how_many - 1), tol)
     tau = zero_threshold if zero_threshold is not None else 1e-8 * np.max(np.abs(evals))
     below_neg, below_pos = (len(_stebz(op.diag, op.offdiag, "v", (-np.inf, x), np.inf))
@@ -246,4 +272,3 @@ def eig_sturm(op, how_many, tol=1e-10, zero_threshold=None):
     return SpectrumReport(eigenvalues=evals, zero_threshold=tau,
                           n_negative=below_neg, n_zero=below_pos - below_neg,
                           n_positive=n - below_pos)
-

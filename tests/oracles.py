@@ -13,7 +13,8 @@ from scipy.special import ellipe, ellipkm1
 
 from becircle import (DomainError, GridFunction, NoPositiveSolution,
                       NonConvergence, heteroclinic, intervals_for, modulus_for,
-                      potential_d1, simpson, translation_mode, zero_spacing_from_kp)
+                      potential_d1, simpson, solve_dirichlet, translation_mode,
+                      zero_spacing_from_kp)
 from becircle.balanced_energy import _pinned_be
 from becircle.bvp_engine import (SpectrumReport, eig_sturm, linearized_operator,
                                  solve_tridiagonal)
@@ -194,6 +195,16 @@ def ac_spectrum_by_sectors(sol, how_many):
                           n_negative=odd.n_negative + even.n_negative,
                           n_zero=odd.n_zero + even.n_zero,
                           n_positive=odd.n_positive + even.n_positive)
+
+
+def dirichlet_gap_full_arc(eps, L, points_per_eps=50):
+    """dirichlet_gap on the whole arc, with no mirror: the lowest eigenvalue
+    of linearized_operator on every interior point 1..m-1 of the arc's base
+    grid, bisected by eig_sturm to the same tolerance 1e-10.
+    """
+    arc = solve_dirichlet(L, eps, points_per_eps=points_per_eps)
+    op = linearized_operator(arc.u.values[1:-1], (eps / arc.u.h) ** 2)
+    return float(eig_sturm(op, 1, tol=1e-10).eigenvalues[0])
 
 
 def newton_full_grid(grid, eps, tol=1e-12, max_iter=100):

@@ -23,8 +23,8 @@ from becircle.scalar_field import potential_d2
 from becircle.elliptic_oracle import modulus_for
 from becircle.solver_1d import intervals_for
 from oracles import (ac_spectrum_by_sectors, arc_energy_tolerance, cycle_laplacian,
-                     exact_arc_energy, exact_transmission, fd_second_variation,
-                     lame_edges, lame_gap)
+                     dirichlet_gap_full_arc, exact_arc_energy, exact_transmission,
+                     fd_second_variation, lame_edges, lame_gap)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -426,7 +426,7 @@ def test_ac_spectrum_matches_morse_index():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_ac_spectrum_solves_per_eigenvalue(monkeypatch, p):
-    # the circle operator is block diagonal in its two mirror sectors, and
+    # the circle operator is block diagonal in its four quarter blocks, and
     # LAPACK's bisection solves the one block operator whole: no eigenvalue
     # takes a linear solve, counted at gtsv, the one LAPACK call behind every
     # tridiagonal solve
@@ -446,11 +446,12 @@ def test_ac_spectrum_solves_per_eigenvalue(monkeypatch, p):
 
 
 @pytest.mark.parametrize("points_per_eps", [20, 50, 100])
-@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_ac_spectrum_matches_the_two_sector_reference(p, points_per_eps):
-    # the block operator has the two sectors' spectra: the same zero
-    # threshold and Sturm counts bit for bit, and each eigenvalue within the
-    # bisection tolerance 1e-12 (measured at most 8.8e-13).  The counts
+    # the four quarter blocks have the two mirror sectors' spectra: the same
+    # zero threshold and Sturm counts bit for bit, and each eigenvalue within
+    # the bisection tolerance 1e-12 (measured at most 8.9e-13).  Even p puts
+    # a node at x = 1/4, odd p an arc midpoint.  The counts
     # agree also from arc/eps 20 on, where both are wrong alike (the fixed
     # threshold floor lies above the smallest nonzero eigenvalue)
     for ratio in range(4, 25, 2):
@@ -515,12 +516,14 @@ def _circle_matrix(sol):
 
 @pytest.mark.parametrize("p, ratio, points_per_eps",
                          [(1, 9, 20), (1, 13, 20), (2, 9, 20), (2, 13, 20),
-                          (3, 9, 20), (3, 13, 20), (1, 19, 50)])
+                          (3, 9, 20), (3, 13, 20), (1, 19, 50), (4, 9, 20),
+                          (5, 9, 20)])
 def test_ac_spectrum_matches_dense(p, ratio, points_per_eps):
-    # the dihedral operator has paired eigenvalues, one of each pair in each
-    # mirror sector, and its diagonal matches its mirror image only to an ulp.
-    # Dense eigvalsh of the whole circle matrix shares nothing with the
-    # sectors or Sturm counting and is good to a few ulps of the norm.
+    # the dihedral operator has paired eigenvalues, split among the quarter
+    # blocks.  Dense eigvalsh of the whole circle matrix shares nothing with
+    # the blocks or Sturm counting and is good to a few ulps of the norm.
+    # p = 4 and 5 take the smallest arcs, 400 intervals each (dimension 3200
+    # and 4000).
     sol = nodal_solution(p, 1.0 / (2 * p * ratio), points_per_eps=points_per_eps)
     tol = 1e-12
     rep = ac_spectrum(sol, 2 * p + 3)
@@ -558,6 +561,20 @@ def test_dirichlet_gap_matches_the_lame_band_edge(L, ratio, points_per_eps):
     h = L / intervals_for(L, eps, points_per_eps)
     gap = dirichlet_gap(eps, L, points_per_eps=points_per_eps)
     assert abs(gap - lame_gap(modulus_for(eps, L))) <= 0.2 * (h / eps) ** 2 + 1e-9
+
+
+@pytest.mark.parametrize("points_per_eps", [20, 50, 100])
+def test_dirichlet_gap_matches_the_full_arc(points_per_eps):
+    # the even half block has the whole arc's lowest eigenvalue: within
+    # 2e-10, twice the bisection tolerance 1e-10 of each side (measured at
+    # most 6.6e-11 on these points, at 20 points per eps and L/eps 10.3),
+    # from just above the existence threshold L/eps = pi to the kp floor
+    # near 1958
+    L = 0.5
+    for ratio in np.geomspace(3.2, 1950.0, 12):
+        eps = L / ratio
+        gap = dirichlet_gap(eps, L, points_per_eps=points_per_eps)
+        assert abs(gap - dirichlet_gap_full_arc(eps, L, points_per_eps)) <= 2e-10, ratio
 
 
 def test_dirichlet_gap_positive():

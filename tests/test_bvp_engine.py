@@ -4,13 +4,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 import becircle.bvp_engine as engine
 import becircle.solver_1d as solver
 from becircle import (DomainError, GridFunction, NonConvergence, SingularJacobian,
                       TridiagonalOperator, cumulative_simpson, eig_sturm, heteroclinic,
                       newton_semilinear, simpson, solve_dirichlet)
-from becircle.bvp_engine import solve_tridiagonal
+from becircle.bvp_engine import _stebz, solve_tridiagonal
 from becircle.elliptic_oracle import ac_family_mod, modulus_for
 from becircle.scalar_field import potential_d1
 
@@ -431,3 +432,48 @@ def test_eig_sturm_rejects_non_finite_operator(field, bad):
     arrays[field][2] = bad
     with pytest.raises(DomainError, match="finite"):
         eig_sturm(TridiagonalOperator(**arrays), 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 300), laplacian=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([1e-10, 1e-12, np.inf]))
+@example(n=1, laplacian=False, seed=0, tol=1e-12)
+@example(n=300, laplacian=True, seed=0, tol=1e-12)
+def test_stebz_matches_eigvalsh_tridiagonal(n, laplacian, seed, tol):
+    # the direct dstebz call against scipy's wrapper, bit for bit: index
+    # ranges, the count ranges (-inf, x] eig_sturm reads, and finite value
+    # ranges; an operator split by a zero coupling covers the blocked case
+    rng = np.random.default_rng(seed)
+    if laplacian:
+        diag, off = np.full(n, 2.0), np.full(n - 1, -1.0)
+    else:
+        diag, off = rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n - 1)
+        if n > 2:
+            off[rng.integers(0, n - 1)] = 0.0
+    lo = int(rng.integers(0, n))
+    hi = int(rng.integers(lo, n))
+    x, y = np.sort(rng.uniform(-3.0, 4.0, 2))
+    for select, select_range in (("i", (0, hi)), ("i", (lo, hi)), ("v", (-np.inf, x)),
+                                 ("v", (x, y))):
+        ref = eigvalsh_tridiagonal(diag, off, select=select, select_range=select_range,
+                                   lapack_driver="stebz", tol=tol)
+        got = _stebz(diag, off, select, select_range, tol)
+        assert got.tobytes() == ref.tobytes(), (select, select_range)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"tol": -1e-10}, {"tol": np.nan}, {"tol": np.inf},
+    {"zero_threshold": -1.0}, {"zero_threshold": np.nan}, {"zero_threshold": np.inf},
+    {"zero_threshold": -np.inf},
+])
+def test_eig_sturm_rejects_bad_tol_and_zero_threshold(kwargs, capfd):
+    # a tol outside (0, inf) or a zero threshold outside [0, inf) is a
+    # DomainError raised before LAPACK runs: an unbounded tol returned one
+    # eigenvalue repeated, a tol <= 0 or NaN fell back to LAPACK's default,
+    # a negative threshold gave a negative nullity, and a NaN or inf one an
+    # untyped error, with dstebz's illegal-value message on stderr
+    op = TridiagonalOperator(diag=np.full(5, 2.0), offdiag=np.full(4, -1.0))
+    with pytest.raises(DomainError, match=next(iter(kwargs))):
+        eig_sturm(op, 3, **kwargs)
+    assert capfd.readouterr().err == ""
+    assert eig_sturm(op, 3, zero_threshold=0.0).n_zero == 0
