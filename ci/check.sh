@@ -17,6 +17,7 @@ $BECIRCLE solve --L 0.5 --eps 0.05 | cmp - tests/golden/solve.json
 $BECIRCLE profiles --T 20 --stride 2.0 | cmp - tests/golden/profiles.csv
 $BECIRCLE profiles --T 40 --stride 1.0 | cmp - tests/golden/profiles_T40.csv
 $BECIRCLE profiles --T 80 --stride 4.0 | cmp - tests/golden/profiles_T80.csv
+$BECIRCLE profiles --T 20.001 --stride 5 | cmp - tests/golden/profiles_T20_001.csv
 $BECIRCLE variation --nodes 0,0.4 --eps 0.05 --f 0,1 | cmp - tests/golden/variation.json
 $BECIRCLE cutoff-nd --n 3 --k 10 --eps 0.1 --delta 0.001 | cmp - tests/golden/cutoff.json
 $BECIRCLE lipschitz --L 0.5 --eps 0.01,0.015,0.02,0.03 | cmp - tests/golden/lipschitz.json
@@ -24,6 +25,7 @@ python -W error::RuntimeWarning -m becircle solve --L 0.5 --eps 0.05 | cmp - tes
 python -W error::RuntimeWarning -m becircle solve --L 0.5 --eps 0.0025 > /dev/null
 python -W error::RuntimeWarning -m becircle profiles --T 250 --stride 50 > /dev/null
 python -W error::RuntimeWarning -m becircle profiles --T 15 --stride 5 > /dev/null
+python -W error::RuntimeWarning -m becircle profiles --T 20.001 --stride 5 | cmp - tests/golden/profiles_T20_001.csv
 $BECIRCLE index --p 3 --eps 0.01 | cmp - tests/golden/index.json
 python -W error::RuntimeWarning -m becircle index --p 1 --eps 0.05 > /dev/null
 python -W error::RuntimeWarning -m becircle index --p 2 --eps 0.02 > /dev/null

@@ -103,6 +103,16 @@ def richardson(coarse, fine):
     return (4.0 * fine - coarse) / 3.0
 
 
+def _simpson_pairs(v, h, k):
+    """The Simpson pairs (h/3)(v[j] + 4 v[j+1] + v[j+2]) at the even j < k,
+    in one new array of k // 2 points."""
+    a = np.multiply(v[1:k:2], 4.0)
+    np.add(v[0:k:2], a, out=a)
+    a += v[2:k + 1:2]
+    a *= h / 3.0
+    return a
+
+
 def cumulative_simpson(values, h):
     """Cumulative integral on the grid, fourth-order accurate.
 
@@ -119,11 +129,7 @@ def cumulative_simpson(values, h):
     out = np.empty(n)
     out[0] = 0.0
     k = 2 * ((n - 1) // 2)  # odd indices below k have both neighbours
-    # pairs: (h/3)(v[j] + 4 v[j+1] + v[j+2]) at even j
-    a = np.multiply(v[1:k:2], 4.0)
-    np.add(v[0:k:2], a, out=a)
-    a += v[2:k + 1:2]
-    a *= h / 3.0
+    a = _simpson_pairs(v, h, k)
     np.cumsum(a, out=out[2:k + 1:2])
     # partial panels: (h/12)(5 v[j-1] + 8 v[j] - v[j+1]) at odd j
     np.multiply(v[0:k - 1:2], 5.0, out=a)
@@ -135,6 +141,22 @@ def cumulative_simpson(values, h):
     if n % 2 == 0:  # last index is odd: backward panel
         out[-1] = out[-2] + (h / 12.0) * (-v[-3] + 8.0 * v[-2] + 5.0 * v[-1])
     return out
+
+
+def cumulative_simpson_last(values, h):
+    """cumulative_simpson(values, h)[-1], bit for bit, without the output
+    array: the running sum of the Simpson pairs (np.cumsum, not the pairwise
+    sum of `simpson`), closed by the backward panel on an even point count.
+    """
+    v = np.asarray(values, dtype=float)
+    n = v.shape[0]
+    if n < 3:
+        raise DomainError("cumulative_simpson needs at least 3 points")
+    a = _simpson_pairs(v, h, 2 * ((n - 1) // 2))
+    total = np.cumsum(a, out=a)[-1]
+    if n % 2 == 0:
+        total = total + (h / 12.0) * (-v[-3] + 8.0 * v[-2] + 5.0 * v[-1])
+    return total
 
 
 def linearized_operator(values, c2):

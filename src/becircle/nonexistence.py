@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balanced_energy import NodeConfig, broken_transition
-from .bvp_engine import simpson
 from .errors import DomainError
 from .scalar_field import potential
 from .solver_1d import min_energy
@@ -65,18 +64,40 @@ def cutoff_gradient_closed(spec):
     return 0.5 * spec.eps * w * radial / lk ** 2
 
 
+def _ramp_integral(spec):
+    """int_delta^(k delta) W(f) r^(n-1) dr / ln k, in closed form.
+
+    With s = ln(r/delta)/ln k (so f = s) and a = n ln k this is
+    delta^n int_0^1 W(s) e^(a s) ds, and four integrations by parts of the
+    quartic W give [(k delta)^n (2a^2 - 6a + 6) - delta^n (a^4 - 4a^2 + 24)/4]
+    / a^5.  Neither quadratic has a real root, but their difference cancels
+    at small a, so below a = 4 it is the series delta^n sum_j a^j/j! m_j over
+    the moments m_j = int_0^1 s^j W(s) ds = (1/(j+1) - 2/(j+3) + 1/(j+5))/4;
+    forty terms leave a remainder below 4^40/40! ~ 2e-24.  (k delta)^n is
+    formed as such, not as e^a delta^n: `CutoffSpec` keeps it finite.
+    """
+    a = spec.n * math.log(spec.k)
+    inner = np.float64(spec.delta) ** spec.n
+    if a < 4.0:
+        total, term = 0.0, 1.0
+        for j in range(40):
+            total += term * (1.0 / (j + 1) - 2.0 / (j + 3) + 1.0 / (j + 5)) / 4.0
+            term *= a / (j + 1)
+        return inner * total
+    outer = np.float64(spec.k * spec.delta) ** spec.n
+    return (outer * (2.0 * a * a - 6.0 * a + 6.0)
+            - inner * (a ** 4 - 4.0 * a * a + 24.0) / 4.0) / a ** 5
+
+
 def cutoff_energy(spec):
-    """Exact radial energy of the log cutoff: closed-form gradient plus the
-    potential term quadrature (W = 1/4 on the inner ball, W(f) on the ramp).
-    DomainError if the energy is not finite in float64 (eps near either end
-    of its range, or k near 1 in the gradient's 1/ln(k)^2)."""
+    """Exact radial energy of the log cutoff: the closed-form gradient, ball
+    (W = 1/4 on the inner ball) and ramp (W(f)) terms.  DomainError if the
+    energy is not finite in float64 (eps near either end of its range, or k
+    near 1 in the gradient's 1/ln(k)^2)."""
     w = _sphere_area(spec.n)
     with np.errstate(over="ignore", invalid="ignore"):
         ball = w * spec.delta ** spec.n / spec.n * potential(0.0) / spec.eps
-        r = np.linspace(spec.delta, spec.k * spec.delta, 4001)
-        h = r[1] - r[0]
-        f = np.log(r / spec.delta) / math.log(spec.k)
-        ramp = w * simpson(potential(f) * r ** (spec.n - 1), h) / spec.eps
+        ramp = w * math.log(spec.k) * _ramp_integral(spec) / spec.eps
         energy = cutoff_gradient_closed(spec) + ball + ramp
     if not math.isfinite(energy):
         raise DomainError(f"the cutoff energy overflows float64 at n = {spec.n}, "

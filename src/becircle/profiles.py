@@ -23,17 +23,29 @@ n = round(T/h) steps with g, gdot and gddot on it, evaluated once and cached
 for the last window asked for (`_halfline(T, n)`, one entry).  The entry also
 keeps the two results that other window functions read again: w, once
 `profile_w` has solved it (rho and kappa_ode read it), and the four
-constants, once `profile_constants` has computed them (it reads w'(0) from
-w's tail integral and does not solve w).  It holds four arrays of n + 1
-floats (t, g, gdot and gddot), about 2.6 MB at 80001 points, and two more
-once w is solved (its values and dvalues; its rhs_values is the cached
+constants, once `profile_constants` has computed them.  It holds four arrays
+of n + 1 floats (t, g, gdot and gddot), about 2.6 MB at 80001 points, and two
+more once w is solved (its values and dvalues; its rhs_values is the cached
 gdot): 3.8 MB at 80001 points and 12 MB at the edge T ~ 251.2 with
 h = 1e-3.  All of them are read-only and are shared by the profiles built
 on them, and `ode_residual` reads g from the half-line of the profile's T
 and number of points.  The other profiles are solved on every call.
+
+Every solve runs one variation-of-parameters core, `_vp_core`.
+`profile_constants` builds no profile: sigma2 reads tau_geom's values from
+the core, and w'(0) and omega'(0) are tail totals (`_tail_total`), so at its
+peak it holds four arrays besides the window (tau_geom's source, r' and the
+bracket or r, and `cumulative_simpson`'s scratch): 4.9 MiB at 80001 points,
+window included, against 7.3 MiB when it solved tau_geom in full.  A
+`spectral` bench pass evaluates `heteroclinic` 3 times and runs the core 8
+times; traced, it reports `profiles.calls` 22 (28 while the constants called
+`profile_tau_geom`).  The kernels work in place, with the operands in the
+order of the plain expressions, so every result keeps its bits.
+
 The window ends where gdot(T)^2 leaves the normal float64 range; past it
 `bracket / gdot^2` and kappa's `/ s^2` lose every digit, so a longer T
-raises `DomainError`.
+raises `DomainError`, as does a window of more than 10^6 steps,
+before any array is built.
 """
 import functools
 import math
@@ -42,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvp_engine import cumulative_simpson, simpson
+from .bvp_engine import cumulative_simpson, cumulative_simpson_last, simpson
 from .errors import DomainError, TruncationError
 from .scalar_field import SQRT2, heteroclinic, potential_d2
 
@@ -51,6 +63,10 @@ DEFAULT_H = 1e-3
 
 # the T at which gdot(T)^2 ~ 8 exp(-2 sqrt2 T) reaches the smallest normal float
 _T_UNDERFLOW = (math.log(8.0) - math.log(sys.float_info.min)) / (2.0 * SQRT2)
+# the most steps a window may take: 8 MB per array.  The largest windows in
+# use are the CLI's T = 251.19 at h = 1e-3 (251190 steps) and T = 160 at
+# h = 5e-4 (320000)
+_MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -94,10 +110,13 @@ class _Window:
 
 def _window(T, h):
     """`_halfline` of the uniform grid of [0, T] with the step nearest h that
-    divides T; T may not pass `_T_UNDERFLOW`."""
+    divides T; T may not pass `_T_UNDERFLOW`, nor its step count `_MAX_STEPS`."""
     n = int(round(T / h)) if h > 0 and math.isfinite(T / h) else 0
     if n < 2:
         raise DomainError(f"profile grid needs finite T >= 1.5 h > 0: T={T!r}, h={h!r}")
+    if n > _MAX_STEPS:
+        raise DomainError(f"profile window T={T!r}, h={h!r} takes {n} steps, "
+                          f"more than {_MAX_STEPS}")
     if T > _T_UNDERFLOW:
         raise DomainError(f"profile window T={T!r} is past {_T_UNDERFLOW:.4f}, where "
                           "gdot(T)^2 leaves the normal float64 range")
@@ -129,52 +148,74 @@ def _halfline(T, n):
     return _Window(t, T / n, g, gdot, gddot)
 
 
+def _exp_tail(rg, h):
+    """int_T^infty rg, by analytic continuation of rg's exponential decay
+    (rate fitted at the boundary); 0.0 where rg does not decay at T."""
+    if rg[-1] != 0.0 and rg[-2] != 0.0 and 0.0 < rg[-1] / rg[-2] < 1.0:
+        mu = math.log(rg[-2] / rg[-1]) / h
+        return rg[-1] / mu
+    return 0.0
+
+
 def _tail_bracket(rhs_values, line):
     """rg = rhs*gdot and the bracket -int_s^infty rhs*gdot on the half-line
-    `line` from `_halfline`, the first half of `_vp_solve`.
+    `line` from `_halfline`, the first half of `_vp_core`.
 
-    The truncated tail integral int_s^T rhs*gdot is closed by analytic
-    continuation of the integrand's exponential decay (rate fitted at the
-    boundary): without it the bracket loses all relative accuracy near T,
-    which matters for sources that do not themselves decay.  The profile's
-    slope f'(0) is bracket[0] / gdot[0], so a caller that needs only the
-    slope stops here.
+    The truncated tail integral int_s^T rhs*gdot is closed by `_exp_tail`:
+    without it the bracket loses all relative accuracy near T, which
+    matters for sources that do not themselves decay.
     """
     h = line.h
     rg = rhs_values * line.gdot
     # int_s^T rhs*gdot accumulated from the right, keeping relative accuracy
     # where the integrand is exponentially small
     bracket = cumulative_simpson(rg[::-1], h)[::-1]
-    tail_inf = 0.0
-    if rg[-1] != 0.0 and rg[-2] != 0.0 and 0.0 < rg[-1] / rg[-2] < 1.0:
-        mu = math.log(rg[-2] / rg[-1]) / h
-        tail_inf = rg[-1] / mu
-    bracket += tail_inf
+    bracket += _exp_tail(rg, h)
     np.negative(bracket, out=bracket)         # = -int_s^infty rhs*gdot
     return rg, bracket
 
 
-def _vp_solve(rhs_values, line):
-    """Tail-form variation-of-parameters solve of L f = rhs on the half-line
-    `line` from `_halfline`; no decay guard.
+def _tail_total(rg, h):
+    """int_0^infty rg, the tail integral a profile's slope reads:
+    -_tail_bracket(...)[1][0] bit for bit (the last running sum of the
+    reversed Simpson pairs plus `_exp_tail`), without the bracket array."""
+    return cumulative_simpson_last(rg[::-1], h) + _exp_tail(rg, h)
 
-    rhs*gdot and the bracket come from `_tail_bracket`.  Besides the two
-    `cumulative_simpson` outputs (the bracket and r) it allocates two
-    arrays, the profile's values and rhs*gdot, whose buffer is reused for
-    r' and then f'; every step runs in place with the operands in the order
-    of r' = bracket / gdot^2, f = r gdot and f' = r' gdot + r gddot.
+
+def _vp_core(rhs_values, line):
+    """The tail-form variation-of-parameters core of L f = rhs on the
+    half-line `line` from `_halfline`, which every profile solve runs; no
+    decay guard.
+
+    Returns r' = bracket / gdot^2, r = int_0^t r' and the slope
+    f'(0) = bracket[0] / gdot[0], with the bracket from `_tail_bracket`;
+    the profile is f = r gdot.  r' is formed in place in rhs*gdot's buffer,
+    and the bracket is dropped before r is accumulated.
     """
-    h, gdot = line.h, line.gdot
+    gdot = line.gdot
     rg, bracket = _tail_bracket(rhs_values, line)
+    slope0 = bracket[0] / gdot[0]
     rprime = np.square(gdot, out=rg)
     np.divide(bracket, rprime, out=rprime)
-    r = cumulative_simpson(rprime, h)
+    del bracket
+    return rprime, cumulative_simpson(rprime, line.h), slope0
+
+
+def _vp_solve(rhs_values, line):
+    """The profile of L f = rhs from `_vp_core`, with its derivative.
+
+    Besides the core's arrays it allocates one, the profile's values; r'
+    becomes f' in place, with the operands in the order of f = r gdot and
+    f' = r' gdot + r gddot.
+    """
+    gdot = line.gdot
+    rprime, r, slope0 = _vp_core(rhs_values, line)
     values = r * gdot
     rprime *= gdot
     r *= line.gddot
     rprime += r
-    return ProfileFunction(T=line.t[-1], h=h, values=values, dvalues=rprime,
-                           slope0=bracket[0] / gdot[0], rhs_values=rhs_values)
+    return ProfileFunction(T=line.t[-1], h=line.h, values=values, dvalues=rprime,
+                           slope0=slope0, rhs_values=rhs_values)
 
 
 def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H):
@@ -193,10 +234,16 @@ def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H):
     rhs_values = np.asarray(rhs(t) if callable(rhs) else rhs, dtype=float)
     if rhs_values.shape != t.shape:
         raise TruncationError("rhs grid does not match the profile grid")
+    _check_source(rhs_values, T)
+    return _vp_solve(rhs_values, line)
+
+
+def _check_source(rhs_values, T):
+    """`solve_profile`'s guards on a source on the grid: every value finite,
+    then `_check_decay`."""
     if not np.isfinite(rhs_values).all():
         raise DomainError("rhs has a non-finite value on the profile grid")
     _check_decay(rhs_values, T)
-    return _vp_solve(rhs_values, line)
 
 
 def _check_decay(rhs_values, T):
@@ -250,15 +297,55 @@ def _kappa(t, g, gdot):
     (it is the growing homogeneous partner of gdot).
     """
     s = SQRT2 * gdot    # sech^2(t/sqrt2), underflow-safe
-    return -(2.0 * g * (5.0 - 3.0 * g * g) / s + 3.0 * SQRT2 * t * s) / 8.0
+    if np.ndim(s) == 0:
+        return -(2.0 * g * (5.0 - 3.0 * g * g) / s + 3.0 * SQRT2 * t * s) / 8.0
+    # on arrays, in place in two arrays besides s, with the operands in the
+    # order of the expression above
+    out = np.multiply(2.0, g)
+    b = np.multiply(3.0, g)
+    b *= g
+    np.subtract(5.0, b, out=b)
+    out *= b
+    out /= s
+    np.multiply(3.0 * SQRT2, t, out=b)
+    b *= s
+    out += b
+    np.negative(out, out=out)
+    out /= 8.0
+    return out
 
 
 def _kappa_prime(t, g, gdot):
     """Analytic derivative of `_kappa`, from the same values."""
     s = SQRT2 * gdot    # sech^2(t/sqrt2)
-    dA = ((10.0 - 18.0 * g * g) / s + 4.0 * g * g * (5.0 - 3.0 * g * g) / s ** 2) * gdot
-    dB = 3.0 * SQRT2 * (s - 2.0 * t * g * gdot)
-    return -(dA + dB) / 8.0
+    if np.ndim(s) == 0:
+        dA = ((10.0 - 18.0 * g * g) / s + 4.0 * g * g * (5.0 - 3.0 * g * g) / s ** 2) * gdot
+        dB = 3.0 * SQRT2 * (s - 2.0 * t * g * gdot)
+        return -(dA + dB) / 8.0
+    # on arrays, in place in three arrays besides s, with the operands in
+    # the order of the expressions above
+    out = np.multiply(18.0, g)
+    out *= g
+    np.subtract(10.0, out, out=out)
+    out /= s
+    b = np.multiply(4.0, g)
+    b *= g
+    c = np.multiply(3.0, g)
+    c *= g
+    np.subtract(5.0, c, out=c)
+    b *= c
+    b /= np.square(s, out=c)
+    out += b
+    out *= gdot                               # dA
+    np.multiply(2.0, t, out=b)
+    b *= g
+    b *= gdot
+    np.subtract(s, b, out=b)
+    b *= 3.0 * SQRT2                          # dB
+    out += b
+    np.negative(out, out=out)
+    out /= 8.0
+    return out
 
 
 def profile_tau_lambda(T=DEFAULT_T, h=DEFAULT_H):
@@ -270,9 +357,12 @@ def profile_tau_lambda(T=DEFAULT_T, h=DEFAULT_H):
     """
     line = _window(T, h)
     t, g, gdot = line.t, line.g, line.gdot
-    vals = -_kappa(t, g, gdot)
-    return ProfileFunction(T=t[-1], h=line.h, values=vals, dvalues=-_kappa_prime(t, g, gdot),
-                           slope0=SQRT2, rhs_values=np.zeros_like(vals))
+    vals = _kappa(t, g, gdot)
+    np.negative(vals, out=vals)
+    dvals = _kappa_prime(t, g, gdot)
+    np.negative(dvals, out=dvals)
+    return ProfileFunction(T=t[-1], h=line.h, values=vals, dvalues=dvals, slope0=SQRT2,
+                           rhs_values=np.zeros_like(vals))
 
 
 def profile_omega(T=DEFAULT_T, h=DEFAULT_H):
@@ -287,37 +377,63 @@ def profile_omega(T=DEFAULT_T, h=DEFAULT_H):
 
 
 def _omega_source(line):
-    """omega's source 6 g tau_lambda gdot on the half-line `line`."""
-    t, g, gdot = line.t, line.g, line.gdot
-    return 6.0 * g * (-_kappa(t, g, gdot)) * gdot
+    """omega's source 6 g tau_lambda gdot on the half-line `line`, formed in
+    place with the operands in the order of that product."""
+    g, gdot = line.g, line.gdot
+    tau_lambda = _kappa(line.t, g, gdot)
+    np.negative(tau_lambda, out=tau_lambda)
+    src = np.multiply(6.0, g)
+    src *= tau_lambda
+    src *= gdot
+    return src
 
 
 def profile_constants(T=DEFAULT_T, h=DEFAULT_H):
     """sigma1, sigma2 by composite Simpson, and the response slopes w'(0)
     and omega'(0); computed once per window and kept with it.
 
-    sigma2 reads tau_geom's values, so tau_geom is solved in full, through
-    `solve_profile`'s decay guard.  Each slope is read from its source's
-    tail integral alone, bracket[0] / gdot[0] from `_tail_bracket`: the
-    value `profile_w` and `profile_omega` report as slope0, bit for bit,
-    without solving either profile.  The window's w is left as it is.
-    w's decay guard is still applied: tau_geom's source t*gdot is below
-    gdot only on windows T < 1, where the two guards differ.
+    sigma2 reads tau_geom's values, r gdot from `_vp_core`, through
+    `solve_profile`'s guards on tau_geom's source.  Each slope is read from
+    its source's tail integral alone, -`_tail_total` / gdot[0]: the value
+    `profile_w` and `profile_omega` report as slope0, bit for bit, without
+    solving either profile.  The window's w is left as it is.  w's decay
+    guard is still applied: tau_geom's source t*gdot is below gdot only on
+    windows T < 1, where the two guards differ.
     """
     line = _window(T, h)
     if line.constants is None:
-        t, hh, g, gdot = line.t, line.h, line.g, line.gdot
-        sigma1 = simpson(t * gdot * line.gddot, hh)
-        tau = profile_tau_geom(T, h)
-        sigma2 = 6.0 * simpson(tau.values * g * gdot ** 2, hh)
+        hh, gdot = line.h, line.gdot
+        sigma1 = _sigma1(line)
+        sigma2 = _sigma2(line, T)
         _check_decay(gdot, T)
-        line.constants = ProfileConstants(
-            sigma1=sigma1,
-            sigma2=sigma2,
-            wdot0=_tail_bracket(gdot, line)[1][0] / gdot[0],
-            omegadot0=_tail_bracket(_omega_source(line), line)[1][0] / gdot[0],
-        )
+        wdot0 = -_tail_total(gdot * gdot, hh) / gdot[0]
+        rg = _omega_source(line)
+        rg *= gdot
+        line.constants = ProfileConstants(sigma1=sigma1, sigma2=sigma2, wdot0=wdot0,
+                                          omegadot0=-_tail_total(rg, hh) / gdot[0])
     return line.constants
+
+
+def _sigma1(line):
+    """int t gdot gddot by composite Simpson, its integrand formed in place."""
+    integrand = line.t * line.gdot
+    integrand *= line.gddot
+    return simpson(integrand, line.h)
+
+
+def _sigma2(line, T):
+    """6 int tau_geom g gdot^2 by composite Simpson, from tau_geom's values
+    alone: the source t*gdot passes `solve_profile`'s guards, and the
+    integrand is formed in place in r's buffer, with the operands in the
+    order of tau_geom.values * g * gdot**2."""
+    gdot = line.gdot
+    src = line.t * gdot
+    _check_source(src, T)
+    rprime, integrand, _ = _vp_core(src, line)
+    integrand *= gdot                         # tau_geom's values
+    integrand *= line.g
+    integrand *= np.square(gdot, out=rprime)
+    return 6.0 * simpson(integrand, line.h)
 
 
 def ode_residual(profile, t_max=None):
@@ -334,10 +450,22 @@ def ode_residual(profile, t_max=None):
     # the profile's own half-line: a cache hit while its window is the last
     line = _halfline(float(profile.T), len(f) - 1)
     t, g = line.t, line.g
-    d2 = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) / (12.0 * h * h)
-    res = d2 - potential_d2(g[2:-2]) * f[2:-2] - profile.rhs_values[2:-2]
+    # in place in two arrays besides W''(g), with the operands in the order
+    # of (-f[4:] + 16 f[3:-1] - 30 f[2:-2] + 16 f[1:-3] - f[:-4]) / (12 h^2)
+    # - W''(g) f - rhs
+    res = np.negative(f[4:])
+    term = np.multiply(16.0, f[3:-1])
+    res += term
+    res -= np.multiply(30.0, f[2:-2], out=term)
+    res += np.multiply(16.0, f[1:-3], out=term)
+    res -= f[:-4]
+    res /= 12.0 * h * h
+    wf = potential_d2(g[2:-2])
+    wf *= f[2:-2]
+    res -= wf
+    res -= profile.rhs_values[2:-2]
     if t_max is not None:
         res = res[t[2:-2] <= t_max]
     if res.size == 0:
         raise DomainError(f"no grid point of [2h, T - 2h] lies at t <= t_max={t_max!r}")
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(res, out=res)))

@@ -32,15 +32,22 @@ def heteroclinic(t):
 
     Returns (g, gdot, gddot).  Accepts scalars or arrays.  sech^2 is formed
     from cosh directly: 1 - tanh^2 underflows to zero already near t = 26,
-    far inside the default profile windows.
+    far inside the default profile windows.  On an array, sech^2 is formed
+    in t / sqrt2's buffer and gddot in place, with the operands in the order
+    of the scalar expressions, so the bits are the same; the arrays built
+    are t / sqrt2 and the three returned.
     """
     s = np.asarray(t, dtype=float) / SQRT2
     g = np.tanh(s)
-    sech2 = 1.0 / np.cosh(s) ** 2
-    gdot = sech2 / SQRT2
-    gddot = -g * sech2
     if np.ndim(t) == 0:
-        return float(g), float(gdot), float(gddot)
+        sech2 = 1.0 / np.cosh(s) ** 2
+        return float(g), float(sech2 / SQRT2), float(-g * sech2)
+    sech2 = np.cosh(s, out=s)
+    np.square(sech2, out=sech2)
+    np.divide(1.0, sech2, out=sech2)
+    gdot = sech2 / SQRT2
+    gddot = np.negative(g)
+    gddot *= sech2
     return g, gdot, gddot
 
 

@@ -290,3 +290,46 @@ def kappa_lambda_prime(t):
     g, gdot, _ = heteroclinic(t)
     out = _kappa_prime(t, g, gdot)
     return float(out) if out.ndim == 0 else out
+
+
+def chebyshev_profile(rhs, T, at, bounded=False, N=200):
+    """The half-line profile f'' - W''(g) f = rhs, f(0) = 0, by float64
+    Chebyshev collocation on [0, T] at N + 1 points, read at the points
+    `at` by barycentric interpolation.
+
+    rhs is a callable of t.  The far condition is f'(T) + sqrt2 f(T) = 0,
+    which the decaying profiles meet (their tail is the homogeneous
+    solution e^{-sqrt2 t}), or f'(T) = 0 for a bounded profile such as
+    omega.  The differentiation matrix is that of L. N. Trefethen,
+    *Spectral Methods in MATLAB* (SIAM, 2000), ch. 6; nothing here calls
+    the library, and g = tanh(t / sqrt2) is evaluated here.
+    """
+    j = np.arange(N + 1)
+    x = np.cos(np.pi * j / N)                       # 1 .. -1
+    c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
+    dx = x[:, None] - x[None, :]
+    D = np.outer(c, 1.0 / c) / (dx + np.eye(N + 1))
+    D -= np.diag(D.sum(axis=1))
+    t = 0.5 * T * (1.0 - x)                          # 0 .. T
+    D *= -2.0 / T                                    # d/dt
+    g = np.tanh(t / math.sqrt(2.0))
+    A = D @ D - np.diag(3.0 * g * g - 1.0)
+    b = np.asarray(rhs(t), dtype=float).copy()
+    A[0] = 0.0                                       # f(0) = 0
+    A[0, 0] = 1.0
+    b[0] = 0.0
+    A[N] = D[N]                                      # far condition at t = T
+    if not bounded:
+        A[N, N] += math.sqrt(2.0)
+    b[N] = 0.0
+    f = np.linalg.solve(A, b)
+    at = np.atleast_1d(np.asarray(at, dtype=float))
+    diff = at[:, None] - t[None, :]
+    exact = diff == 0.0
+    # barycentric weights of the Chebyshev points, (-1)^j halved at the
+    # ends, are 1 / c
+    w = (1.0 / c) / np.where(exact, 1.0, diff)
+    out = (w @ f) / w.sum(axis=1)
+    hit = exact.any(axis=1)
+    out[hit] = f[exact.argmax(axis=1)[hit]]
+    return out

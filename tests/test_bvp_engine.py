@@ -103,6 +103,20 @@ def test_cumulative_simpson_in_place_matches_out_of_place(n, seed, h, reverse):
     assert np.array_equal(cumulative_simpson(v, h), _cumulative_simpson_out_of_place(v, h))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 200), seed=st.integers(0, 2**32 - 1), h=st.floats(1e-4, 1.0),
+       reverse=st.booleans())
+@example(n=3, seed=0, h=0.5, reverse=False)
+@example(n=4, seed=0, h=0.5, reverse=True)
+@example(n=80001, seed=2, h=1e-3, reverse=True)     # a tail total's reversed view
+@example(n=20002, seed=3, h=1e-3, reverse=True)
+def test_cumulative_simpson_last_is_the_last_entry(n, seed, h, reverse):
+    v = np.random.default_rng(seed).standard_normal(n)
+    if reverse:
+        v = v[::-1]
+    assert engine.cumulative_simpson_last(v, h) == cumulative_simpson(v, h)[-1]
+
+
 @pytest.mark.parametrize("L, values, message", [
     (0.0, np.zeros(5), "0 < L < inf"),
     (-0.5, np.zeros(5), "0 < L < inf"),

@@ -31,6 +31,9 @@ CASES = {
     "profiles.csv": ["profiles", "--T", "20", "--stride", "2.0"],
     "profiles_T40.csv": ["profiles", "--T", "40", "--stride", "1.0"],
     "profiles_T80.csv": ["profiles", "--T", "80", "--stride", "4.0"],
+    # 20002 points: the even-count branch of cumulative_simpson and of the
+    # constants' tail totals
+    "profiles_T20_001.csv": ["profiles", "--T", "20.001", "--stride", "5"],
     "lipschitz.json": ["lipschitz", "--L", "0.5", "--eps", "0.01,0.015,0.02,0.03"],
     "index.json": ["index", "--p", "3", "--eps", "0.01"],
     "gamma_sweep.json": ["gamma-sweep", "--nodes", "0,0.5", "--eps", "0.02,0.01,0.005"],
@@ -307,17 +310,18 @@ def test_shared_parser_keeps_records_apart(tmp_path, capsys):
 
 
 def test_profiles_record_solves_five_profiles(tmp_path, monkeypatch):
-    # w, rho, tau_geom and omega once each, and tau_geom again for the
-    # constants; rho reads the window's w, and the constants read w'(0) and
-    # omega'(0) from their tail integrals
+    # w, rho, tau_geom and omega once each, and tau_geom's values again for
+    # sigma2, counted at the variation-of-parameters core they all run; rho
+    # reads the window's w, and the constants read w'(0) and omega'(0) from
+    # their tail integrals
     solves = []
-    solve = profiles_mod._vp_solve
+    core = profiles_mod._vp_core
 
     def counting(rhs_values, line):
         solves.append(1)
-        return solve(rhs_values, line)
+        return core(rhs_values, line)
 
-    monkeypatch.setattr(profiles_mod, "_vp_solve", counting)
+    monkeypatch.setattr(profiles_mod, "_vp_core", counting)
     profiles_mod._halfline.cache_clear()
     try:
         name = "profiles.csv"

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from becircle import (CutoffSpec, DomainError, cutoff_energy,
                       cutoff_gradient_closed, min_energy, two_node_scan)
+from becircle.nonexistence import _ramp_integral, _sphere_area
 from oracles import cutoff_gradient_quadrature, cutoff_potential_quadrature
 
 
@@ -88,26 +89,49 @@ def test_cutoff_gradient_closed_matches_quadrature():
                - cutoff_gradient_quadrature(spec)) < 1e-10
 
 
-# n = 2 at the coupled delta = 1/(k ln k): relative errors 3e-16, 1.25e-10
-# and 1.26e-9 at k = 1e2, 1e4 and 1e6 (a table: no law in k was fitted);
-# n = 3 at delta 1e-3 to 0.1: at most 2.3e-14, 1.1e-13 and 1.0e-12 at k = 10,
-# 1e2 and 1e3, about 1e-15 k; n = 5: at most 3.2e-14 at every k.  Worst
-# ratio to the bound 0.63
-_CUTOFF_CASES = ([(2, k, None, bound) for k, bound in ((1e2, 1e-15), (1e4, 2e-10),
-                                                      (1e6, 2e-9))]
+# The fourth column is the bound that the replaced ramp quadrature (Simpson
+# on 4001 uniform r-points) met on the case, kept as the case's name: for
+# n = 2 at the coupled delta = 1/(k ln k) it erred by 3e-16, 1.25e-10 and
+# 1.26e-9 relative at k = 1e2, 1e4 and 1e6, and at n = 10 and 40 (measured
+# on the parent of the closed form, the largest over delta) by up to 5.5e-13
+# and 1.6e-10.  The closed form meets one bound, 1e-13, on every case: at
+# most 3.2e-15 relative (n = 40, k = 1e2, delta = 0.1), worst ratio 0.032
+_SIMPSON_BOUNDS = {(2, 1e2): 1e-15, (2, 1e4): 2e-10, (2, 1e6): 2e-9,
+                   (10, 10.0): 3.2e-13, (10, 1e2): 5.6e-13, (10, 1e3): 5.5e-13,
+                   (40, 10.0): 2.1e-11, (40, 1e2): 1.5e-10, (40, 1e3): 1.6e-10}
+_CUTOFF_CASES = ([(2, k, None, _SIMPSON_BOUNDS[2, k]) for k in (1e2, 1e4, 1e6)]
                  + [(n, k, delta, 2e-15 * k + 2e-14 if n == 3 else 5e-14)
-                    for n in (3, 5) for k in (10.0, 1e2, 1e3) for delta in (1e-3, 1e-2, 0.1)])
+                    for n in (3, 5) for k in (10.0, 1e2, 1e3) for delta in (1e-3, 1e-2, 0.1)]
+                 + [(n, k, delta, _SIMPSON_BOUNDS[n, k])
+                    for n in (10, 40) for k in (10.0, 1e2, 1e3) for delta in (1e-3, 1e-2, 0.1)]
+                 # n ln k = 4 - 1e-9, 4 and 4.1, where the closed form
+                 # switches to its series, and k = 1 + 1e-13
+                 + [(2, math.exp(a / 2.0), 0.1, 3e-14) for a in (4.0 - 1e-9, 4.0, 4.1)]
+                 + [(n, 1.0 + 1e-13, 0.5, 1e-16) for n in (2, 3)])
 
 
-@pytest.mark.parametrize("n, k, delta, bound", _CUTOFF_CASES)
-def test_cutoff_energy_matches_its_oracles(n, k, delta, bound):
+@pytest.mark.parametrize("n, k, delta, simpson_bound", _CUTOFF_CASES)
+def test_cutoff_energy_matches_its_oracles(n, k, delta, simpson_bound):
     # the closed gradient term, the closed ball term omega_n delta^n/(4 n eps)
     # and the ramp's potential term by mpmath quadrature in s = ln(r/delta)/ln k
     spec = CutoffSpec(n=n, k=k, eps=0.1, delta=delta)
     area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     ball = area * spec.delta ** n / (4.0 * n * spec.eps)
     exact = cutoff_gradient_closed(spec) + ball + cutoff_potential_quadrature(spec)
-    assert abs(cutoff_energy(spec) / exact - 1.0) <= bound
+    error = abs(cutoff_energy(spec) / exact - 1.0)
+    assert error <= 1e-13, f"{error:.2e} (the Simpson ramp met {simpson_bound:.0e})"
+
+
+@pytest.mark.parametrize("n, a", [(2, 3.9), (3, 4.0 - 1e-9), (3, 4.0), (5, 4.1), (2, 2e-13),
+                                  (3, 3e-13)])
+@pytest.mark.parametrize("delta", [1e-3, 0.5])
+def test_cutoff_ramp_term_matches_its_quadrature(n, a, delta):
+    # the ramp term alone, where the energy hides it: near the switch at
+    # a = n ln k = 4, and at k = 1 + 1e-13, where the gradient term's
+    # 1/ln(k)^2 dominates the energy.  Measured: at most 6.7e-16 relative
+    spec = CutoffSpec(n=n, k=math.exp(a / n), eps=0.1, delta=delta)
+    ramp = (_sphere_area(n) * math.log(spec.k) * _ramp_integral(spec)) / spec.eps
+    assert abs(ramp / cutoff_potential_quadrature(spec) - 1.0) <= 1e-13
 
 
 def test_two_node_scan():

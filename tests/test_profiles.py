@@ -1,9 +1,10 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import becircle.profiles as profiles_mod
 from becircle import (DomainError, ProfileFunction, TruncationError,
@@ -13,7 +14,7 @@ from becircle import (DomainError, ProfileFunction, TruncationError,
                       profile_tau_geom, profile_tau_lambda, profile_w, simpson,
                       solve_profile)
 from becircle.elliptic_oracle import ac_family_mod
-from oracles import kappa_lambda, kappa_lambda_prime
+from oracles import chebyshev_profile, kappa_lambda, kappa_lambda_prime
 
 SQRT2 = math.sqrt(2.0)
 
@@ -323,16 +324,18 @@ def test_one_heteroclinic_evaluation_per_window(monkeypatch):
 
 @pytest.fixture
 def vp_solves(monkeypatch):
-    """One entry per `_vp_solve` call from a cold half-line cache: "w" when
-    the source is the window's gdot, "other" otherwise."""
+    """One entry per call of the variation-of-parameters core `_vp_core`,
+    which every profile solve and sigma2's tau_geom run, from a cold
+    half-line cache: "w" when the source is the window's gdot, "other"
+    otherwise."""
     solves = []
-    solve = profiles_mod._vp_solve
+    core = profiles_mod._vp_core
 
     def counting(rhs_values, line):
         solves.append("w" if rhs_values is line.gdot else "other")
-        return solve(rhs_values, line)
+        return core(rhs_values, line)
 
-    monkeypatch.setattr(profiles_mod, "_vp_solve", counting)
+    monkeypatch.setattr(profiles_mod, "_vp_core", counting)
     profiles_mod._halfline.cache_clear()
     yield solves
     profiles_mod._halfline.cache_clear()
@@ -343,14 +346,30 @@ def test_one_w_solve_per_window(vp_solves):
     # many window functions read it, and the other profiles once each call
     for fn in WINDOW_FUNCTIONS:
         fn(T=20.0, h=1e-3)
-    # rho, tau_geom, kappa_ode, omega, then tau_geom for sigma2; the
-    # constants read w'(0) and omega'(0) from their tail integrals
+    # rho, tau_geom, kappa_ode, omega, then tau_geom's values for sigma2;
+    # the constants read w'(0) and omega'(0) from their tail integrals
     assert vp_solves.count("w") == 1 and len(vp_solves) == 6
     profile_w(T=20.0, h=1e-3)
     profile_constants(T=20.0, h=1e-3)
     assert len(vp_solves) == 6
     profile_w(T=20.0, h=5e-4)                   # a new window solves w anew
     assert vp_solves.count("w") == 2
+
+
+def test_constants_peak_memory():
+    # a cold T = 80 window and its constants peak at 8 arrays of 80001
+    # floats under tracemalloc (4.89 MiB): the window's 4 and, at most, 4
+    # while sigma2's core runs.  Solving tau_geom in full and forming both
+    # brackets peaked at 12 (7.33 MiB)
+    profiles_mod._halfline.cache_clear()
+    tracemalloc.start()
+    try:
+        profile_constants(T=80.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        profiles_mod._halfline.cache_clear()
+    assert peak <= 8.5 * 80001 * 8
 
 
 def test_constants_solve_only_tau_geom(vp_solves):
@@ -520,3 +539,203 @@ def test_integer_and_float_windows_share_the_cache(heteroclinic_calls):
     a, b = profile_w(T=20, h=1e-3), profile_w(T=20.0, h=1e-3)
     assert _bits(a) == _bits(b) and type(a.h) is type(b.h) is float
     assert heteroclinic_calls == [20001]
+
+
+def test_window_step_count_is_bounded():
+    # a window of more than _MAX_STEPS steps is refused before any array is
+    # built: T = 40 at h = 1e-8 would be 4e9 points, 32 GB per array
+    h = 1e-4
+    profiles_mod._halfline.cache_clear()
+    try:
+        t, _ = profiles_mod.halfline(T=profiles_mod._MAX_STEPS * h, h=h)
+        assert len(t) == profiles_mod._MAX_STEPS + 1
+        profiles_mod._halfline.cache_clear()
+        with pytest.raises(DomainError, match="more than"):
+            profiles_mod.halfline(T=(profiles_mod._MAX_STEPS + 1) * h, h=h)
+        tracemalloc.start()
+        try:
+            for fn in WINDOW_FUNCTIONS:
+                with pytest.raises(DomainError, match="4000000000 steps"):
+                    fn(T=40.0, h=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+    finally:
+        profiles_mod._halfline.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernels against their out-of-place forms, bit for bit
+
+
+@st.composite
+def windows(draw):
+    """(T, h) with T drawn in [15, 120] and h in [5e-4, 1e-2], moved by at
+    most one step so that the point count is odd or even as drawn."""
+    h = draw(st.floats(5e-4, 1e-2))
+    n = int(round(draw(st.floats(15.0, 120.0)) / h))
+    if ((n + 1) % 2 == 0) != draw(st.booleans()):
+        n += 1
+    return n * h, h
+
+
+WINDOW_EXAMPLES = [(40.0, 1e-3), (20.001, 1e-3), (80.0, 1e-3), (40.0, 5e-4)]
+
+
+def _with_windows(test):
+    for T, h in WINDOW_EXAMPLES:
+        test = example(window=(T, h))(test)
+    return settings(max_examples=15, deadline=None)(given(window=windows())(test))
+
+
+def _heteroclinic_out_of_place(t):
+    """heteroclinic as it was before it worked in place."""
+    s = np.asarray(t, dtype=float) / SQRT2
+    g = np.tanh(s)
+    sech2 = 1.0 / np.cosh(s) ** 2
+    gdot = sech2 / SQRT2
+    gddot = -g * sech2
+    if np.ndim(t) == 0:
+        return float(g), float(gdot), float(gddot)
+    return g, gdot, gddot
+
+
+def _kappa_out_of_place(t, g, gdot):
+    s = SQRT2 * gdot
+    return -(2.0 * g * (5.0 - 3.0 * g * g) / s + 3.0 * SQRT2 * t * s) / 8.0
+
+
+def _kappa_prime_out_of_place(t, g, gdot):
+    s = SQRT2 * gdot
+    dA = ((10.0 - 18.0 * g * g) / s + 4.0 * g * g * (5.0 - 3.0 * g * g) / s ** 2) * gdot
+    dB = 3.0 * SQRT2 * (s - 2.0 * t * g * gdot)
+    return -(dA + dB) / 8.0
+
+
+def _omega_source_out_of_place(line):
+    t, g, gdot = line.t, line.g, line.gdot
+    return 6.0 * g * (-_kappa_out_of_place(t, g, gdot)) * gdot
+
+
+def _ode_residual_out_of_place(profile, t_max=None):
+    f, h = profile.values, profile.h
+    line = profiles_mod._halfline(float(profile.T), len(f) - 1)
+    t, g = line.t, line.g
+    d2 = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) / (12.0 * h * h)
+    res = d2 - potential_d2(g[2:-2]) * f[2:-2] - profile.rhs_values[2:-2]
+    if t_max is not None:
+        res = res[t[2:-2] <= t_max]
+    return float(np.max(np.abs(res)))
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@_with_windows
+def test_heteroclinic_in_place_matches_out_of_place(window):
+    T, h = window
+    t = np.linspace(0.0, T, int(round(T / h)) + 1)
+    for x in (t, -t[::-1], t[::7]):
+        assert all(map(_same_bits, heteroclinic(x), _heteroclinic_out_of_place(x)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(-300.0, 300.0))
+@example(t=0.0)
+@example(t=26.0)
+def test_heteroclinic_keeps_its_scalar_path(t):
+    for x in (t, np.float64(t), np.array(t)):
+        out = heteroclinic(x)
+        assert all(type(v) is float for v in out)
+        assert out == _heteroclinic_out_of_place(x)
+
+
+@_with_windows
+def test_kappa_and_omega_source_in_place_match_out_of_place(window):
+    line = profiles_mod._window(*window)
+    t, g, gdot = line.t, line.g, line.gdot
+    for kernel, oracle in ((profiles_mod._kappa, _kappa_out_of_place),
+                           (profiles_mod._kappa_prime, _kappa_prime_out_of_place)):
+        assert _same_bits(kernel(t, g, gdot), oracle(t, g, gdot))
+        for i in (0, 1, len(t) // 3, -1):       # the scalar path
+            assert kernel(t[i], g[i], gdot[i]) == oracle(t[i], g[i], gdot[i])
+    assert _same_bits(profiles_mod._omega_source(line), _omega_source_out_of_place(line))
+
+
+@_with_windows
+def test_ode_residual_in_place_matches_out_of_place(window):
+    T, h = window
+    for fn in PROFILES:
+        prof = fn(T=T, h=h)
+        t_max = 5.0 if fn is profile_tau_lambda else None
+        assert ode_residual(prof, t_max=t_max) == _ode_residual_out_of_place(prof, t_max)
+
+
+@_with_windows
+def test_sigma2_from_tau_geom_values_is_the_solved_profile_bit_for_bit(window):
+    T, h = window
+    profiles_mod._halfline.cache_clear()
+    sigma2 = profile_constants(T=T, h=h).sigma2
+    line = profiles_mod._window(T, h)
+    tau = profile_tau_geom(T=T, h=h)
+    assert sigma2 == 6.0 * simpson(tau.values * line.g * line.gdot ** 2, line.h)
+
+
+@_with_windows
+def test_tail_total_is_the_bracket_at_zero_bit_for_bit(window):
+    line = profiles_mod._window(*window)
+    gdot = line.gdot
+    for src in (gdot, line.t * gdot, profiles_mod._omega_source(line)):
+        bracket0 = profiles_mod._tail_bracket(src, line)[1][0]
+        assert -profiles_mod._tail_total(src * gdot, line.h) == bracket0
+
+
+# ---------------------------------------------------------------------------
+# the profile values against an independent Chebyshev collocation
+
+
+# the sources in closed form, from tanh and cosh alone: gdot = sech^2/sqrt2,
+# and omega's 6 g tau_lambda gdot with tau_lambda = -kappa_lambda
+
+
+def _sech2(t):
+    return 1.0 / np.cosh(t / SQRT2) ** 2
+
+
+def _w_source(t):
+    return _sech2(t) / SQRT2
+
+
+def _tau_geom_source(t):
+    return t * _sech2(t) / SQRT2
+
+
+def _omega_oracle_source(t):
+    g, s = np.tanh(t / SQRT2), _sech2(t)
+    tau_lambda = (2.0 * g * (5.0 - 3.0 * g * g) / s + 3.0 * SQRT2 * t * s) / 8.0
+    return 6.0 * g * tau_lambda * s / SQRT2
+
+
+# (profile, its source, bounded, C, floor): |f - collocation| <= C h^4 + floor
+# at t = 0.5, 2, 6 and 12 on [0, 40].  Measured with the collocation at
+# N = 200: at the default step 1e-3 the gaps are 1.4e-14, 4.1e-14 and
+# 2.6e-13 (the collocation's own rounding floor, which moves by up to 5x
+# with N; a 30-digit quadrature put the library at 3.0e-14, 2.7e-14 and
+# 1.9e-13), and from h = 2e-3 on they follow C h^4 with C at most 0.064,
+# 0.028 and 0.197.  Worst ratio to the bound 0.80
+COLLOCATION_CASES = [(profile_w, _w_source, False, 0.08, 1e-13),
+                     (profile_tau_geom, _tau_geom_source, False, 0.08, 1e-13),
+                     (profile_omega, _omega_oracle_source, True, 0.25, 1e-12)]
+
+
+@pytest.mark.parametrize("h", [1e-3, 2e-3, 4e-3, 5e-3, 1e-2])
+@pytest.mark.parametrize("profile, source, bounded, C, floor", COLLOCATION_CASES,
+                         ids=["w", "tau_geom", "omega"])
+def test_profiles_match_a_chebyshev_collocation(profile, source, bounded, C, floor, h):
+    at = np.array([0.5, 2.0, 6.0, 12.0])
+    prof = profile(T=40.0, h=h)
+    values = prof.values[np.rint(at / h).astype(int)]
+    ref = chebyshev_profile(source, 40.0, at, bounded=bounded)
+    assert np.max(np.abs(values - ref)) <= C * h ** 4 + floor
