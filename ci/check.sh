@@ -36,6 +36,14 @@ $BECIRCLE gap-sweep --L 0.5 --eps 0.05,0.03 | cmp - tests/golden/gap_sweep.json
 python -W error::RuntimeWarning -m becircle gap-sweep --L 0.5 --eps 0.158,0.0005 > /dev/null
 $BECIRCLE gamma-sweep --nodes 0,0.5 --eps 0.02,0.01,0.005 | cmp - tests/golden/gamma_sweep.json
 python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["results"]["limit_deviation"] < 1e-3 else 1)' < tests/golden/gamma_sweep.json
+# sweeps that fill several 8192-point chunks of the block Newton: 40 evenly
+# spaced eps in [0.01, 0.1), and the grid linspace(0.1, 0.9, 19)
+SWEEP_EPS=0.01,0.01225,0.0145,0.01675,0.019,0.02125,0.0235,0.02575,0.028,0.03025,0.0325,0.03475,0.037,0.03925,0.0415,0.04375,0.046,0.04825,0.0505,0.05275,0.055,0.05725,0.0595,0.06175,0.064,0.06625,0.0685,0.07075,0.073,0.07525,0.0775,0.07975,0.082,0.08425,0.0865,0.08875,0.091,0.09325,0.0955,0.09775
+SCAN_GRID=0.1,0.14444444444444446,0.18888888888888888,0.23333333333333334,0.2777777777777778,0.32222222222222224,0.3666666666666667,0.4111111111111111,0.4555555555555556,0.5,0.5444444444444445,0.5888888888888889,0.6333333333333333,0.6777777777777778,0.7222222222222222,0.7666666666666667,0.8111111111111111,0.8555555555555555,0.9
+$BECIRCLE lipschitz --L 0.5 --eps $SWEEP_EPS | cmp - tests/golden/lipschitz_sweep.json
+python -W error::RuntimeWarning -m becircle lipschitz --L 0.5 --eps $SWEEP_EPS | cmp - tests/golden/lipschitz_sweep.json
+$BECIRCLE two-node-scan --eps 0.02 --grid $SCAN_GRID | cmp - tests/golden/two_node_scan_grid.json
+python -W error::RuntimeWarning -m becircle two-node-scan --eps 0.02 --grid $SCAN_GRID | cmp - tests/golden/two_node_scan_grid.json
 echo "ok"
 
 echo "== bad input exits 1 with a typed error, not a traceback"
@@ -75,6 +83,8 @@ solve --L 0.5 --eps 5e-6
 solve --L 2e-153 --eps 1e-154
 solve --L 2e200 --eps 1e198
 solve --L 0.5 --eps 0.05 --grid-per-eps 801
+lipschitz --L 0.5 --eps 0.02,1e-320
+gamma-sweep --nodes 0,0.5 --eps 0.02,1e-320
 ROWS
 echo "ok: $rows rows"
 

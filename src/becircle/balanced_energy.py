@@ -19,6 +19,11 @@ the translation identity a = -b; the centered finite-difference Hessian of
 the energy is the test that pins it.
 BE is defined only where every arc is longer than pi*eps (eps below
 solver_1d.existence_threshold); a shorter arc raises ArcTooShort.
+The sweeps (broken_transitions over configurations and eps, gamma_sweep,
+the pinned energies of the finite-difference oracle) solve all their arcs
+in one solver_1d.dirichlet_pairs call: one block Newton per chunk of at
+most 8192 grid points, bit for bit one solve per arc, with memory bounded
+by the chunk.
 """
 import math
 import numbers
@@ -31,8 +36,8 @@ from .bvp_engine import (SpectrumReport, eig_sturm, linearized_operator,
 from .errors import (ArcTooShort, DomainError, NotCritical, SingularJacobian,
                      SingularSystem)
 from .scalar_field import SQRT2, heteroclinic, potential, well_constants
-from .solver_1d import (dirichlet_pair, existence_threshold, intervals_for,
-                        nodal_solution, solve_dirichlet)
+from .solver_1d import (dirichlet_arc, dirichlet_pairs, existence_threshold,
+                        intervals_for, nodal_solution, solve_dirichlet)
 
 
 @dataclass(frozen=True)
@@ -91,14 +96,32 @@ def _check_arcs(lengths, eps):
             )
 
 
-def broken_transition(config, eps, points_per_eps=50):
-    """Per-arc one-signed minimizers glued with alternating sign."""
+def transition_arcs(config, eps, points_per_eps=50):
+    """The arcs (L, eps, m) of the config for solver_1d.dirichlet_pairs:
+    ArcTooShort on the first arc too short, then each arc's dirichlet_arc."""
     lengths = config.arc_lengths()
     _check_arcs(lengths, eps)
-    pieces = tuple(solve_dirichlet(ell, eps, points_per_eps=points_per_eps)
-                   for ell in lengths)
-    be = float(sum(p.energy for p in pieces))
-    return BrokenTransition(eps=eps, pieces=pieces, be=be)
+    return [dirichlet_arc(ell, eps, points_per_eps) for ell in lengths]
+
+
+def broken_transitions(cases, points_per_eps=50):
+    """broken_transition of each (config, eps) of cases, with every arc of
+    every case solved in one dirichlet_pairs call; each case is checked, in
+    order, before any arc is solved."""
+    cases = list(cases)
+    sols = dirichlet_pairs(arc for config, eps in cases
+                           for arc in transition_arcs(config, eps, points_per_eps))
+    out = []
+    for config, eps in cases:
+        pieces = tuple(next(sols) for _ in range(config.m))
+        out.append(BrokenTransition(eps=eps, pieces=pieces,
+                                    be=float(sum(p.energy for p in pieces))))
+    return out
+
+
+def broken_transition(config, eps, points_per_eps=50):
+    """Per-arc one-signed minimizers glued with alternating sign."""
+    return broken_transitions([(config, eps)], points_per_eps)[0]
 
 
 def first_variation(config, eps, f, points_per_eps=50):
@@ -216,8 +239,9 @@ def _pinned_be(config, eps, f, t, points_per_eps):
     lengths = np.diff(np.append(nodes, nodes[0] + 1.0))
     _check_arcs(lengths, eps)
     total = 0.0
-    for ell0, ell in zip(base_lengths, lengths):
-        total += dirichlet_pair(ell, eps, intervals_for(ell0, eps, points_per_eps)).energy
+    for sol in dirichlet_pairs((ell, eps, intervals_for(ell0, eps, points_per_eps))
+                               for ell0, ell in zip(base_lengths, lengths)):
+        total += sol.energy
     return total
 
 
@@ -342,8 +366,8 @@ def gamma_sweep(config, eps_grid, points_per_eps=50):
     if len(eps_grid) < 2:
         raise DomainError("a gamma sweep needs at least two distinct eps")
     rows = []
-    for e in eps_grid:
-        bt = broken_transition(config, e, points_per_eps=points_per_eps)
+    transitions = broken_transitions(((config, e) for e in eps_grid), points_per_eps)
+    for e, bt in zip(eps_grid, transitions):
         comp = comparator_energy(config, e)
         rows.append({"eps": e, "be": bt.be, "comparator": comp,
                      "be_below_comparator": bool(bt.be <= comp + 1e-9)})

@@ -1,7 +1,10 @@
 """Generic numerical machinery: grids, quadrature, Newton with full steps
-for the semilinear two-point problem (started from the closed form), and the
-linearized operator -eps^2 D^2 + W''(u) with its tridiagonal solve (LAPACK
-gtsv) and symmetric-tridiagonal eigensolver.  Every eigenproblem is
+for the semilinear two-point problem (started from the closed form; the
+halves of a sweep's grids in one block tridiagonal system per chunk of at
+most 8192 points, bit for bit one solve per half, so the per-call cost of
+numpy and LAPACK is paid once per chunk), and the linearized operator
+-eps^2 D^2 + W''(u) with its tridiagonal solve (LAPACK gtsv) and
+symmetric-tridiagonal eigensolver.  Every eigenproblem is
 bisected on Sturm counts by LAPACK (stebz, called directly), in one
 eig_sturm call per spectrum, on an operator whose zero couplings split it
 into the smallest symmetric blocks its caller can build.
@@ -17,6 +20,9 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import DomainError, NonConvergence, SingularJacobian
+# potential_d1 is not called (_nonlinearity forms W' in place):
+# bench/tracing.py reads bvp_engine.potential_d1; once the tracer drops that
+# read (ROADMAP item 4), drop it from this import
 from .scalar_field import potential_d1, potential_d2
 
 _EPS_MACH = np.finfo(float).eps
@@ -183,59 +189,137 @@ def solve_tridiagonal(op, rhs):
     return x
 
 
-def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
-    """Newton for  eps^2 u'' = W'(u)  on the half [0, L/2] of an arc whose
-    solution is even about its midpoint L/2.
+def _nonlinearity(u, d1=None, d2=None):
+    """W'(u) into d1 and W''(u) into d2, each when given: the terms of
+    Newton's residual and Jacobian, scalar_field's potential_d1 and
+    potential_d2 in place, with the operands in their order, so the bits
+    are theirs."""
+    if d1 is not None:
+        np.power(u, 3, out=d1)
+        d1 -= u
+    if d2 is not None:
+        np.multiply(u, 3.0, out=d2)
+        d2 *= u
+        d2 -= 1.0
 
-    The grid is the half: its left value is the Dirichlet datum and its right
-    end, u_M, is the midpoint, an unknown with the ghost value u_{M+1} =
-    u_{M-1}.  The midpoint row of the Jacobian couples to u_{M-1} twice, so
-    it and its residual entry are halved: an exact scaling that keeps the
-    matrix symmetric tridiagonal for gtsv.  The result is the solved half on
-    the same grid, and the residual below is the full arc's sup norm.
+
+def newton_halves(u, points, c2, tol=1e-12, max_iter=100):
+    """Newton for  eps^2 u'' = W'(u)  on the halves [0, L/2] of arcs whose
+    solutions are even about their midpoints, all halves in one block
+    tridiagonal solve per iteration; u is solved in place.
+
+    u holds the halves one after another.  Half b takes points[b] + 1 slots:
+    its Dirichlet datum u_0, its unknowns u_1..u_M (M = points[b] - 1; u_M
+    is the midpoint) and a slot for the ghost value u_{M+1} = u_{M-1};
+    c2[b] = (eps/h)^2 on its grid.  The midpoint row of the Jacobian couples
+    to u_{M-1} twice, so it and its residual entry are halved: an exact
+    scaling that keeps the matrix symmetric tridiagonal for gtsv.  Each
+    datum and ghost row is an identity row with zero couplings and right
+    side 0, and so is every row of a half that has stopped; with those rows
+    gtsv eliminates each half's rows as it would for that half alone, so
+    each half gets the bits of its own solve.
 
     Every iteration takes the full step: callers start it from the elliptic
     closed form, where each step cuts the residual at least 18x (L/eps from
     pi to 1950, every grid intervals_for gives).  Rounding limits the
-    residual to about machine_eps * (eps/h)^2.  Below tol the iteration
-    stops; below that floor the residual is rounding noise, so the step
-    just solved for is applied and the iteration stops: the error after it
-    is O(|step|^2) (Deuflhard, Newton Methods for Nonlinear Problems, 2.1).
-    NonConvergence if max_iter steps end above both.  A guess far from the
-    closed form crawls (a cubic W' shrinks a large u by a third per step)
-    or overflows W'(u): NonConvergence or SingularJacobian.
+    residual to about machine_eps * (eps/h)^2.  Each half keeps its own stop:
+    below tol it takes no step; below its rounding floor the residual is
+    rounding noise, so the step just solved for is applied and the half
+    stops: the error after it is O(|step|^2) (Deuflhard, Newton Methods for
+    Nonlinear Problems, 2.1).  NonConvergence, for the first half in order,
+    if max_iter steps end above both.  A guess far from the closed form
+    crawls (a cubic W' shrinks a large u by a third per step) or overflows
+    W'(u): NonConvergence or SingularJacobian.  The residual is the full
+    arc's sup norm.  Each iteration works on the span from the first to the
+    last half still stepping.  DomainError, before any work, for a tol
+    outside (0, inf) or a layout that does not fill u.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    u = grid.values.copy()
-    h = grid.h
-    c2 = (eps / h) ** 2
-    floor = 16.0 * _EPS_MACH * c2 * max(1.0, float(np.max(np.abs(u))))
+    points, c2 = list(points), list(c2)
+    if not (points and len(points) == len(c2) and min(points) >= 3
+            and sum(points) + len(points) == len(u)):
+        raise DomainError(f"halves of {points} points (at least 3 each, one ghost "
+                          f"slot each) do not fill {len(u)} slots")
+    starts = np.cumsum([0] + [p + 1 for p in points[:-1]])
+    ghosts = starts + np.array(points)
+    rows = [(s + 1, s + p) for s, p in zip(starts.tolist(), points)]  # u_1..u_M
+    n = len(u)
+    off = np.zeros(n - 1)
+    for (a, e), c in zip(rows, c2):
+        off[a:e - 1] = -c
+    d1, d2, r = np.empty(n), np.empty(n), np.empty(n)
+    u[ghosts] = u[ghosts - 2]
+    floors = [16.0 * _EPS_MACH * c * max(1.0, float(peak))
+              for c, peak in zip(c2, np.maximum.reduceat(np.abs(u), starts))]
+    rnorm = np.empty(len(points))
 
-    def residual(w):
-        w = np.append(w, w[-2])  # the ghost value beyond the midpoint
-        return c2 * (w[2:] - 2.0 * w[1:-1] + w[:-2]) - potential_d1(w[1:-1])
+    def residual(first, last):
+        """The residual rows of halves first..last, and their sup norms."""
+        lo, hi = starts[first], ghosts[last] + 1
+        u[ghosts[first:last + 1]] = u[ghosts[first:last + 1] - 2]
+        w, t = u[lo:hi], r[lo + 1:hi - 1]
+        np.multiply(w[1:-1], 2.0, out=t)
+        np.subtract(w[2:], t, out=t)
+        t += w[:-2]
+        for (a, e), c in zip(rows[first:last + 1], c2[first:last + 1]):
+            r[a:e] *= c
+        _nonlinearity(w[1:-1], d1=d1[lo + 1:hi - 1])
+        t -= d1[lo + 1:hi - 1]
+        r[starts[first:last + 1]] = 0.0
+        r[ghosts[first:last + 1]] = 0.0
+        rnorm[first:last + 1] = np.maximum.reduceat(
+            np.abs(r[lo:hi], out=d1[lo:hi]), starts[first:last + 1] - lo)
 
-    r = residual(u)
-    rnorm = float(np.max(np.abs(r)))
+    active = list(range(len(points)))
+    residual(0, len(points) - 1)
     for _ in range(max_iter):
-        if rnorm <= tol:
+        active = [b for b in active if not rnorm[b] <= tol]
+        if not active:
             break
-        op = linearized_operator(u[1:], c2)
-        op.diag[-1] *= 0.5
-        r[-1] *= 0.5
-        u[1:] += solve_tridiagonal(op, r)
-        if rnorm <= floor:
-            break  # the residual was rounding noise: the step ends the iteration
-        r = residual(u)
-        rnorm = float(np.max(np.abs(r)))
+        first, last = active[0], active[-1]
+        lo, hi = starts[first], ghosts[last] + 1
+        _nonlinearity(u[lo + 1:hi - 1], d2=d2[lo + 1:hi - 1])
+        stepping = set(active)
+        for b in range(first, last + 1):
+            a, e = rows[b]
+            if b in stepping:
+                d2[a:e] += 2.0 * c2[b]
+                d2[e - 1] *= 0.5
+                r[e - 1] *= 0.5
+            else:   # stopped: an identity row, from now on
+                d2[a:e] = 1.0
+                r[a:e] = 0.0
+                off[a:e - 1] = 0.0
+        d2[starts[first:last + 1]] = 1.0
+        d2[ghosts[first:last + 1]] = 1.0
+        u[lo:hi] += solve_tridiagonal(
+            TridiagonalOperator(diag=d2[lo:hi], offdiag=off[lo:hi - 1]), r[lo:hi])
+        # a half whose residual was rounding noise stops after its step
+        active = [b for b in active if not rnorm[b] <= floors[b]]
+        if not active:
+            break
+        residual(active[0], active[-1])
     else:
-        if not rnorm <= max(tol, floor):
-            raise NonConvergence(
-                f"newton_semilinear: residual {rnorm:.3e} after {max_iter} iterations",
-                residual=rnorm, iterations=max_iter,
-            )
-    return GridFunction(L=grid.L, values=u)
+        for b in active:
+            if not rnorm[b] <= max(tol, floors[b]):
+                res = float(rnorm[b])
+                raise NonConvergence(
+                    f"newton: residual {res:.3e} on half {b} of {len(points)} "
+                    f"after {max_iter} iterations", residual=res, iterations=max_iter)
+
+
+def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
+    """Newton for  eps^2 u'' = W'(u)  on the half [0, L/2] of an arc whose
+    solution is even about its midpoint L/2: newton_halves on that one half.
+
+    The grid is the half: its left value is the Dirichlet datum and its right
+    end is the midpoint.  The result is the solved half on the same grid.
+    """
+    u = np.empty(grid.n + 3)
+    u[:-1] = grid.values
+    newton_halves(u, [grid.n + 2], [(eps / grid.h) ** 2], tol, max_iter)
+    return GridFunction(L=grid.L, values=u[:-1])
 
 
 def _stebz(diag, offdiag, select, select_range, tol):

@@ -91,16 +91,38 @@ def _landen_plan(kp):
 def _sn_kp(x, kp):
     """Jacobi sn at modulus k = sqrt(1 - kp^2), for kp in (0, 1].
 
-    x is a float or an array; the Landen ascent runs elementwise over it.
+    x is a float or an array; the Landen ascent runs elementwise over it.  On
+    an array the descent and the ascent run in place in two new arrays, with
+    the operands in the order of the scalar expressions, so the bits are
+    theirs.
     """
-    xp = np if isinstance(x, np.ndarray) else math
     plan = _landen_plan(kp)
+    if isinstance(x, np.ndarray):
+        return _sn_kp_array(x, plan.levels)
     u = x
     for _, one_plus_k in plan.levels:
         u = u / one_plus_k
-    s = xp.sin(u)
+    s = math.sin(u)
     for k, one_plus_k in reversed(plan.levels):
         s = one_plus_k * s / (1.0 + k * s * s)
+    return s
+
+
+def _sn_kp_array(x, levels):
+    """_sn_kp's descent and ascent over an array x, in two buffers."""
+    (_, first), *rest = levels
+    s = np.divide(x, first)
+    for _, one_plus_k in rest:
+        s /= one_plus_k
+    np.sin(s, out=s)
+    den = np.empty_like(s)
+    for k, one_plus_k in reversed(levels):
+        # one_plus_k * s / (1.0 + k * s * s)
+        np.multiply(k, s, out=den)
+        den *= s
+        np.add(1.0, den, out=den)
+        np.multiply(one_plus_k, s, out=s)
+        s /= den
     return s
 
 

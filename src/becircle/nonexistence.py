@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balanced_energy import NodeConfig, broken_transition
+from .balanced_energy import NodeConfig, transition_arcs
 from .errors import DomainError
 from .scalar_field import potential
-from .solver_1d import min_energy
+from .solver_1d import dirichlet_arc, dirichlet_pairs
 
 _LOG_MAX = math.log(np.finfo(float).max)
 
@@ -135,12 +135,15 @@ def two_node_scan(eps, p_grid, points_per_eps=50):
     if not kept:
         raise DomainError(f"no grid point of {p_grid.tolist()} has both arcs above "
                           f"1.05*pi*eps = {floor:.6g}")
-    vals = []
-    for p in kept:
-        bt = broken_transition(NodeConfig(np.array([0.0, p])), eps,
-                               points_per_eps=points_per_eps)
-        vals.append(bt.be)
-    reference = min_energy(eps, 1.0, points_per_eps=points_per_eps)
-    be = np.array(vals)
+
+    def arcs():
+        for p in kept:
+            yield from transition_arcs(NodeConfig(np.array([0.0, p])), eps, points_per_eps)
+        yield dirichlet_arc(1.0, eps, points_per_eps)
+
+    # every kept point's two arcs, then the reference arc, in one solve
+    sols = dirichlet_pairs(arcs())
+    be = np.array([float(sum(next(sols).energy for _ in range(2))) for _ in kept])
+    reference = next(sols).energy
     return TwoNodeScan(eps=eps, p=np.array(kept), be=be, reference=reference,
                        gap=be - reference, dropped=dropped)

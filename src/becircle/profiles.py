@@ -98,7 +98,8 @@ class ProfileConstants:
 @dataclass(eq=False)
 class _Window:
     """The cached entry of one window: its half-line (read-only arrays) and,
-    once computed, w and the constants."""
+    once computed, w, the constants and the read-only W''(g) at the points
+    [2h, T - 2h] that ode_residual reads."""
     t: np.ndarray
     h: float
     g: np.ndarray
@@ -106,6 +107,7 @@ class _Window:
     gddot: np.ndarray
     w: ProfileFunction = None
     constants: ProfileConstants = None
+    w2_inner: np.ndarray = None
 
 
 def _window(T, h):
@@ -450,9 +452,9 @@ def ode_residual(profile, t_max=None):
     # the profile's own half-line: a cache hit while its window is the last
     line = _halfline(float(profile.T), len(f) - 1)
     t, g = line.t, line.g
-    # in place in two arrays besides W''(g), with the operands in the order
-    # of (-f[4:] + 16 f[3:-1] - 30 f[2:-2] + 16 f[1:-3] - f[:-4]) / (12 h^2)
-    # - W''(g) f - rhs
+    # in place in two arrays, with the operands in the order of
+    # (-f[4:] + 16 f[3:-1] - 30 f[2:-2] + 16 f[1:-3] - f[:-4]) / (12 h^2)
+    # - W''(g) f - rhs; W''(g) is computed once per window
     res = np.negative(f[4:])
     term = np.multiply(16.0, f[3:-1])
     res += term
@@ -460,9 +462,10 @@ def ode_residual(profile, t_max=None):
     res += np.multiply(16.0, f[1:-3], out=term)
     res -= f[:-4]
     res /= 12.0 * h * h
-    wf = potential_d2(g[2:-2])
-    wf *= f[2:-2]
-    res -= wf
+    if line.w2_inner is None:
+        line.w2_inner = potential_d2(g[2:-2])
+        line.w2_inner.setflags(write=False)
+    res -= np.multiply(line.w2_inner, f[2:-2], out=term)
     res -= profile.rhs_values[2:-2]
     if t_max is not None:
         res = res[t[2:-2] <= t_max]

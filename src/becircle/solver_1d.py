@@ -5,6 +5,12 @@ Scalar outputs (conserved quantity, energy, node slopes) are Richardson
 pairs over grids with m and 2m intervals: the raw O(h^2) quadrature and
 amplitude errors sit exactly at the exponentially small energy scales the
 experiments difference against, and the pairing removes them.
+
+A sweep solves its arcs in one dirichlet_pairs call: the halves of all its
+grids are solved as one block system per chunk of at most 8192 grid points
+(bvp_engine.newton_halves), bit for bit one solve per half.  The chunk
+bound keeps the working set in cache, and memory bounded by the chunk, not
+by the sweep.
 """
 import math
 import numbers
@@ -12,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bvp_engine import GridFunction, newton_semilinear, richardson, simpson
+from .bvp_engine import GridFunction, newton_halves, richardson, simpson
 from .elliptic_oracle import ac_family_mod, modulus_for
 from .errors import DomainError, NoPositiveSolution
 from .scalar_field import potential
@@ -22,6 +28,9 @@ _TINY = np.finfo(float).tiny  # the smallest normal float64
 # to contract from 400 intervals up to here, and the 2m-interval grid of a
 # Richardson pair stays below 3.2e6 points at L/eps <= 1958
 _MAX_POINTS_PER_EPS = 800
+# the most grid points one newton_halves call solves together (see
+# dirichlet_pairs); a larger half is solved alone
+_CHUNK_POINTS = 2 ** 13
 
 
 def existence_threshold(L):
@@ -90,44 +99,108 @@ def arc_energy(u, eps):
     return 0.5 * eps * (grad * h) + pot / eps
 
 
-def dirichlet_pair(L, eps, m, tol=1e-12):
-    """Newton on m and 2m intervals of [0, L], started from the closed form.
+def dirichlet_pairs(arcs, tol=1e-12):
+    """Newton on m and 2m intervals of [0, L] for each arc (L, eps, m) of
+    arcs, started from the closed form, every half of every arc in one block
+    Newton solve per chunk.
 
-    The arc is even about L/2, and Newton solves for it on the half [0, L/2]
-    of each grid (see newton_semilinear).  The closed form is evaluated once,
-    on the half of the 2m-interval grid, m + 1 points; the m-interval half is
-    every other value of that.  Halving the step is exact, so
-    linspace(0, L, 2m + 1)[::2] is linspace(0, L, m + 1) bit for bit, and the
-    oracle is elementwise: each half is the one a call per grid gives.  m
-    must be even, or the coarse half misses the midpoint, and at least 8, so
-    that the coarse half has 5 points; DomainError otherwise.  u is the
-    m-interval solution and u_half the 2m-interval one, each half mirrored
-    into an exact palindrome on [0, L]; lam and the energy are their
-    Richardson combination, and the slopes follow from lam.
+    Each arc is even about L/2, and Newton solves for it on the half
+    [0, L/2] of each grid (see newton_halves).  The closed form is evaluated
+    once per arc, on the half of the 2m-interval grid, m + 1 points; the
+    m-interval half is every other value of that.  Halving the step is
+    exact, so linspace(0, L, 2m + 1)[::2] is linspace(0, L, m + 1) bit for
+    bit, and the oracle is elementwise: each half is the one a call per grid
+    gives.  m must be even, or the coarse half misses the midpoint, and at
+    least 8, so that the coarse half has 5 points; DomainError otherwise.
+
+    Every arc is checked, in input order, before this returns: its interval
+    count, then modulus_for, which rejects L/eps past ~1958 before any grid
+    is built.  The halves, coarse then fine for each arc, are grouped in
+    input order into chunks of at most 8192 grid points (a larger half is a
+    chunk alone); the returned iterator solves a chunk, building its guesses
+    only then, when the first arc it completes is asked for.  A chunk is one
+    newton_halves call, bit for bit the halves' solves one at a time, with
+    the per-call cost of numpy and LAPACK paid once for all its halves; the
+    bound keeps its working set in cache, and memory bounded by the chunk,
+    not by the sweep.  Each solution u is the m-interval solution and
+    u_half the 2m-interval one, each half mirrored into an exact palindrome
+    on [0, L]; lam and the energy are their Richardson combination, and the
+    slopes follow from lam.
     """
-    if m % 2 or m < 8:
-        raise DomainError(f"dirichlet_pair needs an even interval count >= 8, got {m!r}")
-    kp = modulus_for(eps, L)  # rejects L/eps past ~1958 before the grid is built
-    half = ac_family_mod(np.linspace(0.0, L, 2 * m + 1)[:m + 1] / eps, kp)
-    half[0] = 0.0
+    checked = []
+    for L, eps, m in arcs:
+        if m % 2 or m < 8:
+            raise DomainError(f"dirichlet_pair needs an even interval count >= 8, got {m!r}")
+        checked.append((L, eps, m, modulus_for(eps, L)))
+    return _solved_pairs(checked, tol)
 
-    def solve(g):
-        v = newton_semilinear(GridFunction(L=0.5 * L, values=g), eps, tol=tol).values
-        return GridFunction(L=L, values=np.concatenate((v, v[-2::-1])))
 
-    sol, sol2 = solve(half[::2]), solve(half)
-    lam = richardson(*(potential(float(np.max(s.values))) for s in (sol, sol2)))
-    energy = richardson(*(arc_energy(s, eps) for s in (sol, sol2)))
-    c = math.sqrt(max(0.0, 2.0 * (potential(0.0) - lam))) / eps
-    return DirichletSolution(L=L, eps=eps, u=sol, u_half=sol2, lam=lam,
-                             slope_left=c, slope_right=-c, energy=energy)
+def _solved_pairs(arcs, tol):
+    """dirichlet_pairs' solutions of the checked arcs (L, eps, m, kp), one
+    chunk of halves at a time."""
+    chunks, chunk, size = [], [], 0
+    for i, (_, _, m, _) in enumerate(arcs):
+        for points in (m // 2 + 1, m + 1):
+            if chunk and size + points > _CHUNK_POINTS:
+                chunks.append(chunk)
+                chunk, size = [], 0
+            chunk.append((i, points))
+            size += points
+    chunks.append(chunk)
+    guess, coarse = None, None   # the closed form and coarse solution of an open arc
+    for chunk in chunks:
+        u = np.empty(sum(points + 1 for _, points in chunk))
+        c2, s = [], 0
+        for i, points in chunk:
+            L, eps, m, kp = arcs[i]
+            if points == m // 2 + 1:
+                guess = ac_family_mod(np.linspace(0.0, L, 2 * m + 1)[:m + 1] / eps, kp)
+                guess[0] = 0.0
+                u[s:s + points] = guess[::2]
+            else:
+                u[s:s + points] = guess
+            c2.append((eps / ((0.5 * L) / (points - 1))) ** 2)
+            s += points + 1
+        newton_halves(u, [points for _, points in chunk], c2, tol)
+        s = 0
+        for i, points in chunk:
+            L, eps, m, _ = arcs[i]
+            v = u[s:s + points]
+            sol = GridFunction(L=L, values=np.concatenate((v, v[-2::-1])))
+            s += points + 1
+            if points == m // 2 + 1:
+                coarse = sol
+                continue
+            pair = (coarse, sol)
+            lam = richardson(*(potential(float(np.max(g.values))) for g in pair))
+            energy = richardson(*(arc_energy(g, eps) for g in pair))
+            c = math.sqrt(max(0.0, 2.0 * (potential(0.0) - lam))) / eps
+            yield DirichletSolution(L=L, eps=eps, u=coarse, u_half=sol, lam=lam,
+                                    slope_left=c, slope_right=-c, energy=energy)
+
+
+def dirichlet_pair(L, eps, m, tol=1e-12):
+    """dirichlet_pairs of the one arc (L, eps, m): its DirichletSolution."""
+    return next(dirichlet_pairs([(L, eps, m)], tol))
+
+
+def dirichlet_arc(L, eps, points_per_eps=50):
+    """The arc (L, eps, m) that solve_dirichlet solves, for dirichlet_pairs:
+    NoPositiveSolution at or above the existence threshold (there the
+    minimizer is u = 0, which is not admitted as a broken-transition piece),
+    then m = intervals_for(L, eps, points_per_eps)."""
+    if eps >= existence_threshold(L):
+        raise NoPositiveSolution(
+            f"eps={eps} >= L/pi = {existence_threshold(L):.6g}: only u = 0 remains"
+        )
+    return L, eps, intervals_for(L, eps, points_per_eps)
 
 
 def solve_dirichlet(L, eps, points_per_eps=50, tol=1e-12, refine_values=False):
     """The unique positive solution of eps^2 u'' = W'(u), u(0) = u(L) = 0.
 
-    Raises NoPositiveSolution at or above the existence threshold (there the
-    minimizer is u = 0, which is not admitted as a broken-transition piece).
+    Raises NoPositiveSolution at or above the existence threshold (see
+    dirichlet_arc).
 
     The arc is solved once on each grid of its Richardson pair (see
     dirichlet_pair), m = intervals_for(L, eps, points_per_eps) and 2m, both
@@ -145,11 +218,7 @@ def solve_dirichlet(L, eps, points_per_eps=50, tol=1e-12, refine_values=False):
     0.0, where the true value is 2.7e-33 at 55 and 2.5e-294 at 480.
     first_variation, a difference of the arcs' lam, inherits that noise.
     """
-    if eps >= existence_threshold(L):
-        raise NoPositiveSolution(
-            f"eps={eps} >= L/pi = {existence_threshold(L):.6g}: only u = 0 remains"
-        )
-    sol = dirichlet_pair(L, eps, intervals_for(L, eps, points_per_eps), tol)
+    sol = dirichlet_pair(*dirichlet_arc(L, eps, points_per_eps), tol)
     if refine_values:
         refined = richardson(sol.u.values, sol.u_half.values[::2])
         sol = replace(sol, u=replace(sol.u, values=refined))
@@ -174,8 +243,15 @@ def nodal_solution(p, eps, points_per_eps=50):
 
 
 def min_energy(eps, L, points_per_eps=50):
-    """Energy of the positive Dirichlet minimizer; the map g(eps) of the scans."""
-    return solve_dirichlet(L, eps, points_per_eps=points_per_eps).energy
+    """Energy of the positive Dirichlet minimizer; the map g(eps) of the scans.
+
+    For an array of eps it is the array of energies, every arc solved in one
+    dirichlet_pairs call.
+    """
+    if np.ndim(eps) == 0:
+        return solve_dirichlet(L, eps, points_per_eps=points_per_eps).energy
+    return np.array([sol.energy for sol in dirichlet_pairs(
+        dirichlet_arc(L, e, points_per_eps) for e in eps)])
 
 
 @dataclass(frozen=True)
@@ -194,7 +270,7 @@ def lipschitz_scan(L, eps_grid, points_per_eps=50):
     thr = existence_threshold(L)
     if np.any(eps >= thr):
         raise NoPositiveSolution(f"grid contains eps >= threshold {thr:.6g}")
-    g = np.array([min_energy(e, L, points_per_eps) for e in eps])
+    g = min_energy(eps, L, points_per_eps)
     q = np.abs(np.diff(g)) / np.diff(eps)
     return LipschitzScan(eps=eps, energies=g, quotients=q,
                          max_quotient=float(np.max(q)))

@@ -207,6 +207,45 @@ def dirichlet_gap_full_arc(eps, L, points_per_eps=50):
     return float(eig_sturm(op, 1, tol=1e-10).eigenvalues[0])
 
 
+def half_residual(values, c2):
+    """The residual rows 1..M of eps^2 u'' = W'(u) on a mirror half
+    u_0..u_M, with the ghost value u_{M+1} = u_{M-1} beyond the midpoint."""
+    w = np.append(values, values[-2])
+    return c2 * (w[2:] - 2.0 * w[1:-1] + w[:-2]) - potential_d1(w[1:-1])
+
+
+def newton_half_alone(grid, eps, tol=1e-12, max_iter=100):
+    """Newton on one mirror half by itself, the solve that the block Newton
+    (bvp_engine.newton_halves) must reproduce bit for bit for each of its
+    halves: full steps, the midpoint row and residual entry halved, stop
+    below tol, one last step below the rounding floor, NonConvergence after
+    max_iter steps above both.  This is the one-half Newton the library ran
+    before its sweeps were solved in blocks.
+    """
+    u = grid.values.copy()
+    c2 = (eps / grid.h) ** 2
+    floor = 16.0 * np.finfo(float).eps * c2 * max(1.0, float(np.max(np.abs(u))))
+    r = half_residual(u, c2)
+    rnorm = float(np.max(np.abs(r)))
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            break
+        op = linearized_operator(u[1:], c2)
+        op.diag[-1] *= 0.5
+        r[-1] *= 0.5
+        u[1:] += solve_tridiagonal(op, r)
+        if rnorm <= floor:
+            break
+        r = half_residual(u, c2)
+        rnorm = float(np.max(np.abs(r)))
+    else:
+        if not rnorm <= max(tol, floor):
+            raise NonConvergence(f"newton_half_alone: residual {rnorm:.3e} after "
+                                 f"{max_iter} iterations", residual=rnorm,
+                                 iterations=max_iter)
+    return GridFunction(L=grid.L, values=u)
+
+
 def newton_full_grid(grid, eps, tol=1e-12, max_iter=100):
     """Newton on every interior point of a whole grid, with no mirror, for
     any interval count and end data: newton_semilinear's sup-norm stop and
@@ -292,18 +331,10 @@ def kappa_lambda_prime(t):
     return float(out) if out.ndim == 0 else out
 
 
-def chebyshev_profile(rhs, T, at, bounded=False, N=200):
-    """The half-line profile f'' - W''(g) f = rhs, f(0) = 0, by float64
-    Chebyshev collocation on [0, T] at N + 1 points, read at the points
-    `at` by barycentric interpolation.
-
-    rhs is a callable of t.  The far condition is f'(T) + sqrt2 f(T) = 0,
-    which the decaying profiles meet (their tail is the homogeneous
-    solution e^{-sqrt2 t}), or f'(T) = 0 for a bounded profile such as
-    omega.  The differentiation matrix is that of L. N. Trefethen,
-    *Spectral Methods in MATLAB* (SIAM, 2000), ch. 6; nothing here calls
-    the library, and g = tanh(t / sqrt2) is evaluated here.
-    """
+def _chebyshev_nodes(T, N):
+    """The N + 1 Chebyshev points t on [0, T] (from 0), the d/dt matrix D on
+    them (L. N. Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 6)
+    and the signs c whose reciprocals are the barycentric weights."""
     j = np.arange(N + 1)
     x = np.cos(np.pi * j / N)                       # 1 .. -1
     c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
@@ -312,9 +343,16 @@ def chebyshev_profile(rhs, T, at, bounded=False, N=200):
     D -= np.diag(D.sum(axis=1))
     t = 0.5 * T * (1.0 - x)                          # 0 .. T
     D *= -2.0 / T                                    # d/dt
+    return t, D, c
+
+
+def _collocate(b, t, D, bounded):
+    """The nodal values of f'' - W''(g) f = b, f(0) = 0, with the far
+    condition of chebyshev_profile."""
+    N = len(t) - 1
     g = np.tanh(t / math.sqrt(2.0))
     A = D @ D - np.diag(3.0 * g * g - 1.0)
-    b = np.asarray(rhs(t), dtype=float).copy()
+    b = np.array(b, dtype=float)
     A[0] = 0.0                                       # f(0) = 0
     A[0, 0] = 1.0
     b[0] = 0.0
@@ -322,14 +360,32 @@ def chebyshev_profile(rhs, T, at, bounded=False, N=200):
     if not bounded:
         A[N, N] += math.sqrt(2.0)
     b[N] = 0.0
-    f = np.linalg.solve(A, b)
+    return np.linalg.solve(A, b)
+
+
+def chebyshev_profile(rhs, T, at, bounded=False, N=200):
+    """The half-line profile f'' - W''(g) f = rhs, f(0) = 0, by float64
+    Chebyshev collocation on [0, T] at N + 1 points, read at the points
+    `at` by barycentric interpolation.
+
+    rhs is a callable of (t, w, dw): the nodes, and the collocated w
+    (L w = gdot) with its derivative D w on them, for the sources that read
+    w (rho's w', kappa_ode's g w).  The far condition is
+    f'(T) + sqrt2 f(T) = 0, which the decaying profiles meet (their tail is
+    the homogeneous solution e^{-sqrt2 t}), or f'(T) = 0 for a bounded
+    profile such as omega.  Nothing here calls the library, and
+    g = tanh(t / sqrt2) is evaluated here.
+    """
+    t, D, c = _chebyshev_nodes(T, N)
+    w = _collocate(1.0 / (math.sqrt(2.0) * np.cosh(t / math.sqrt(2.0)) ** 2), t, D, False)
+    f = _collocate(rhs(t, w, D @ w), t, D, bounded)
     at = np.atleast_1d(np.asarray(at, dtype=float))
     diff = at[:, None] - t[None, :]
     exact = diff == 0.0
     # barycentric weights of the Chebyshev points, (-1)^j halved at the
     # ends, are 1 / c
-    w = (1.0 / c) / np.where(exact, 1.0, diff)
-    out = (w @ f) / w.sum(axis=1)
+    wts = (1.0 / c) / np.where(exact, 1.0, diff)
+    out = (wts @ f) / wts.sum(axis=1)
     hit = exact.any(axis=1)
     out[hit] = f[exact.argmax(axis=1)[hit]]
     return out

@@ -234,21 +234,21 @@ def test_dtn_v_underflow_raises_domain_error():
 
 def test_one_richardson_pair_per_arc(monkeypatch):
     # the transmission reads the grids m and 2m that solve_dirichlet already
-    # solved: two Newton calls per arc, none more, and hessian solves one
+    # solved: two Newton halves per arc, none more, and hessian solves one
     # arc whatever p is, with one gtsv solve per grid for its transmission
     import becircle.balanced_energy as be
-    real_newton, calls = solver.newton_semilinear, []
+    real_newton, calls = solver.newton_halves, []
     real_solve, solves = be.solve_tridiagonal, []
 
-    def counted_newton(*args, **kwargs):
-        calls.append(args[0].n)
-        return real_newton(*args, **kwargs)
+    def counted_newton(u, points, *args, **kwargs):
+        calls.extend(points)
+        return real_newton(u, points, *args, **kwargs)
 
     def counted_solve(*args):
         solves.append(1)
         return real_solve(*args)
 
-    monkeypatch.setattr(solver, "newton_semilinear", counted_newton)
+    monkeypatch.setattr(solver, "newton_halves", counted_newton)
     monkeypatch.setattr(be, "solve_tridiagonal", counted_solve)
     for p in (1, 2, 3):
         calls.clear()

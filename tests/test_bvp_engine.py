@@ -10,10 +10,12 @@ import becircle.bvp_engine as engine
 import becircle.solver_1d as solver
 from becircle import (DomainError, GridFunction, NonConvergence, SingularJacobian,
                       TridiagonalOperator, cumulative_simpson, eig_sturm, heteroclinic,
-                      newton_semilinear, simpson, solve_dirichlet)
-from becircle.bvp_engine import _stebz, solve_tridiagonal
+                      simpson, solve_dirichlet)
+from becircle.bvp_engine import (_stebz, newton_halves, newton_semilinear,
+                                 solve_tridiagonal)
 from becircle.elliptic_oracle import ac_family_mod, modulus_for
 from becircle.scalar_field import potential_d1
+from oracles import half_residual, newton_half_alone
 
 
 def test_simpson_basics():
@@ -239,24 +241,28 @@ def test_newton_quadratic_decay():
 def test_newton_solves_per_call(monkeypatch):
     # on the halved grid of a Richardson pair the rounding floor sits above
     # tol; the iteration must end there with one full step, not keep
-    # stepping among noise-level residuals
-    real_solve, real_newton = engine.solve_tridiagonal, solver.newton_semilinear
-    solves = []
+    # stepping among noise-level residuals.  A block Newton call makes one
+    # solve per iteration for all its halves, so at most 3 solves per call
+    # is at most 3 per half
+    real_solve, real_newton = engine.solve_tridiagonal, solver.newton_halves
+    halves, solves = [], []
 
     def counted_solve(*args):
         solves[-1] += 1
         return real_solve(*args)
 
-    def counted_newton(*args, **kwargs):
+    def counted_newton(u, points, *args, **kwargs):
+        halves.extend(points)
         solves.append(0)
-        return real_newton(*args, **kwargs)
+        return real_newton(u, points, *args, **kwargs)
 
     monkeypatch.setattr(engine, "solve_tridiagonal", counted_solve)
-    monkeypatch.setattr(solver, "newton_semilinear", counted_newton)
+    monkeypatch.setattr(solver, "newton_halves", counted_newton)
     for ratio in (10, 50, 100, 200):
+        halves.clear()
         solves.clear()
         solve_dirichlet(0.5, 0.5 / ratio)
-        assert len(solves) == 2 and max(solves) <= 3, (ratio, solves)
+        assert len(halves) == 2 and max(solves) <= 3, (ratio, halves, solves)
 
 
 @settings(max_examples=30, deadline=None)
@@ -318,6 +324,77 @@ def test_newton_ends_at_floor_on_a_fixed_point(ratio, points_per_eps, halved):
     assert _arc_residual(v, out.h, eps) <= max(tol, floor)
     again = newton_semilinear(out, eps, tol=tol)
     assert np.max(np.abs(again.values - out.values)) <= 1e-12
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _chunk(halves):
+    """newton_halves' layout of the (half grid, eps) pairs: each half's
+    values and a ghost slot, with the points and c2 of each half."""
+    u = np.concatenate([np.append(g.values, np.nan) for g, _ in halves])
+    return u, [g.n + 2 for g, _ in halves], [(eps / g.h) ** 2 for g, eps in halves]
+
+
+def _guess_half(L, eps, m):
+    kp = modulus_for(eps, L)
+    return _half(L, m, lambda x: ac_family_mod(x / eps, kp))[1], eps
+
+
+def _slots(u, points):
+    """The values of each half in newton_halves' layout."""
+    starts = np.cumsum([0] + [p + 1 for p in points[:-1]])
+    return [u[s:s + p] for s, p in zip(starts, points)]
+
+
+def test_newton_halves_stops_a_solved_half_at_iteration_zero():
+    # at L/eps 100 on 400 intervals c2 = 16, so the solved coarse half sits
+    # far below tol: it takes no step, while the halves on either side of it
+    # step two or three times with its identity rows between them
+    solved = newton_half_alone(*_guess_half(0.5, 0.005, 400))
+    assert np.max(np.abs(half_residual(solved.values, (0.005 / solved.h) ** 2))) <= 1e-12
+    halves = [_guess_half(0.5, 0.02, 1250), (solved, 0.005), _guess_half(0.3, 0.01, 1500)]
+    u, points, c2 = _chunk(halves)
+    newton_halves(u, points, c2)
+    for (g, eps), v in zip(halves, _slots(u, points)):
+        assert np.array_equal(_bits(v), _bits(newton_half_alone(g, eps).values))
+    assert np.array_equal(_bits(_slots(u, points)[1]), _bits(solved.values))
+
+
+def test_newton_halves_raises_for_the_half_that_does_not_converge():
+    # with one iteration allowed, the solved half is done at iteration 0 and
+    # the guesses are not: NonConvergence names the first guess, with the
+    # residual its own solve reaches
+    solved = newton_half_alone(*_guess_half(0.5, 0.005, 400))
+    guess = _guess_half(0.5, 0.02, 1250)
+    with pytest.raises(NonConvergence) as alone:
+        newton_half_alone(*guess, max_iter=1)
+    newton_half_alone(solved, 0.005, max_iter=1)
+    u, points, c2 = _chunk([(solved, 0.005), guess, _guess_half(0.3, 0.01, 1500)])
+    with pytest.raises(NonConvergence, match="half 1 of 3") as block:
+        newton_halves(u, points, c2, max_iter=1)
+    assert block.value.residual == alone.value.residual
+    assert block.value.iterations == 1
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_newton_rejects_a_tol_outside_zero_inf_before_any_work(tol):
+    guess = _guess_half(0.5, 0.02, 1250)
+    u, points, c2 = _chunk([guess])
+    before = u.copy()
+    with pytest.raises(DomainError, match="tol"):
+        newton_halves(u, points, c2, tol=tol)
+    assert np.array_equal(_bits(u), _bits(before))
+    with pytest.raises(DomainError, match="tol"):
+        newton_semilinear(*guess, tol=tol)
+
+
+@pytest.mark.parametrize("points, c2", [([], []), ([5], [1.0, 2.0]), ([2, 5], [1.0, 1.0]),
+                                        ([5, 5], [1.0, 1.0])])
+def test_newton_halves_rejects_a_layout_that_does_not_fill_u(points, c2):
+    with pytest.raises(DomainError):
+        newton_halves(np.zeros(11), points, c2)
 
 
 def test_eig_dirichlet_laplacian():

@@ -40,6 +40,20 @@ CASES = {
     "be.json": ["be", "--nodes", "0,0.5", "--eps", "0.05"],
     "two_node_scan.json": ["two-node-scan", "--eps", "0.02", "--grid", "0.3,0.5"],
     "gap_sweep.json": ["gap-sweep", "--L", "0.5", "--eps", "0.05,0.03"],
+    # sweeps whose halves fill several 8192-point chunks of the block Newton:
+    # 40 evenly spaced eps in [0.01, 0.1), and the 19-point grid
+    # linspace(0.1, 0.9, 19) with its reference arc
+    "lipschitz_sweep.json": ["lipschitz", "--L", "0.5", "--eps", (
+        "0.01,0.01225,0.0145,0.01675,0.019,0.02125,0.0235,0.02575,0.028,0.03025,"
+        "0.0325,0.03475,0.037,0.03925,0.0415,0.04375,0.046,0.04825,0.0505,0.05275,"
+        "0.055,0.05725,0.0595,0.06175,0.064,0.06625,0.0685,0.07075,0.073,0.07525,"
+        "0.0775,0.07975,0.082,0.08425,0.0865,0.08875,0.091,0.09325,0.0955,0.09775")],
+    "two_node_scan_grid.json": ["two-node-scan", "--eps", "0.02", "--grid", (
+        "0.1,0.14444444444444446,0.18888888888888888,0.23333333333333334,"
+        "0.2777777777777778,0.32222222222222224,0.3666666666666667,0.4111111111111111,"
+        "0.4555555555555556,0.5,0.5444444444444445,0.5888888888888889,"
+        "0.6333333333333333,0.6777777777777778,0.7222222222222222,0.7666666666666667,"
+        "0.8111111111111111,0.8555555555555555,0.9")],
 }
 
 
@@ -209,6 +223,8 @@ def test_domain_error_exit_code(capsys):
     ["solve", "--L", "2e-153", "--eps", "1e-154"],
     ["solve", "--L", "2e200", "--eps", "1e198"],
     ["solve", "--L", "0.5", "--eps", "0.05", "--grid-per-eps", "801"],
+    ["lipschitz", "--L", "0.5", "--eps", "0.02,1e-320"],
+    ["gamma-sweep", "--nodes", "0,0.5", "--eps", "0.02,1e-320"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_bad_input_is_a_typed_error(argv, capsys):
     # sweeps need two distinct eps; eps, L, the grid density, Newton's tol,
@@ -223,6 +239,18 @@ def test_bad_input_is_a_typed_error(argv, capsys):
     # into a record, and never a claim made on no data
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lipschitz", "--L", "0.5", "--eps", "0.02,1e-320"],
+    ["gamma-sweep", "--nodes", "0,0.5", "--eps", "0.02,1e-320"],
+], ids=lambda argv: argv[0])
+def test_a_sweep_reports_its_first_bad_arc(argv, capsys):
+    # a sweep checks its arcs in order, smallest eps first, before solving
+    # any: the message is the one the arcs solved one at a time gave
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ("error: no normal grid step with a finite interval "
+                                       "count for L = 0.5, eps = 1e-320 at 50 points per eps\n")
 
 
 _FAILING = {

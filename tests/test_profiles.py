@@ -673,6 +673,26 @@ def test_ode_residual_in_place_matches_out_of_place(window):
         assert ode_residual(prof, t_max=t_max) == _ode_residual_out_of_place(prof, t_max)
 
 
+def test_ode_residual_computes_w2_once_per_window(monkeypatch):
+    # the six residuals of one window read one read-only W''(g) from the
+    # window's cache entry, computed by the first of them
+    profiles_mod._halfline.cache_clear()
+    calls = []
+    real = profiles_mod.potential_d2
+
+    def counted(u):
+        calls.append(len(u))
+        return real(u)
+
+    monkeypatch.setattr(profiles_mod, "potential_d2", counted)
+    for fn in PROFILES:
+        ode_residual(fn(), t_max=5.0 if fn is profile_tau_lambda else None)
+    assert calls == [len(profiles_mod.halfline()[0]) - 4]
+    line = profiles_mod._window(40.0, 1e-3)
+    assert not line.w2_inner.flags.writeable
+    profiles_mod._halfline.cache_clear()
+
+
 @_with_windows
 def test_sigma2_from_tau_geom_values_is_the_solved_profile_bit_for_bit(window):
     T, h = window
@@ -696,43 +716,59 @@ def test_tail_total_is_the_bracket_at_zero_bit_for_bit(window):
 # the profile values against an independent Chebyshev collocation
 
 
-# the sources in closed form, from tanh and cosh alone: gdot = sech^2/sqrt2,
-# and omega's 6 g tau_lambda gdot with tau_lambda = -kappa_lambda
+# the sources, as callables of the collocation's nodes t and its w and w'
+# there: in closed form, from tanh and cosh alone, gdot = sech^2/sqrt2 and
+# omega's 6 g tau_lambda gdot with tau_lambda = -kappa_lambda; rho's w' and
+# kappa_ode's g w from the collocated w
 
 
 def _sech2(t):
     return 1.0 / np.cosh(t / SQRT2) ** 2
 
 
-def _w_source(t):
+def _w_source(t, *_):
     return _sech2(t) / SQRT2
 
 
-def _tau_geom_source(t):
+def _tau_geom_source(t, *_):
     return t * _sech2(t) / SQRT2
 
 
-def _omega_oracle_source(t):
+def _rho_source(t, w, dw):
+    return dw
+
+
+def _kappa_ode_source(t, w, dw):
+    return np.tanh(t / SQRT2) * w
+
+
+def _omega_oracle_source(t, *_):
     g, s = np.tanh(t / SQRT2), _sech2(t)
     tau_lambda = (2.0 * g * (5.0 - 3.0 * g * g) / s + 3.0 * SQRT2 * t * s) / 8.0
     return 6.0 * g * tau_lambda * s / SQRT2
 
 
 # (profile, its source, bounded, C, floor): |f - collocation| <= C h^4 + floor
-# at t = 0.5, 2, 6 and 12 on [0, 40].  Measured with the collocation at
-# N = 200: at the default step 1e-3 the gaps are 1.4e-14, 4.1e-14 and
-# 2.6e-13 (the collocation's own rounding floor, which moves by up to 5x
-# with N; a 30-digit quadrature put the library at 3.0e-14, 2.7e-14 and
-# 1.9e-13), and from h = 2e-3 on they follow C h^4 with C at most 0.064,
-# 0.028 and 0.197.  Worst ratio to the bound 0.80
+# at t = 0.5, 2, 6 and 12 on [0, 40].  rho's and kappa_ode's sources read w:
+# the oracle differentiates (rho, w') or multiplies by g (kappa_ode, g w)
+# the collocated w on its own nodes, not the library's w.  Measured with the
+# collocation at N = 200: at the default step 1e-3 the gaps are 1.4e-14,
+# 4.1e-14, 2.6e-13, 5.1e-14 and 2.1e-14 for w, tau_geom, omega, rho and
+# kappa_ode (the first three at the collocation's own rounding floor, which
+# moves by up to 5x with N; a 30-digit quadrature put the library at
+# 3.0e-14, 2.7e-14 and 1.9e-13), and from h = 2e-3 on they follow C h^4 with
+# C at most 0.064, 0.028, 0.197, 0.082 and 0.013.  Worst ratio to the bound
+# 0.80, 0.34, 0.77, 0.82 and 0.61
 COLLOCATION_CASES = [(profile_w, _w_source, False, 0.08, 1e-13),
                      (profile_tau_geom, _tau_geom_source, False, 0.08, 1e-13),
-                     (profile_omega, _omega_oracle_source, True, 0.25, 1e-12)]
+                     (profile_omega, _omega_oracle_source, True, 0.25, 1e-12),
+                     (profile_rho, _rho_source, False, 0.1, 1e-13),
+                     (profile_kappa_ode, _kappa_ode_source, False, 0.02, 1e-13)]
 
 
 @pytest.mark.parametrize("h", [1e-3, 2e-3, 4e-3, 5e-3, 1e-2])
 @pytest.mark.parametrize("profile, source, bounded, C, floor", COLLOCATION_CASES,
-                         ids=["w", "tau_geom", "omega"])
+                         ids=["w", "tau_geom", "omega", "rho", "kappa_ode"])
 def test_profiles_match_a_chebyshev_collocation(profile, source, bounded, C, floor, h):
     at = np.array([0.5, 2.0, 6.0, 12.0])
     prof = profile(T=40.0, h=h)

@@ -3,17 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import becircle.solver_1d as solver
 from becircle import (DomainError, GridFunction, NoPositiveSolution,
                       existence_threshold, lambda_of_eps, lipschitz_scan,
-                      min_energy, modulus_for, newton_semilinear,
-                      nodal_solution, potential, solve_dirichlet)
-from becircle.bvp_engine import TridiagonalOperator, eig_sturm
+                      min_energy, modulus_for, nodal_solution, potential,
+                      solve_dirichlet)
+from becircle.bvp_engine import TridiagonalOperator, eig_sturm, newton_semilinear
 from becircle.elliptic_oracle import ac_family_mod
 from oracles import (arc_energy_tolerance, exact_arc_energy, newton_full_grid,
-                     periodic_residual, stencil_slope)
+                     newton_half_alone, periodic_residual, stencil_slope)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -285,13 +285,13 @@ def test_one_pair_makes_two_newton_calls_on_the_halves(monkeypatch):
     # Newton iterates on the half [0, L/2] of each grid of the pair, midpoint
     # included: m/2 + 1 points on the m-interval grid, m + 1 on the 2m one
     points = []
-    real = solver.newton_semilinear
+    real = solver.newton_halves
 
-    def counted(grid, *args, **kwargs):
-        points.append(grid.n + 2)
-        return real(grid, *args, **kwargs)
+    def counted(u, halves, *args, **kwargs):
+        points.extend(halves)
+        return real(u, halves, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "newton_semilinear", counted)
+    monkeypatch.setattr(solver, "newton_halves", counted)
     for L, eps in ((0.5, 0.05), (1.0, 0.004)):
         points.clear()
         solve_dirichlet(L, eps)
@@ -398,3 +398,92 @@ def test_solve_dirichlet_matches_the_full_grid_newton(ratio, points_per_eps):
         assert abs(sol.lam / lam - 1.0) <= 1e-12
     else:
         assert sol.lam == 0.0 and 0.0 <= lam <= 1e-28
+
+
+def _pair_alone(L, eps, m):
+    """dirichlet_pair's u and u_half, each half solved by itself with the
+    one-half oracle Newton from the same closed-form guess."""
+    half = ac_family_mod(np.linspace(0.0, L, 2 * m + 1)[:m + 1] / eps, modulus_for(eps, L))
+    half[0] = 0.0
+    out = []
+    for g in (half[::2], half):
+        v = newton_half_alone(GridFunction(L=0.5 * L, values=g), eps).values
+        out.append(np.concatenate((v, v[-2::-1])))
+    return out
+
+
+def _assert_pairs_alone(arcs):
+    for (L, eps, m), sol in zip(arcs, solver.dirichlet_pairs(arcs), strict=True):
+        u, u_half = _pair_alone(L, eps, m)
+        assert np.array_equal(_bits(sol.u.values), _bits(u)), (L, eps, m)
+        assert np.array_equal(_bits(sol.u_half.values), _bits(u_half)), (L, eps, m)
+
+
+@st.composite
+def _arc_batches(draw):
+    """1-12 arcs at L 0.05-1, L/eps 3.2-1950 and 0.2-800 points per eps,
+    with at most 2^20 grid points over all their halves."""
+    arcs = []
+    for _ in range(draw(st.integers(1, 12))):
+        L = draw(st.floats(0.05, 1.0))
+        eps = L / draw(st.floats(3.2, 1950.0))
+        m = solver.intervals_for(L, eps, draw(st.sampled_from([0.2, 1, 2, 50, 800])))
+        arcs.append((L, eps, m))
+    assume(sum(3 * m // 2 + 2 for _, _, m in arcs) <= 2 ** 20)
+    return arcs
+
+
+@settings(max_examples=30, deadline=None)
+@given(arcs=_arc_batches())
+@example(arcs=[(0.5, 0.5 / 1950.0, 400), (0.5, 0.05, 1000), (0.2, 0.2 / 600.0, 480)])
+def test_dirichlet_pairs_solve_each_half_bit_for_bit_as_alone(arcs):
+    # the block Newton solves every half of a chunk in one gtsv call per
+    # iteration; each half must get the bits of its own solve, also where
+    # c2 < 1 (at 0.2 points per eps past L/eps 400), where gtsv can pivot,
+    # and across chunk boundaries, which can fall between an arc's halves
+    _assert_pairs_alone(arcs)
+
+
+def test_dirichlet_pairs_chunk_at_8192_points(monkeypatch):
+    # consecutive halves share a chunk up to 8192 points in all; a half of
+    # 8192 points fills one, and a larger one is a chunk by itself
+    chunks = []
+    real = solver.newton_halves
+
+    def counted(u, points, *args, **kwargs):
+        chunks.append(list(points))
+        return real(u, points, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_halves", counted)
+    arcs = [(0.5, 0.01, m) for m in (5460, 5462, 16382, 16384)]
+    _assert_pairs_alone(arcs)
+    assert chunks == [[2731, 5461], [2732], [5463], [8192], [16383], [8193], [16385]]
+
+
+def test_dirichlet_pairs_check_every_arc_before_solving(monkeypatch):
+    # the first bad arc in input order raises, with no arc solved before it
+    calls = []
+    monkeypatch.setattr(solver, "newton_halves", lambda *args, **kw: calls.append(1))
+    with pytest.raises(DomainError, match="even interval count"):
+        solver.dirichlet_pairs([(0.5, 0.05, 400), (0.5, 0.05, 401), (0.5, 1e-5, 400)])
+    with pytest.raises(DomainError, match="beyond representable moduli"):
+        solver.dirichlet_pairs([(0.5, 0.05, 400), (0.5, 1e-5, 400), (0.5, 0.05, 401)])
+    with pytest.raises(NoPositiveSolution):
+        solver.dirichlet_pairs([(0.5, 0.05, 400), (0.5, 0.2, 400)])
+    assert calls == []
+
+
+def test_lipschitz_scan_memory_is_bounded_by_the_chunk():
+    # a sweep holds one chunk of halves at a time, not every arc's grids:
+    # tracemalloc peaks at 0.198 MiB when the arcs are solved one at a time
+    # and at 0.75 MiB with 8192-point chunks; the whole sweep's solutions
+    # take about 3.3 MiB
+    eps = np.linspace(0.01, 0.1, 200)
+    lipschitz_scan(0.5, eps)
+    tracemalloc.start()
+    try:
+        lipschitz_scan(0.5, eps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (0.198 + 1.0) * 2 ** 20
