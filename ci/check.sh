@@ -85,6 +85,8 @@ solve --L 2e200 --eps 1e198
 solve --L 0.5 --eps 0.05 --grid-per-eps 801
 lipschitz --L 0.5 --eps 0.02,1e-320
 gamma-sweep --nodes 0,0.5 --eps 0.02,1e-320
+lipschitz --L 0.5 --eps 0.01,nan
+two-node-scan --eps nan --grid 0.5
 ROWS
 echo "ok: $rows rows"
 

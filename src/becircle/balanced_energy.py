@@ -329,19 +329,16 @@ def comparator_energy(config, eps):
     rho0 = float(np.min(lengths)) / 2.0
     lo, hi = rho0 / 4.0, rho0 / 2.0
 
-    def chi(d):
-        out = np.ones_like(d)
-        ramp = (d > lo) & (d < hi)
-        out[ramp] = np.cos(0.5 * math.pi * (d[ramp] - lo) / (hi - lo)) ** 2
-        out[d >= hi] = 0.0
-        return out
-
-    def dchi(d):
-        out = np.zeros_like(d)
+    def chi_dchi(d):
+        """The cutoff chi(d) and its derivative, from one ramp."""
+        chi, dchi = np.ones_like(d), np.zeros_like(d)
         ramp = (d > lo) & (d < hi)
         s = 0.5 * math.pi * (d[ramp] - lo) / (hi - lo)
-        out[ramp] = -math.pi * np.cos(s) * np.sin(s) / (hi - lo)
-        return out
+        cos = np.cos(s)
+        chi[ramp] = cos ** 2
+        chi[d >= hi] = 0.0
+        dchi[ramp] = -math.pi * cos * np.sin(s) / (hi - lo)
+        return chi, dchi
 
     total = 0.0
     for ell in lengths:
@@ -351,9 +348,9 @@ def comparator_energy(config, eps):
         d = np.minimum(x, ell - x)
         dprime = np.where(x <= ell / 2.0, 1.0, -1.0)
         g, gdot, _ = heteroclinic(d / eps)
-        c = chi(d)
+        c, dc = chi_dchi(d)
         u = g * c + (1.0 - c)
-        du = (gdot / eps * c + (g - 1.0) * dchi(d)) * dprime
+        du = (gdot / eps * c + (g - 1.0) * dc) * dprime
         density = 0.5 * eps * du ** 2 + potential(u) / eps
         total += simpson(density, x[1] - x[0])
     return total

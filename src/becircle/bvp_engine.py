@@ -2,7 +2,9 @@
 for the semilinear two-point problem (started from the closed form; the
 halves of a sweep's grids in one block tridiagonal system per chunk of at
 most 8192 points, bit for bit one solve per half, so the per-call cost of
-numpy and LAPACK is paid once per chunk), and the linearized operator
+numpy and LAPACK is paid once per chunk: newton_halves takes the halves as
+arrays, lays them out in its own buffer and returns them solved, leaving
+its inputs as they are), and the linearized operator
 -eps^2 D^2 + W''(u) with its tridiagonal solve (LAPACK gtsv) and
 symmetric-tridiagonal eigensolver.  Every eigenproblem is
 bisected on Sturm counts by LAPACK (stebz, called directly), in one
@@ -203,17 +205,19 @@ def _nonlinearity(u, d1=None, d2=None):
         d2 -= 1.0
 
 
-def newton_halves(u, points, c2, tol=1e-12, max_iter=100):
+def newton_halves(halves, c2, tol=1e-12, max_iter=100):
     """Newton for  eps^2 u'' = W'(u)  on the halves [0, L/2] of arcs whose
     solutions are even about their midpoints, all halves in one block
-    tridiagonal solve per iteration; u is solved in place.
+    tridiagonal solve per iteration.
 
-    u holds the halves one after another.  Half b takes points[b] + 1 slots:
-    its Dirichlet datum u_0, its unknowns u_1..u_M (M = points[b] - 1; u_M
-    is the midpoint) and a slot for the ghost value u_{M+1} = u_{M-1};
-    c2[b] = (eps/h)^2 on its grid.  The midpoint row of the Jacobian couples
-    to u_{M-1} twice, so it and its residual entry are halved: an exact
-    scaling that keeps the matrix symmetric tridiagonal for gtsv.  Each
+    Each half is a 1-D array u_0..u_M: its Dirichlet datum u_0, then its
+    unknowns u_1..u_M, the midpoint last; c2[b] = (eps/h)^2 on the grid of
+    half b.  The halves are copied once into one buffer, where half b takes
+    M + 2 slots, the last for the ghost value u_{M+1} = u_{M-1}; the inputs
+    are left as they are, and the solved halves are returned, in order, as
+    views of that buffer.  The midpoint row of the Jacobian couples to
+    u_{M-1} twice, so it and its residual entry are halved: an exact scaling
+    that keeps the matrix symmetric tridiagonal for gtsv.  Each
     datum and ghost row is an identity row with zero couplings and right
     side 0, and so is every row of a half that has stopped; with those rows
     gtsv eliminates each half's rows as it would for that half alone, so
@@ -232,19 +236,22 @@ def newton_halves(u, points, c2, tol=1e-12, max_iter=100):
     W'(u): NonConvergence or SingularJacobian.  The residual is the full
     arc's sup norm.  Each iteration works on the span from the first to the
     last half still stepping.  DomainError, before any work, for a tol
-    outside (0, inf) or a layout that does not fill u.
+    outside (0, inf), no halves, a c2 count other than the half count, or a
+    half of fewer than 3 points.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    points, c2 = list(points), list(c2)
-    if not (points and len(points) == len(c2) and min(points) >= 3
-            and sum(points) + len(points) == len(u)):
-        raise DomainError(f"halves of {points} points (at least 3 each, one ghost "
-                          f"slot each) do not fill {len(u)} slots")
+    points, c2 = [len(v) for v in halves], list(c2)
+    if not (points and len(points) == len(c2) and min(points) >= 3):
+        raise DomainError(f"{len(c2)} c2 values for halves of {points} points: "
+                          f"one per half, each of at least 3 points")
     starts = np.cumsum([0] + [p + 1 for p in points[:-1]])
     ghosts = starts + np.array(points)
     rows = [(s + 1, s + p) for s, p in zip(starts.tolist(), points)]  # u_1..u_M
-    n = len(u)
+    n = sum(points) + len(points)
+    u = np.empty(n)
+    for (a, e), v in zip(rows, halves):
+        u[a - 1:e] = v
     off = np.zeros(n - 1)
     for (a, e), c in zip(rows, c2):
         off[a:e - 1] = -c
@@ -307,6 +314,7 @@ def newton_halves(u, points, c2, tol=1e-12, max_iter=100):
                 raise NonConvergence(
                     f"newton: residual {res:.3e} on half {b} of {len(points)} "
                     f"after {max_iter} iterations", residual=res, iterations=max_iter)
+    return [u[a - 1:e] for a, e in rows]
 
 
 def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
@@ -316,10 +324,8 @@ def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):
     The grid is the half: its left value is the Dirichlet datum and its right
     end is the midpoint.  The result is the solved half on the same grid.
     """
-    u = np.empty(grid.n + 3)
-    u[:-1] = grid.values
-    newton_halves(u, [grid.n + 2], [(eps / grid.h) ** 2], tol, max_iter)
-    return GridFunction(L=grid.L, values=u[:-1])
+    (v,) = newton_halves([grid.values], [(eps / grid.h) ** 2], tol, max_iter)
+    return GridFunction(L=grid.L, values=v)
 
 
 def _stebz(diag, offdiag, select, select_range, tol):

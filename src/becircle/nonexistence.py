@@ -120,8 +120,11 @@ def two_node_scan(eps, p_grid, points_per_eps=50):
 
     Grid points whose shorter arc drops to 1.05 pi eps or below are dropped
     and flagged rather than modeled by the degenerate u = 0 arc; a grid with
-    no point left raises `DomainError`.
+    no point left raises `DomainError`, and so does an eps that is not
+    positive and finite, before the grid is filtered.
     """
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     p_grid = np.asarray(p_grid, dtype=float)
     if not np.all(np.isfinite(p_grid)):
         raise DomainError(f"grid points must be finite, got {p_grid.tolist()}")

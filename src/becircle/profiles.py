@@ -36,11 +36,10 @@ Every solve runs one variation-of-parameters core, `_vp_core`.
 the core, and w'(0) and omega'(0) are tail totals (`_tail_total`), so at its
 peak it holds four arrays besides the window (tau_geom's source, r' and the
 bracket or r, and `cumulative_simpson`'s scratch): 4.9 MiB at 80001 points,
-window included, against 7.3 MiB when it solved tau_geom in full.  A
-`spectral` bench pass evaluates `heteroclinic` 3 times and runs the core 8
-times; traced, it reports `profiles.calls` 22 (28 while the constants called
-`profile_tau_geom`).  The kernels work in place, with the operands in the
-order of the plain expressions, so every result keeps its bits.
+window included.  A `spectral` bench pass evaluates `heteroclinic` 3 times
+and runs the core 8 times; traced, it reports `profiles.calls` 22.  The
+kernels work in place, with the operands in the order of the plain
+expressions, so every result keeps its bits.
 
 The window ends where gdot(T)^2 leaves the normal float64 range; past it
 `bracket / gdot^2` and kappa's `/ s^2` lose every digit, so a longer T
@@ -299,10 +298,8 @@ def _kappa(t, g, gdot):
     (it is the growing homogeneous partner of gdot).
     """
     s = SQRT2 * gdot    # sech^2(t/sqrt2), underflow-safe
-    if np.ndim(s) == 0:
-        return -(2.0 * g * (5.0 - 3.0 * g * g) / s + 3.0 * SQRT2 * t * s) / 8.0
-    # on arrays, in place in two arrays besides s, with the operands in the
-    # order of the expression above
+    # -(2 g (5 - 3 g g) / s + 3 sqrt2 t s) / 8, in place in two arrays
+    # besides s, with the operands in the order of that expression
     out = np.multiply(2.0, g)
     b = np.multiply(3.0, g)
     b *= g
@@ -318,14 +315,14 @@ def _kappa(t, g, gdot):
 
 
 def _kappa_prime(t, g, gdot):
-    """Analytic derivative of `_kappa`, from the same values."""
+    """Analytic derivative of `_kappa`, from the same values:
+        dA = ((10 - 18 g g) / s + 4 g g (5 - 3 g g) / s^2) gdot,
+        dB = 3 sqrt2 (s - 2 t g gdot),
+        kappa'(t) = -(dA + dB) / 8,  s = sqrt2 gdot,
+    in place in three arrays besides s, with the operands in the order of
+    these expressions.
+    """
     s = SQRT2 * gdot    # sech^2(t/sqrt2)
-    if np.ndim(s) == 0:
-        dA = ((10.0 - 18.0 * g * g) / s + 4.0 * g * g * (5.0 - 3.0 * g * g) / s ** 2) * gdot
-        dB = 3.0 * SQRT2 * (s - 2.0 * t * g * gdot)
-        return -(dA + dB) / 8.0
-    # on arrays, in place in three arrays besides s, with the operands in
-    # the order of the expressions above
     out = np.multiply(18.0, g)
     out *= g
     np.subtract(10.0, out, out=out)

@@ -7,10 +7,11 @@ amplitude errors sit exactly at the exponentially small energy scales the
 experiments difference against, and the pairing removes them.
 
 A sweep solves its arcs in one dirichlet_pairs call: the halves of all its
-grids are solved as one block system per chunk of at most 8192 grid points
-(bvp_engine.newton_halves), bit for bit one solve per half.  The chunk
-bound keeps the working set in cache, and memory bounded by the chunk, not
-by the sweep.
+grids are solved as one block system per chunk of at most 8192 grid points,
+bit for bit one solve per half.  A chunk is one bvp_engine.newton_halves
+call on the halves of its closed-form guesses, which lays them out itself
+and returns them solved, without changing them.  The chunk bound keeps the
+working set in cache, and memory bounded by the chunk, not by the sweep.
 """
 import math
 import numbers
@@ -149,25 +150,17 @@ def _solved_pairs(arcs, tol):
     chunks.append(chunk)
     guess, coarse = None, None   # the closed form and coarse solution of an open arc
     for chunk in chunks:
-        u = np.empty(sum(points + 1 for _, points in chunk))
-        c2, s = [], 0
+        halves, c2 = [], []
         for i, points in chunk:
             L, eps, m, kp = arcs[i]
             if points == m // 2 + 1:
                 guess = ac_family_mod(np.linspace(0.0, L, 2 * m + 1)[:m + 1] / eps, kp)
                 guess[0] = 0.0
-                u[s:s + points] = guess[::2]
-            else:
-                u[s:s + points] = guess
+            halves.append(guess[::2] if points == m // 2 + 1 else guess)
             c2.append((eps / ((0.5 * L) / (points - 1))) ** 2)
-            s += points + 1
-        newton_halves(u, [points for _, points in chunk], c2, tol)
-        s = 0
-        for i, points in chunk:
+        for (i, points), v in zip(chunk, newton_halves(halves, c2, tol)):
             L, eps, m, _ = arcs[i]
-            v = u[s:s + points]
             sol = GridFunction(L=L, values=np.concatenate((v, v[-2::-1])))
-            s += points + 1
             if points == m // 2 + 1:
                 coarse = sol
                 continue
@@ -243,15 +236,10 @@ def nodal_solution(p, eps, points_per_eps=50):
 
 
 def min_energy(eps, L, points_per_eps=50):
-    """Energy of the positive Dirichlet minimizer; the map g(eps) of the scans.
-
-    For an array of eps it is the array of energies, every arc solved in one
-    dirichlet_pairs call.
-    """
-    if np.ndim(eps) == 0:
-        return solve_dirichlet(L, eps, points_per_eps=points_per_eps).energy
-    return np.array([sol.energy for sol in dirichlet_pairs(
-        dirichlet_arc(L, e, points_per_eps) for e in eps)])
+    """Energies of the positive Dirichlet minimizers at an array of eps, every
+    arc solved in one dirichlet_pairs call; the map g(eps) of the scans."""
+    arcs = (dirichlet_arc(L, e, points_per_eps) for e in np.asarray(eps, dtype=float).tolist())
+    return np.array([sol.energy for sol in dirichlet_pairs(arcs)])
 
 
 @dataclass(frozen=True)

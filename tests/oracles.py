@@ -313,10 +313,10 @@ def kappa_lambda(t):
     half-line (tau_lambda = -kappa_lambda); here it takes heteroclinic(t)
     itself.
     """
-    t = np.asarray(t, dtype=float)
-    g, gdot, _ = heteroclinic(t)
-    out = _kappa(t, g, gdot)
-    return float(out) if out.ndim == 0 else out
+    x = np.atleast_1d(np.asarray(t, dtype=float))
+    g, gdot, _ = heteroclinic(x)
+    out = _kappa(x, g, gdot)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def kappa_lambda_prime(t):
@@ -325,10 +325,10 @@ def kappa_lambda_prime(t):
     The library reads this formula only on a profile window's cached
     half-line (tau_lambda's dvalues); here it takes heteroclinic(t) itself.
     """
-    t = np.asarray(t, dtype=float)
-    g, gdot, _ = heteroclinic(t)
-    out = _kappa_prime(t, g, gdot)
-    return float(out) if out.ndim == 0 else out
+    x = np.atleast_1d(np.asarray(t, dtype=float))
+    g, gdot, _ = heteroclinic(x)
+    out = _kappa_prime(x, g, gdot)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def _chebyshev_nodes(T, N):

@@ -17,8 +17,8 @@ from becircle import (ArcTooShort, DomainError, NodeConfig, NoPositiveSolution,
                       NotCritical, ac_spectrum, broken_transition,
                       dirichlet_gap, dtn_v, fd_first_variation,
                       first_variation, hessian, index_table, lambda_of_eps,
-                      nodal_solution, profile_constants, solve_dirichlet,
-                      translation_mode)
+                      nodal_solution, profile_constants, profile_omega,
+                      solve_dirichlet, translation_mode)
 from becircle.scalar_field import potential_d2
 from becircle.elliptic_oracle import modulus_for
 from becircle.solver_1d import intervals_for
@@ -189,6 +189,28 @@ def test_v_follows_its_next_order_law(ratio, L):
     assert abs(rho - model) <= 1.4 * (lam * L / eps) ** 2 + 1e-15
 
 
+@pytest.mark.parametrize("L", [0.5, 1.0 / 3.0])
+@pytest.mark.parametrize("ratio", np.linspace(10.0, 20.0, 21).tolist())
+def test_v_next_order_coefficient_is_omegas_tail(ratio, L):
+    # an observed equality, not a derivation: the coefficient 3/(2 sqrt2) of
+    # lam L/eps in rho equals -omega(inf) = 3 sqrt2/4, the tail of
+    # profile_omega.  Read a = -omega(T) at the default window, within the
+    # tail law of test_omega_tail_follows_its_measured_law (measured 1.1e-12
+    # from the literal, bound 2.5e-11); that a fits rho within the bound of
+    # test_v_follows_its_next_order_law, worst ratio 0.90 as for the
+    # literal.  Whether the 3/4 lam term also comes from the profiles is open
+    omega = profile_omega()
+    T, h = omega.T, omega.h
+    a = -float(omega.values[-1])
+    assert abs(a - 3.0 / (2.0 * SQRT2)) <= (9e-10 * (h / 1e-2) ** 4
+                                            + 6.5 * T * math.exp(-SQRT2 * T) + 2.5e-11)
+    eps = L / ratio
+    lam = lambda_of_eps(eps, L).lam
+    rho = exact_transmission(eps, L)[1] / (-2.0 * SQRT2 * lam / eps) - 1.0
+    model = a * lam * L / eps + 0.75 * lam
+    assert abs(rho - model) <= 1.4 * (lam * L / eps) ** 2 + 1e-15
+
+
 def test_dtn_v_one_column_per_grid(monkeypatch):
     # the transmission needs only the data-(1, 0) solve: one banded solve
     # with a one-column right-hand side on each grid of the pair
@@ -240,9 +262,9 @@ def test_one_richardson_pair_per_arc(monkeypatch):
     real_newton, calls = solver.newton_halves, []
     real_solve, solves = be.solve_tridiagonal, []
 
-    def counted_newton(u, points, *args, **kwargs):
-        calls.extend(points)
-        return real_newton(u, points, *args, **kwargs)
+    def counted_newton(halves, *args, **kwargs):
+        calls.extend([len(v) for v in halves])
+        return real_newton(halves, *args, **kwargs)
 
     def counted_solve(*args):
         solves.append(1)

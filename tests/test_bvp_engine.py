@@ -251,10 +251,10 @@ def test_newton_solves_per_call(monkeypatch):
         solves[-1] += 1
         return real_solve(*args)
 
-    def counted_newton(u, points, *args, **kwargs):
-        halves.extend(points)
+    def counted_newton(arrays, *args, **kwargs):
+        halves.extend([len(v) for v in arrays])
         solves.append(0)
-        return real_newton(u, points, *args, **kwargs)
+        return real_newton(arrays, *args, **kwargs)
 
     monkeypatch.setattr(engine, "solve_tridiagonal", counted_solve)
     monkeypatch.setattr(solver, "newton_halves", counted_newton)
@@ -331,21 +331,14 @@ def _bits(values):
 
 
 def _chunk(halves):
-    """newton_halves' layout of the (half grid, eps) pairs: each half's
-    values and a ghost slot, with the points and c2 of each half."""
-    u = np.concatenate([np.append(g.values, np.nan) for g, _ in halves])
-    return u, [g.n + 2 for g, _ in halves], [(eps / g.h) ** 2 for g, eps in halves]
+    """newton_halves' arguments for the (half grid, eps) pairs: each half's
+    values and c2."""
+    return [g.values for g, _ in halves], [(eps / g.h) ** 2 for g, eps in halves]
 
 
 def _guess_half(L, eps, m):
     kp = modulus_for(eps, L)
     return _half(L, m, lambda x: ac_family_mod(x / eps, kp))[1], eps
-
-
-def _slots(u, points):
-    """The values of each half in newton_halves' layout."""
-    starts = np.cumsum([0] + [p + 1 for p in points[:-1]])
-    return [u[s:s + p] for s, p in zip(starts, points)]
 
 
 def test_newton_halves_stops_a_solved_half_at_iteration_zero():
@@ -355,11 +348,14 @@ def test_newton_halves_stops_a_solved_half_at_iteration_zero():
     solved = newton_half_alone(*_guess_half(0.5, 0.005, 400))
     assert np.max(np.abs(half_residual(solved.values, (0.005 / solved.h) ** 2))) <= 1e-12
     halves = [_guess_half(0.5, 0.02, 1250), (solved, 0.005), _guess_half(0.3, 0.01, 1500)]
-    u, points, c2 = _chunk(halves)
-    newton_halves(u, points, c2)
-    for (g, eps), v in zip(halves, _slots(u, points)):
+    values, c2 = _chunk(halves)
+    before = [v.copy() for v in values]
+    out = newton_halves(values, c2)
+    for (g, eps), v in zip(halves, out):
         assert np.array_equal(_bits(v), _bits(newton_half_alone(g, eps).values))
-    assert np.array_equal(_bits(_slots(u, points)[1]), _bits(solved.values))
+    assert np.array_equal(_bits(out[1]), _bits(solved.values))
+    for v, b in zip(values, before):   # the inputs are left as they were
+        assert np.array_equal(_bits(v), _bits(b))
 
 
 def test_newton_halves_raises_for_the_half_that_does_not_converge():
@@ -371,9 +367,9 @@ def test_newton_halves_raises_for_the_half_that_does_not_converge():
     with pytest.raises(NonConvergence) as alone:
         newton_half_alone(*guess, max_iter=1)
     newton_half_alone(solved, 0.005, max_iter=1)
-    u, points, c2 = _chunk([(solved, 0.005), guess, _guess_half(0.3, 0.01, 1500)])
+    values, c2 = _chunk([(solved, 0.005), guess, _guess_half(0.3, 0.01, 1500)])
     with pytest.raises(NonConvergence, match="half 1 of 3") as block:
-        newton_halves(u, points, c2, max_iter=1)
+        newton_halves(values, c2, max_iter=1)
     assert block.value.residual == alone.value.residual
     assert block.value.iterations == 1
 
@@ -381,20 +377,20 @@ def test_newton_halves_raises_for_the_half_that_does_not_converge():
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
 def test_newton_rejects_a_tol_outside_zero_inf_before_any_work(tol):
     guess = _guess_half(0.5, 0.02, 1250)
-    u, points, c2 = _chunk([guess])
-    before = u.copy()
+    values, c2 = _chunk([guess])
+    before = values[0].copy()
     with pytest.raises(DomainError, match="tol"):
-        newton_halves(u, points, c2, tol=tol)
-    assert np.array_equal(_bits(u), _bits(before))
+        newton_halves(values, c2, tol=tol)
+    assert np.array_equal(_bits(values[0]), _bits(before))
     with pytest.raises(DomainError, match="tol"):
         newton_semilinear(*guess, tol=tol)
 
 
-@pytest.mark.parametrize("points, c2", [([], []), ([5], [1.0, 2.0]), ([2, 5], [1.0, 1.0]),
-                                        ([5, 5], [1.0, 1.0])])
+@pytest.mark.parametrize("points, c2", [([], []), ([5], [1.0, 2.0]), ([2, 5], [1.0, 1.0])])
 def test_newton_halves_rejects_a_layout_that_does_not_fill_u(points, c2):
+    # no halves, a c2 count other than the half count, a half under 3 points
     with pytest.raises(DomainError):
-        newton_halves(np.zeros(11), points, c2)
+        newton_halves([np.zeros(p) for p in points], c2)
 
 
 def test_eig_dirichlet_laplacian():

@@ -225,6 +225,8 @@ def test_domain_error_exit_code(capsys):
     ["solve", "--L", "0.5", "--eps", "0.05", "--grid-per-eps", "801"],
     ["lipschitz", "--L", "0.5", "--eps", "0.02,1e-320"],
     ["gamma-sweep", "--nodes", "0,0.5", "--eps", "0.02,1e-320"],
+    ["lipschitz", "--L", "0.5", "--eps", "0.01,nan"],
+    ["two-node-scan", "--eps", "nan", "--grid", "0.5"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_bad_input_is_a_typed_error(argv, capsys):
     # sweeps need two distinct eps; eps, L, the grid density, Newton's tol,
@@ -251,6 +253,17 @@ def test_a_sweep_reports_its_first_bad_arc(argv, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == ("error: no normal grid step with a finite interval "
                                        "count for L = 0.5, eps = 1e-320 at 50 points per eps\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lipschitz", "--L", "0.5", "--eps", "0.01,nan"],
+    ["two-node-scan", "--eps", "nan", "--grid", "0.5"],
+], ids=lambda argv: argv[0])
+def test_a_nan_eps_is_named_as_given(argv, capsys):
+    # a NaN eps is rejected as such, printed as the user wrote it: not as a
+    # numpy scalar's repr, and not as a grid filter that no point passed
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: eps must be positive and finite, got nan\n"
 
 
 _FAILING = {

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from becircle import (CutoffSpec, DomainError, cutoff_energy,
-                      cutoff_gradient_closed, min_energy, two_node_scan)
+                      cutoff_gradient_closed, solve_dirichlet, two_node_scan)
 from becircle.nonexistence import _ramp_integral, _sphere_area
 from oracles import cutoff_gradient_quadrature, cutoff_potential_quadrature
 
@@ -152,4 +152,4 @@ def test_two_node_scan():
     # gap decreasing toward the boundary
     gaps_left = scan.gap[scan.p <= 0.5 + 1e-12]
     assert gaps_left[0] < gaps_left[-1]
-    assert abs(scan.reference - min_energy(eps, 1.0)) < 1e-14
+    assert abs(scan.reference - solve_dirichlet(1.0, eps).energy) < 1e-14
