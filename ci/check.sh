@@ -87,6 +87,12 @@ lipschitz --L 0.5 --eps 0.02,1e-320
 gamma-sweep --nodes 0,0.5 --eps 0.02,1e-320
 lipschitz --L 0.5 --eps 0.01,nan
 two-node-scan --eps nan --grid 0.5
+solve --L 0.5 --eps inf
+be --nodes 0,0.5 --eps inf
+index --p 1 --eps inf
+gap-sweep --L 0.5 --eps 0.01,inf
+lipschitz --L 0.5 --eps 0.01,inf
+gamma-sweep --nodes 0,0.5 --eps 0.02,inf
 ROWS
 echo "ok: $rows rows"
 

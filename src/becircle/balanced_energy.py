@@ -36,8 +36,9 @@ from .bvp_engine import (SpectrumReport, eig_sturm, linearized_operator,
 from .errors import (ArcTooShort, DomainError, NotCritical, SingularJacobian,
                      SingularSystem)
 from .scalar_field import SQRT2, heteroclinic, potential, well_constants
-from .solver_1d import (dirichlet_arc, dirichlet_pairs, existence_threshold,
-                        intervals_for, nodal_solution, solve_dirichlet)
+from .solver_1d import (check_eps, dirichlet_arc, dirichlet_pairs,
+                        existence_threshold, intervals_for, nodal_solution,
+                        solve_dirichlet)
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,9 @@ _CRITICAL_SPREAD = 1e-6
 
 
 def _check_arcs(lengths, eps):
-    """Raise ArcTooShort on the first arc that admits no positive solution."""
+    """Raise ArcTooShort on the first arc that admits no positive solution,
+    after check_eps's DomainError for an eps that is not positive and finite."""
+    check_eps(eps)
     for i, ell in enumerate(lengths):
         thr = existence_threshold(ell)
         if eps >= thr:
@@ -384,14 +387,18 @@ def gamma_sweep(config, eps_grid, points_per_eps=50):
 
 def index_table(p_list, eps_list, points_per_eps=100):
     """Morse-index rows (p, eps, BE and AC counts, v, c) with skip flags;
-    DomainError when no row is admissible, rather than a claim on nothing."""
+    DomainError when no row is admissible, rather than a claim on nothing,
+    and before any row is solved when a p is not a positive integer or an
+    eps is not positive and finite."""
     if len(p_list) != len(eps_list):
         raise DomainError(f"{len(p_list)} p values for {len(eps_list)} eps values")
-    rows = []
-    ok = True
     for p, e in zip(p_list, eps_list):
         if not (isinstance(p, numbers.Integral) and p >= 1):
             raise DomainError(f"p must be a positive integer, got {p!r}")
+        check_eps(e)
+    rows = []
+    ok = True
+    for p, e in zip(p_list, eps_list):
         thr = existence_threshold(1 / (2 * p))
         if e >= thr:
             rows.append({"p": p, "eps": e, "skipped": f"eps >= 1/(2 p pi) = {thr:.6g}"})

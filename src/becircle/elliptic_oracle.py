@@ -14,16 +14,22 @@ inside a window around the crossing that the secant steps locate, and every
 bisection step outside it takes the branch its side dictates, so the result
 is the full bisection's bit for bit.
 
-`ac_family_mod` and `_sn_kp` take a float or a numpy array of abscissae:
-the Landen chain and K are built once per modulus and cached
-(`_landen_plan`), and the ascent runs elementwise, through `math` for a float
-(which returns a float) and through numpy for an array.  The family reads sn
-only, and the ascent of sn reads neither cn nor dn, so only sn is computed.
-Both paths do the same arithmetic in the same order, and numpy's float64 sin
+`ac_family_mod` takes a float or a numpy array of abscissae and tells them
+apart once.  What depends on the modulus alone is built once per modulus and
+cached (`_landen_plan`): K, 2K and 4K, the scale sqrt(1+k^2) = sqrt(2 - kp^2),
+the amplitude, and the descending Landen chain, as the descent's divisors and
+the ascent's steps, without its identity levels (k <= 2^-53, where a step
+returns its operand bit for bit; 3-13 levels are left at L/eps 3.2-1950).
+A float call is then one cache lookup and the arithmetic: the fold into
+[0, K] inline and the descent, sin and ascent in `_sn`, through `math`,
+returning a float (for a numpy float64 too).  An array runs the same
+operations through numpy (`_fold`, `_sn_array`).  The family reads sn only,
+and the ascent of sn reads neither cn nor dn, so only sn is computed.  Both
+paths do the same arithmetic in the same order, and numpy's float64 sin
 rounds as `math`'s does, so an array result equals the per-element scalar
 calls bit for bit (the tests check this).  For a k-parameterized K, sn, cn
-and dn at moderate k use `scipy.special.ellipk` and `ellipj`; the k = 1 limit
-is `scalar_field.heteroclinic`.
+and dn at moderate k use `scipy.special.ellipk` and `ellipj`; the k = 1
+limit is `scalar_field.heteroclinic`.
 """
 import functools
 import math
@@ -37,6 +43,7 @@ from .errors import DomainError, NoPositiveSolution
 SQRT2 = math.sqrt(2.0)
 
 _LANDEN_TINY = 1e-15
+_IDENTITY_K = 2.0 ** -53   # half an ulp of 1.0: 1.0 + k rounds to 1.0
 _LANDEN_CAP = 32
 
 
@@ -62,61 +69,77 @@ def _complete_K_from_kp(kp):
     return math.pi / (2.0 * _agm(1.0, kp))
 
 
+def _amplitude_from_kp(kp):
+    return math.sqrt((1.0 - kp) * (1.0 + kp)) * SQRT2 / math.sqrt(2.0 - kp * kp)
+
+
 class _LandenPlan(NamedTuple):
     K: float
-    levels: tuple  # (k_j, 1 + k_j) for the descent, j = 1, 2, ...
+    two_K: float      # sn(x + 2K) = -sn(x) and sn(2K - x) = sn(x)
+    four_K: float     # the period of sn
+    scale: float      # sqrt(2 - kp^2) = sqrt(1 + k^2): the family's x = scale t
+    amplitude: float  # k sqrt(2/(1+k^2)), the family's max
+    descent: tuple    # 1 + k_j, j = 1, 2, ..., the descent's divisors
+    ascent: tuple     # (k_j, 1 + k_j) from the last level j up to j = 1
 
 
 # typed: a numpy float64 kp gets a plan of numpy scalars, a float kp of floats
 @functools.lru_cache(maxsize=64, typed=True)
 def _landen_plan(kp):
-    """K and the descending Landen chain at complementary modulus kp in (0, 1].
+    """What ac_family_mod reads of the modulus: K and its multiples, the
+    family's scale and amplitude, and the descending Landen chain at
+    complementary modulus kp in (0, 1], in the order each pass reads it.
 
     Level j+1 from level j:  k_{j+1} = (1 - kp_j) / (1 + kp_j), until
     k < 1e-15; the complement is tracked through 1 - k_{j+1} =
-    2 kp_j / (1 + kp_j) to avoid cancellation when kp_j is tiny.
+    2 kp_j / (1 + kp_j) to avoid cancellation when kp_j is tiny.  A level
+    with k <= 2^-53 is left out: there 1 + k and 1 + k s^2 (|s| <= 1) round
+    to 1.0, so its descent and ascent steps return their operand bit for
+    bit.  Only the last level can be one (it is for most arcs at L/eps
+    3.2-1950, most often with k = 0.0), and at kp = 1 the chain is empty.
     """
     K = _complete_K_from_kp(kp)
     levels, kp_j = [], kp
     for _ in range(_LANDEN_CAP):
         k_next = (1.0 - kp_j) / (1.0 + kp_j)
-        one_minus = 2.0 * kp_j / (1.0 + kp_j)
+        if k_next <= _IDENTITY_K:
+            break
         levels.append((k_next, 1.0 + k_next))
         if k_next < _LANDEN_TINY:
             break
+        one_minus = 2.0 * kp_j / (1.0 + kp_j)
         kp_j = math.sqrt(one_minus * (1.0 + k_next))
-    return _LandenPlan(K, tuple(levels))
+    # the descent from a list: tuple() over a generator grows and shrinks its
+    # buffer, and as a sweep's moduli turn the cache over, those buffers
+    # fragment the heap (the arc-sweeps benchmark's peak RSS grew with its
+    # pass count)
+    return _LandenPlan(K, 2.0 * K, 4.0 * K, math.sqrt(2.0 - kp * kp),
+                       _amplitude_from_kp(kp),
+                       tuple([one_plus_k for _, one_plus_k in levels]),
+                       tuple(reversed(levels)))
 
 
-def _sn_kp(x, kp):
-    """Jacobi sn at modulus k = sqrt(1 - kp^2), for kp in (0, 1].
-
-    x is a float or an array; the Landen ascent runs elementwise over it.  On
-    an array the descent and the ascent run in place in two new arrays, with
-    the operands in the order of the scalar expressions, so the bits are
-    theirs.
-    """
-    plan = _landen_plan(kp)
-    if isinstance(x, np.ndarray):
-        return _sn_kp_array(x, plan.levels)
-    u = x
-    for _, one_plus_k in plan.levels:
+def _sn(u, descent, ascent):
+    """Jacobi sn at a float u by the Landen descent and ascent of a plan:
+    sin(u) when its chain is empty (k = 0)."""
+    for one_plus_k in descent:
         u = u / one_plus_k
     s = math.sin(u)
-    for k, one_plus_k in reversed(plan.levels):
+    for k, one_plus_k in ascent:
         s = one_plus_k * s / (1.0 + k * s * s)
     return s
 
 
-def _sn_kp_array(x, levels):
-    """_sn_kp's descent and ascent over an array x, in two buffers."""
-    (_, first), *rest = levels
-    s = np.divide(x, first)
-    for _, one_plus_k in rest:
+def _sn_array(x, descent, ascent):
+    """_sn over an array x, in two new buffers: the descent and the ascent
+    run in place, with the operands in the order of _sn's expressions, so
+    the bits are its."""
+    s = np.divide(x, descent[0]) if descent else np.array(x, dtype=np.float64)
+    for one_plus_k in descent[1:]:
         s /= one_plus_k
     np.sin(s, out=s)
     den = np.empty_like(s)
-    for k, one_plus_k in reversed(levels):
+    for k, one_plus_k in ascent:
         # one_plus_k * s / (1.0 + k * s * s)
         np.multiply(k, s, out=den)
         den *= s
@@ -126,29 +149,18 @@ def _sn_kp_array(x, levels):
     return s
 
 
-def _fold(x, K):
-    """Reduce x into [0, K] by sn(x + 2K) = -sn(x) and sn(2K - x) = sn(x).
+def _fold(x, plan):
+    """Reduce an array x into [0, K] by sn(x + 2K) = -sn(x) and
+    sn(2K - x) = sn(x), as ac_family_mod's scalar path does a float.
 
-    Returns (x, flip_s), sn(x_in) = flip_s sn(x); x is a float or an array.
+    Returns (x, flip_s), sn(x_in) = flip_s sn(x).
     """
-    period = 4.0 * K
-    if isinstance(x, np.ndarray):
-        x = np.fmod(x, period)
-        x = np.where(x < 0, x + period, x)
-        upper = x > 2.0 * K
-        x = np.where(upper, x - 2.0 * K, x)
-        x = np.where(x > K, 2.0 * K - x, x)
-        return x, np.where(upper, -1.0, 1.0)
-    x = math.fmod(x, period)
-    if x < 0:
-        x += period
-    flip_s = 1.0
-    if x > 2.0 * K:
-        x -= 2.0 * K
-        flip_s = -1.0
-    if x > K:
-        x = 2.0 * K - x
-    return x, flip_s
+    x = np.fmod(x, plan.four_K)
+    x = np.where(x < 0, x + plan.four_K, x)
+    upper = x > plan.two_K
+    x = np.where(upper, x - plan.two_K, x)
+    x = np.where(x > plan.K, plan.two_K - x, x)
+    return x, np.where(upper, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -163,20 +175,31 @@ def zero_spacing_from_kp(kp):
     return 2.0 * _complete_K_from_kp(kp) * math.sqrt(2.0 - kp * kp)
 
 
-def _amplitude_from_kp(kp):
-    return math.sqrt((1.0 - kp) * (1.0 + kp)) * SQRT2 / math.sqrt(2.0 - kp * kp)
-
-
 def ac_family_mod(x, kp):
     """The family g(x, k) = k sqrt(2/(1+k^2)) sn(x / sqrt(1+k^2), k) at the
     complementary modulus kp = sqrt(1 - k^2), the float modulus_for returns,
     computed through kp so it stays accurate as k -> 1.
 
-    x is a float or an array; one call evaluates a whole grid.
+    x is a float or an array; one call evaluates a whole grid.  A float x is
+    folded into [0, K] as _fold folds an array, with the same operations (a
+    0-d array x is a numpy float once scaled, and takes the float path).
     """
-    t = x / math.sqrt(2.0 - kp * kp)
-    t, sign = _fold(t, _landen_plan(kp).K)
-    return sign * _amplitude_from_kp(kp) * _sn_kp(t, kp)
+    plan = _landen_plan(kp)
+    K, two_K, four_K, scale, amplitude, descent, ascent = plan
+    t = x / scale
+    if isinstance(t, np.ndarray):
+        t, flip_s = _fold(t, plan)
+        return flip_s * amplitude * _sn_array(t, descent, ascent)
+    t = math.fmod(t, four_K)
+    if t < 0:
+        t += four_K
+    flip_s = 1.0
+    if t > two_K:
+        t -= two_K
+        flip_s = -1.0
+    if t > K:
+        t = two_K - t
+    return flip_s * amplitude * _sn(t, descent, ascent)
 
 
 _KP_FLOOR = 1e-300

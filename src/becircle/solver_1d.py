@@ -41,6 +41,14 @@ def existence_threshold(L):
     return L / math.pi
 
 
+def check_eps(eps):
+    """DomainError unless eps is positive and finite: every eps meets this
+    before any comparison with an existence threshold, which an infinite or
+    NaN eps would pass or fail for the wrong reason."""
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
+
+
 @dataclass(frozen=True)
 class DirichletSolution:
     L: float
@@ -67,8 +75,7 @@ def intervals_for(L, eps, points_per_eps):
     every arc solve takes its grid here, so eps must be positive and finite,
     points_per_eps positive and at most 800, the step a normal float (a
     subnormal eps gives a subnormal step) and the count finite."""
-    if not 0.0 < eps < math.inf:
-        raise DomainError(f"eps must be positive and finite, got {eps!r}")
+    check_eps(eps)
     if not 0.0 < points_per_eps <= _MAX_POINTS_PER_EPS:
         raise DomainError(f"points per eps must be positive and at most "
                           f"{_MAX_POINTS_PER_EPS}, got {points_per_eps!r}")
@@ -181,7 +188,9 @@ def dirichlet_arc(L, eps, points_per_eps=50):
     """The arc (L, eps, m) that solve_dirichlet solves, for dirichlet_pairs:
     NoPositiveSolution at or above the existence threshold (there the
     minimizer is u = 0, which is not admitted as a broken-transition piece),
-    then m = intervals_for(L, eps, points_per_eps)."""
+    then m = intervals_for(L, eps, points_per_eps); an eps that is not
+    positive and finite is a DomainError first (check_eps)."""
+    check_eps(eps)
     if eps >= existence_threshold(L):
         raise NoPositiveSolution(
             f"eps={eps} >= L/pi = {existence_threshold(L):.6g}: only u = 0 remains"
@@ -255,6 +264,8 @@ def lipschitz_scan(L, eps_grid, points_per_eps=50):
     eps = np.unique(np.asarray(eps_grid, dtype=float))
     if len(eps) < 2:
         raise DomainError("a Lipschitz scan needs at least two distinct eps")
+    for e in eps.tolist():
+        check_eps(e)
     thr = existence_threshold(L)
     if np.any(eps >= thr):
         raise NoPositiveSolution(f"grid contains eps >= threshold {thr:.6g}")

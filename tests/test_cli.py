@@ -4,6 +4,7 @@ Regenerate the golden files with:  BECIRCLE_REGEN=1 pytest tests/test_cli.py
 (byte-identical on the same platform with default tolerances).
 """
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -16,7 +17,7 @@ import becircle.balanced_energy as be_mod
 import becircle.experiments_cli as cli
 import becircle.profiles as profiles_mod
 import becircle.solver_1d as solver
-from becircle import index_table
+from becircle import DomainError, index_table
 from becircle.experiments_cli import main
 from becircle.nonexistence import TwoNodeScan
 
@@ -264,6 +265,29 @@ def test_a_nan_eps_is_named_as_given(argv, capsys):
     # numpy scalar's repr, and not as a grid filter that no point passed
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: eps must be positive and finite, got nan\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--L", "0.5", "--eps", "inf"],
+    ["be", "--nodes", "0,0.5", "--eps", "inf"],
+    ["index", "--p", "1", "--eps", "inf"],
+    ["gap-sweep", "--L", "0.5", "--eps", "0.01,inf"],
+    ["lipschitz", "--L", "0.5", "--eps", "0.01,inf"],
+    ["gamma-sweep", "--nodes", "0,0.5", "--eps", "0.02,inf"],
+], ids=lambda argv: argv[0])
+def test_an_infinite_eps_is_not_finite(argv, capsys):
+    # an infinite eps is rejected as such, not as an eps past the existence
+    # threshold, which it would otherwise be compared with first
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: eps must be positive and finite, got inf\n"
+
+
+def test_index_table_rejects_an_infinite_eps_before_solving(monkeypatch):
+    # an infinite eps is an error, not a row skipped as past 1/(2 p pi), and
+    # it is raised before the admissible row is solved
+    monkeypatch.setattr(be_mod, "nodal_solution", lambda *args, **kwargs: 1 / 0)
+    with pytest.raises(DomainError, match="positive and finite, got inf"):
+        index_table([1, 1], [0.02, math.inf])
 
 
 _FAILING = {

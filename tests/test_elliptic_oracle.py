@@ -11,7 +11,7 @@ from becircle import (DomainError, NoPositiveSolution, ac_family_mod, heteroclin
                       zero_spacing_from_kp)
 from becircle import elliptic_oracle
 from becircle.elliptic_oracle import (_agm, _complete_K_from_kp, _fold, _landen_plan,
-                                      _sn_kp)
+                                      _sn, _sn_array)
 from oracles import modulus_by_bisection
 
 
@@ -47,6 +47,14 @@ def test_complete_K_monotone():
 # kp at k = 0.8, and the moduli of arcs at L/eps 10, 60 and 200, where k
 # itself rounds to 1.0 from L/eps ~ 55 on
 _ORACLE_KPS = [0.6] + [modulus_for(0.5 / r, 0.5) for r in (10.0, 60.0, 200.0)]
+
+
+def _sn_kp(x, kp):
+    """The package's sn at modulus kp over its cached plan: the scalar ascent
+    for a float, the array ascent for an array."""
+    plan = _landen_plan(kp)
+    sn = _sn_array if isinstance(x, np.ndarray) else _sn
+    return sn(x, plan.descent, plan.ascent)
 
 
 def _sn_cn_dn(x, kp):
@@ -202,38 +210,68 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
-# moduli as the arc solves meet them (L/eps in [3.2, 650]), plus k = 0
+# moduli as the arc solves meet them (L/eps in [3.2, 1950]), plus k = 0
 _MODULI = st.one_of(
-    st.floats(3.2, 650.0).map(lambda r: modulus_for(0.5 / r, 0.5)),
+    st.floats(3.2, 1950.0).map(lambda r: modulus_for(0.5 / r, 0.5)),
     st.just(1.0),
 )
 
 
+def _fold_per_element(t, K):
+    """The reference fold of a float t into [0, K], (t, flip_s) with
+    sn(t_in) = flip_s sn(t): the operations of ac_family_mod's scalar path."""
+    period = 4.0 * K
+    t = math.fmod(t, period)
+    if t < 0:
+        t += period
+    flip_s = 1.0
+    if t > 2.0 * K:
+        t -= 2.0 * K
+        flip_s = -1.0
+    if t > K:
+        t = 2.0 * K - t
+    return t, flip_s
+
+
+# the far end of the range, with the fold points alone (no drawn abscissae)
+@example(kp=modulus_for(0.5 / 1950.0, 0.5), data=None)
 @settings(max_examples=80, deadline=None)
 @given(kp=_MODULI, data=st.data())
 def test_ac_family_mod_array_equals_scalar_calls(kp, data):
-    K = _complete_K_from_kp(kp)
-    scale = math.sqrt(2.0 - kp * kp)
+    plan = _landen_plan(kp)
+    K, scale, amplitude = plan.K, plan.scale, plan.amplitude
+    assert K == _complete_K_from_kp(kp) and scale == math.sqrt(2.0 - kp * kp)
     reach = 12.0 * K                    # three periods of sn on either side
-    t = data.draw(st.lists(st.floats(-reach, reach), min_size=1, max_size=40))
+    t = [] if data is None else data.draw(
+        st.lists(st.floats(-reach, reach), min_size=1, max_size=40))
     t += [j * K for j in range(-12, 13)] + [2.0 * j * K for j in range(-6, 7)]
     # abscissae on and next to the fold points K, 2K, ... of the rescaled t
     x = np.array(t) * scale
     x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
-    scalar = [ac_family_mod(float(xi), kp) for xi in x]
-    assert all(type(v) is float for v in scalar)
-    assert np.array_equal(_bits(ac_family_mod(x, kp)), _bits(scalar))
-    # the fold alone, at exact multiples of K and 2K
-    folded = _fold(np.array(t), K)
+    array = _bits(ac_family_mod(x, kp))
+    # float abscissae, the np.float64 ones that iterating a grid yields, and
+    # 0-d arrays, which x / scale turns into numpy floats
+    for xs in ([float(xi) for xi in x], list(x), [np.array(xi) for xi in x]):
+        scalar = [ac_family_mod(xi, kp) for xi in xs]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(array, _bits(scalar))
+    # a float runs the reference fold, then the scalar ascent
+    for xi, v in zip(x.tolist(), scalar):
+        ti, flip_s = _fold_per_element(xi / scale, K)
+        s = _sn(ti, plan.descent, plan.ascent)
+        assert _bits(v) == _bits(flip_s * amplitude * s)
+    # the array fold alone, at exact multiples of K and 2K
+    folded = _fold(np.array(t), plan)
     for i, ti in enumerate(t):
-        assert np.array_equal(_bits([f[i] for f in folded]), _bits(_fold(ti, K)))
+        assert np.array_equal(_bits([f[i] for f in folded]),
+                              _bits(_fold_per_element(ti, K)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(xs=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=30))
 def test_sn_cn_dn_kp_degenerate_moduli_on_arrays(xs):
-    # kp = 1 (k = 0) runs the one-level Landen chain: sin, cos and 1.0 bit for
-    # bit, for an array as for per-element scalar calls
+    # kp = 1 (k = 0) has an empty Landen chain: sin, cos and 1.0 bit for bit,
+    # for an array as for per-element scalar calls
     x = np.array(xs)
     arrays = _sn_cn_dn(x, 1.0)
     for values, ref in zip(arrays, (np.sin(x), np.cos(x), np.ones_like(x))):
@@ -247,6 +285,8 @@ def test_sn_cn_dn_kp_degenerate_moduli_on_arrays(xs):
         for arg in (xs[0], x):
             with pytest.raises(DomainError):
                 _sn_kp(arg, kp)
+            with pytest.raises(DomainError):
+                ac_family_mod(arg, kp)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.1, 0.3, 0.5, 0.7, 0.8, 0.9])
@@ -286,11 +326,9 @@ def test_agm_fixed_point_stop_keeps_bits(kp):
     assert _bits(_agm(1.0, kp)) == _bits(_agm_to_cap(1.0, kp))
 
 
-def _sn_cn_dn_per_call(x, kp):
-    """The Landen descent and ascent of sn, cn and dn, with the chain rebuilt
-    on every call; x is a float or an array.  The package computes sn only;
-    this is the tests' reference for sn and their oracle for cn and dn."""
-    xp = np if isinstance(x, np.ndarray) else math
+def _chain_per_call(kp):
+    """The descending Landen chain (k_j, kp_j), j = 1, 2, ..., down to the
+    first k_j < 1e-15, identity levels included."""
     chain, kp_j = [], kp
     for _ in range(32):
         k_next = (1.0 - kp_j) / (1.0 + kp_j)
@@ -299,6 +337,15 @@ def _sn_cn_dn_per_call(x, kp):
         if k_next < 1e-15:
             break
         kp_j = kp_next
+    return chain
+
+
+def _sn_cn_dn_per_call(x, kp):
+    """The Landen descent and ascent of sn, cn and dn, with the chain rebuilt
+    on every call; x is a float or an array.  The package computes sn only;
+    this is the tests' reference for sn and their oracle for cn and dn."""
+    xp = np if isinstance(x, np.ndarray) else math
+    chain = _chain_per_call(kp)
     u = x
     for k_j, _ in chain:
         u = u / (1.0 + k_j)
@@ -312,11 +359,24 @@ def _sn_cn_dn_per_call(x, kp):
     return s, c, d
 
 
+# kp = 1 has no level left; kp ~ 1e-299 keeps the longest chain, 13 levels
+@example(kp=1.0, frac=0.7)
+@example(kp=1e-299, frac=0.7)
+@example(kp=1e-299, frac=1.0)
 @settings(max_examples=200, deadline=None)
 @given(kp=_KP, frac=st.floats(0.0, 1.0))
 def test_cached_landen_plan_matches_per_call_chain(kp, frac):
     x = frac * _complete_K_from_kp(kp)      # the folded range [0, K]
     assert _bits(_sn_kp(x, kp)) == _bits(_sn_cn_dn_per_call(x, kp)[0])
+    assert _bits(_sn_kp(np.array([x]), kp)) == _bits(_sn_cn_dn_per_call(x, kp)[0])
+    # the plan keeps the per-call chain's levels but its identity ones,
+    # k <= 2^-53, where 1 + k rounds to 1.0
+    plan = _landen_plan(kp)
+    assert plan.descent == tuple(one_plus_k for _, one_plus_k in reversed(plan.ascent))
+    ks = [k for k, _ in reversed(plan.ascent)]
+    assert all(k > 2.0 ** -53 for k in ks)
+    assert ks == [k for k, _ in _chain_per_call(kp) if k > 2.0 ** -53]
+    assert len(ks) <= 13
 
 
 def test_scalar_calls_at_one_modulus_build_K_once(monkeypatch):
@@ -328,11 +388,18 @@ def test_scalar_calls_at_one_modulus_build_K_once(monkeypatch):
         return _agm(a, b)
 
     monkeypatch.setattr(elliptic_oracle, "_agm", counting_agm)
+    amplitude = elliptic_oracle._amplitude_from_kp
+    amplitudes = []
+    monkeypatch.setattr(elliptic_oracle, "_amplitude_from_kp",
+                        lambda kp: amplitudes.append(kp) or amplitude(kp))
     _landen_plan.cache_clear()
-    for x in np.linspace(0.0, 100.0, 200):
-        ac_family_mod(float(x), kp)
-    assert len(calls) == 1
-    assert _landen_plan.cache_info().misses == 1
+    # N = 400 scalar calls: floats, then the np.float64 values of a grid
+    grid = np.linspace(0.0, 100.0, 200)
+    for x in grid.tolist() + list(grid):
+        ac_family_mod(x, kp)
+    assert len(calls) == 1 and amplitudes == [kp]
+    info = _landen_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 399)
 
 
 def test_modulus_for_leaves_the_plan_cache_alone():
