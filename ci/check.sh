@@ -36,6 +36,9 @@ $BECIRCLE gap-sweep --L 0.5 --eps 0.05,0.03 | cmp - tests/golden/gap_sweep.json
 python -W error::RuntimeWarning -m becircle gap-sweep --L 0.5 --eps 0.158,0.0005 > /dev/null
 $BECIRCLE gamma-sweep --nodes 0,0.5 --eps 0.02,0.01,0.005 | cmp - tests/golden/gamma_sweep.json
 python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["results"]["limit_deviation"] < 1e-3 else 1)' < tests/golden/gamma_sweep.json
+# an asymmetric four-node sweep: BE stays below the comparator by 0.059 at
+# eps 0.02 and 2.5e-4 at 0.01, far beyond the check's 1e-9 slack
+python -W error::RuntimeWarning -m becircle gamma-sweep --nodes 0,0.21,0.5,0.77 --eps 0.02,0.01 > /dev/null
 # sweeps that fill several 8192-point chunks of the block Newton: 40 evenly
 # spaced eps in [0.01, 0.1), and the grid linspace(0.1, 0.9, 19)
 SWEEP_EPS=0.01,0.01225,0.0145,0.01675,0.019,0.02125,0.0235,0.02575,0.028,0.03025,0.0325,0.03475,0.037,0.03925,0.0415,0.04375,0.046,0.04825,0.0505,0.05275,0.055,0.05725,0.0595,0.06175,0.064,0.06625,0.0685,0.07075,0.073,0.07525,0.0775,0.07975,0.082,0.08425,0.0865,0.08875,0.091,0.09325,0.0955,0.09775

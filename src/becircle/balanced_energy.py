@@ -24,6 +24,11 @@ the pinned energies of the finite-difference oracle) solve all their arcs
 in one solver_1d.dirichlet_pairs call: one block Newton per chunk of at
 most 8192 grid points, bit for bit one solve per arc, with memory bounded
 by the chunk.
+The Gamma sweep's recovery comparator is the pure phase u = 1 outside the
+transition layers within rho0/2 of a node, where its energy density is
+exactly +0.0; comparator_energy evaluates the profile on the layers alone
+and sums a density that is zero elsewhere, so the energy is the full grid's
+bit for bit.
 """
 import math
 import numbers
@@ -326,36 +331,60 @@ def comparator_energy(config, eps):
     """Energy of the truncated-heteroclinic recovery profile g_k on the circle.
 
     Per arc: u = g(d/eps) chi(d) + (1 - chi(d)) in the distance d to the node
-    set, with a smooth cos^2 ramp from 1 to 0 on [rho0/4, rho0/2].
+    set, with a smooth cos^2 ramp from 1 to 0 on [rho0/4, rho0/2], sampled
+    at 200 points per eps and summed by Simpson's rule.
+
+    Where d >= rho0/2, chi = chi' = 0, so u = 1.0 and the density
+    0.5 eps u'^2 + W(u)/eps is exactly +0.0.  The profile is therefore
+    evaluated only on the transition layers d < rho0/2, at most half of
+    each grid, in place, with the operands of each product and sum in the
+    order of the full-grid expressions; the sign d' = +-1 is dropped, as
+    u'^2 does not see it.  The layer values go back into a zero density on
+    the full grid, so Simpson's rule adds the same values in the same
+    positions, and the energy keeps its bits.
     """
     lengths = config.arc_lengths()
     rho0 = float(np.min(lengths)) / 2.0
     lo, hi = rho0 / 4.0, rho0 / 2.0
 
-    def chi_dchi(d):
-        """The cutoff chi(d) and its derivative, from one ramp."""
-        chi, dchi = np.ones_like(d), np.zeros_like(d)
-        ramp = (d > lo) & (d < hi)
-        s = 0.5 * math.pi * (d[ramp] - lo) / (hi - lo)
-        cos = np.cos(s)
-        chi[ramp] = cos ** 2
-        chi[d >= hi] = 0.0
-        dchi[ramp] = -math.pi * cos * np.sin(s) / (hi - lo)
-        return chi, dchi
-
-    total = 0.0
-    for ell in lengths:
+    def arc_comparator(ell):
+        """The comparator energy of one arc, from its layers' density."""
         m = max(2000, int(round(ell / (eps / 200))))
         m += m % 2
         x = np.linspace(0.0, ell, m + 1)
-        d = np.minimum(x, ell - x)
-        dprime = np.where(x <= ell / 2.0, 1.0, -1.0)
-        g, gdot, _ = heteroclinic(d / eps)
-        c, dc = chi_dchi(d)
-        u = g * c + (1.0 - c)
-        du = (gdot / eps * c + (g - 1.0) * dc) * dprime
-        density = 0.5 * eps * du ** 2 + potential(u) / eps
-        total += simpson(density, x[1] - x[0])
+        h = x[1] - x[0]
+        d = np.subtract(ell, x)
+        np.minimum(x, d, out=d)
+        del x
+        layers = d < hi
+        d = d[layers]
+        g, du = heteroclinic(d / eps)[:2]
+        chi, dchi = np.ones_like(d), np.zeros_like(d)
+        ramp = d > lo
+        s = 0.5 * math.pi * (d[ramp] - lo) / (hi - lo)
+        del d
+        cos = np.cos(s)
+        chi[ramp] = cos ** 2
+        dchi[ramp] = -math.pi * cos * np.sin(s) / (hi - lo)
+        du /= eps
+        du *= chi                    # gdot / eps chi
+        u = g * chi
+        np.subtract(1.0, chi, out=chi)
+        u += chi                     # g chi + (1 - chi)
+        g -= 1.0
+        g *= dchi
+        du += g                      # gdot / eps chi + (g - 1) chi' = +-u'
+        del g, chi, dchi
+        np.square(du, out=du)
+        np.multiply(0.5 * eps, du, out=du)
+        du += potential(u) / eps
+        density = np.zeros(m + 1)
+        density[layers] = du
+        return simpson(density, h)
+
+    total = 0.0
+    for ell in lengths:
+        total += arc_comparator(ell)
     return total
 
 

@@ -15,9 +15,11 @@ bisection step outside it takes the branch its side dictates, so the result
 is the full bisection's bit for bit.
 
 `ac_family_mod` takes a float or a numpy array of abscissae and tells them
-apart once.  What depends on the modulus alone is built once per modulus and
-cached (`_landen_plan`): K, 2K and 4K, the scale sqrt(1+k^2) = sqrt(2 - kp^2),
-the amplitude, and the descending Landen chain, as the descent's divisors and
+apart once; an abscissa of another real type (an int, a float32) is
+divided by the scale in float64, so every step runs in float64.  What
+depends on the modulus alone is built once per modulus and cached
+(`_landen_plan`): K, 2K and 4K, the scale sqrt(1+k^2) = sqrt(2 - kp^2), the
+amplitude, and the descending Landen chain, as the descent's divisors and
 the ascent's steps, without its identity levels (k <= 2^-53, where a step
 returns its operand bit for bit; 3-13 levels are left at L/eps 3.2-1950).
 A float call is then one cache lookup and the arithmetic: the fold into
@@ -180,16 +182,22 @@ def ac_family_mod(x, kp):
     complementary modulus kp = sqrt(1 - k^2), the float modulus_for returns,
     computed through kp so it stays accurate as k -> 1.
 
-    x is a float or an array; one call evaluates a whole grid.  A float x is
-    folded into [0, K] as _fold folds an array, with the same operations (a
-    0-d array x is a numpy float once scaled, and takes the float path).
+    x is a float or an array; one call evaluates a whole grid.  A float x
+    (a numpy float64 too) is folded into [0, K] as _fold folds an array,
+    with the same operations, and gives a float.  Any other real x, an int,
+    a float32 scalar or array, a 0-d array, is divided by the scale in
+    float64 (a float32 at its exact value), so that no fold or Landen step
+    runs in a narrower type; a 0-d array then takes the float path.
     """
     plan = _landen_plan(kp)
     K, two_K, four_K, scale, amplitude, descent, ascent = plan
-    t = x / scale
-    if isinstance(t, np.ndarray):
-        t, flip_s = _fold(t, plan)
-        return flip_s * amplitude * _sn_array(t, descent, ascent)
+    if isinstance(x, float):
+        t = x / scale
+    else:
+        t = np.divide(x, scale, dtype=np.float64)
+        if isinstance(t, np.ndarray):
+            t, flip_s = _fold(t, plan)
+            return flip_s * amplitude * _sn_array(t, descent, ascent)
     t = math.fmod(t, four_K)
     if t < 0:
         t += four_K

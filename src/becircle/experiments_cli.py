@@ -24,7 +24,8 @@ from .nonexistence import CutoffSpec, cutoff_energy, two_node_scan
 from .profiles import (DEFAULT_H, DEFAULT_T, halfline, profile_constants,
                        profile_omega, profile_rho, profile_tau_geom,
                        profile_tau_lambda, profile_w)
-from .solver_1d import existence_threshold, lipschitz_scan, solve_dirichlet
+from .solver_1d import (dirichlet_arc, existence_threshold, lipschitz_scan,
+                        solve_dirichlet)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +183,8 @@ def _cmd_cutoff_nd(args):
 def _cmd_gap_sweep(args):
     if not args.eps:
         raise DomainError("gap-sweep needs at least one eps")
+    for e in args.eps:           # every eps is checked before any arc is solved
+        dirichlet_arc(args.L, e, args.grid_per_eps)
     gaps = [dirichlet_gap(e, args.L, points_per_eps=args.grid_per_eps)
             for e in args.eps]
     positive = all(g > 0 for g in gaps)

@@ -13,8 +13,8 @@ from scipy.special import ellipe, ellipkm1
 
 from becircle import (DomainError, GridFunction, NoPositiveSolution,
                       NonConvergence, heteroclinic, intervals_for, modulus_for,
-                      potential_d1, simpson, solve_dirichlet, translation_mode,
-                      zero_spacing_from_kp)
+                      potential, potential_d1, simpson, solve_dirichlet,
+                      translation_mode, zero_spacing_from_kp)
 from becircle.balanced_energy import _pinned_be
 from becircle.bvp_engine import (SpectrumReport, eig_sturm, linearized_operator,
                                  solve_tridiagonal)
@@ -389,3 +389,43 @@ def chebyshev_profile(rhs, T, at, bounded=False, N=200):
     hit = exact.any(axis=1)
     out[hit] = f[exact.argmax(axis=1)[hit]]
     return out
+
+
+def comparator_energy_full_grid(config, eps):
+    """Energy of the truncated-heteroclinic recovery profile g_k on the circle.
+
+    Per arc: u = g(d/eps) chi(d) + (1 - chi(d)) in the distance d to the node
+    set, with a smooth cos^2 ramp from 1 to 0 on [rho0/4, rho0/2].
+
+    The library's comparator_energy before it evaluated the layers alone:
+    the profile and its density on every point of each arc's grid.
+    """
+    lengths = config.arc_lengths()
+    rho0 = float(np.min(lengths)) / 2.0
+    lo, hi = rho0 / 4.0, rho0 / 2.0
+
+    def chi_dchi(d):
+        """The cutoff chi(d) and its derivative, from one ramp."""
+        chi, dchi = np.ones_like(d), np.zeros_like(d)
+        ramp = (d > lo) & (d < hi)
+        s = 0.5 * math.pi * (d[ramp] - lo) / (hi - lo)
+        cos = np.cos(s)
+        chi[ramp] = cos ** 2
+        chi[d >= hi] = 0.0
+        dchi[ramp] = -math.pi * cos * np.sin(s) / (hi - lo)
+        return chi, dchi
+
+    total = 0.0
+    for ell in lengths:
+        m = max(2000, int(round(ell / (eps / 200))))
+        m += m % 2
+        x = np.linspace(0.0, ell, m + 1)
+        d = np.minimum(x, ell - x)
+        dprime = np.where(x <= ell / 2.0, 1.0, -1.0)
+        g, gdot, _ = heteroclinic(d / eps)
+        c, dc = chi_dchi(d)
+        u = g * c + (1.0 - c)
+        du = (gdot / eps * c + (g - 1.0) * dc) * dprime
+        density = 0.5 * eps * du ** 2 + potential(u) / eps
+        total += simpson(density, x[1] - x[0])
+    return total

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,10 +20,12 @@ from becircle import (ArcTooShort, DomainError, NodeConfig, NoPositiveSolution,
                       first_variation, hessian, index_table, lambda_of_eps,
                       nodal_solution, profile_constants, profile_omega,
                       solve_dirichlet, translation_mode)
+from becircle.balanced_energy import comparator_energy
 from becircle.scalar_field import potential_d2
 from becircle.elliptic_oracle import modulus_for
 from becircle.solver_1d import intervals_for
-from oracles import (ac_spectrum_by_sectors, arc_energy_tolerance, cycle_laplacian,
+from oracles import (ac_spectrum_by_sectors, arc_energy_tolerance,
+                     comparator_energy_full_grid, cycle_laplacian,
                      dirichlet_gap_full_arc, exact_arc_energy, exact_transmission,
                      fd_second_variation, lame_edges, lame_gap)
 
@@ -610,3 +613,48 @@ def test_dirichlet_gap_positive():
     op = TridiagonalOperator(diag=np.full(arc.u.n, 2 * c2 + 1.0),
                              offdiag=np.full(arc.u.n - 1, -c2))
     assert eig_sturm(op, 1).eigenvalues[0] >= 1.0
+
+
+@st.composite
+def _gamma_cases(draw):
+    """A configuration of 2, 4 or 6 nodes and an eps in gamma_sweep's domain
+    (below every arc's existence threshold), down to 1e-3."""
+    m = draw(st.sampled_from([2, 4, 6]))
+    weights = np.array(draw(st.lists(st.floats(0.25, 1.0), min_size=m, max_size=m)))
+    arcs = weights / weights.sum()
+    start = draw(st.floats(0.0, 0.9)) * arcs[-1]
+    config = NodeConfig(start + np.concatenate(([0.0], np.cumsum(arcs[:-1]))))
+    top = float(np.min(config.arc_lengths())) / math.pi
+    return config, draw(st.floats(1e-3, top, exclude_max=True))
+
+
+@example(case=(NodeConfig(np.array([0.0, 0.47])), 0.005))
+@example(case=(NodeConfig(np.array([0.0, 0.21, 0.5, 0.77])), 1e-3))
+@example(case=(NodeConfig(np.array([0.0, 0.5])), 0.02))
+@settings(max_examples=60, deadline=None)
+@given(case=_gamma_cases())
+def test_comparator_on_the_layers_equals_the_full_grid(case):
+    # outside the layers the full-grid density is exactly +0.0, so the sum
+    # over the layers alone keeps every bit
+    config, eps = case
+    assert comparator_energy(config, eps) == comparator_energy_full_grid(config, eps)
+
+
+@pytest.mark.parametrize("eps", [0.005, 0.001])
+@pytest.mark.parametrize("nodes", [[0.0, 0.47], [0.0, 0.5], [0.0, 0.21, 0.5, 0.77]])
+def test_comparator_peak_memory(nodes, eps):
+    # a cold call peaks at 2.5-3.5 arrays of the longest arc's grid under
+    # tracemalloc: the grid's distances, then arrays of the layers, which
+    # hold at most half of it.  The density on the full grid peaked at
+    # 15.1-16 arrays
+    config = NodeConfig(np.array(nodes))
+    ell = float(np.max(config.arc_lengths()))
+    m = max(2000, int(round(ell / (eps / 200))))
+    m += m % 2
+    tracemalloc.start()
+    try:
+        comparator_energy(config, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * (m + 1) * 8

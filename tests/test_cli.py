@@ -282,6 +282,20 @@ def test_an_infinite_eps_is_not_finite(argv, capsys):
     assert capsys.readouterr().err == "error: eps must be positive and finite, got inf\n"
 
 
+def test_gap_sweep_checks_every_eps_before_solving(monkeypatch, capsys):
+    # a bad eps late in --eps is rejected, with the message --eps inf alone
+    # prints, before the L/eps = 1000 arc of the first eps is solved
+    solves = []
+    newton_halves = solver.newton_halves
+    monkeypatch.setattr(solver, "newton_halves",
+                        lambda *args: solves.append(args) or newton_halves(*args))
+    assert main(["gap-sweep", "--L", "0.5", "--eps", "0.0005,inf"]) == 1
+    assert capsys.readouterr().err == "error: eps must be positive and finite, got inf\n"
+    assert main(["gap-sweep", "--L", "0.5", "--eps", "0.0005,0.2"]) == 1
+    assert "L/pi" in capsys.readouterr().err
+    assert solves == []
+
+
 def test_index_table_rejects_an_infinite_eps_before_solving(monkeypatch):
     # an infinite eps is an error, not a row skipped as past 1/(2 p pi), and
     # it is raised before the admissible row is solved

@@ -250,7 +250,8 @@ def test_ac_family_mod_array_equals_scalar_calls(kp, data):
     x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
     array = _bits(ac_family_mod(x, kp))
     # float abscissae, the np.float64 ones that iterating a grid yields, and
-    # 0-d arrays, which x / scale turns into numpy floats
+    # 0-d arrays, which are divided by the scale in float64 and take the
+    # float path
     for xs in ([float(xi) for xi in x], list(x), [np.array(xi) for xi in x]):
         scalar = [ac_family_mod(xi, kp) for xi in xs]
         assert all(type(v) is float for v in scalar)
@@ -265,6 +266,28 @@ def test_ac_family_mod_array_equals_scalar_calls(kp, data):
     for i, ti in enumerate(t):
         assert np.array_equal(_bits([f[i] for f in folded]),
                               _bits(_fold_per_element(ti, K)))
+
+
+@pytest.mark.parametrize("ratio", [20.0, 50.0, 130.0, 1950.0])
+def test_ac_family_mod_evaluates_float32_at_its_float64_value(ratio):
+    # a float32 abscissa, scalar or array, is evaluated in float64 at its
+    # exact value.  Divided by the scale in float32 it ran the fold and the
+    # Landen chain in float32: at L/eps = 50 the float32 10.3 gave
+    # 0.99999905610775 where its float64 value gives 0.999999056107216.
+    # Integers are read as their floats too
+    kp = modulus_for(0.5 / ratio, 0.5)
+    for xs in (np.concatenate([np.linspace(-60.0, 60.0, 241, dtype=np.float32),
+                               np.array([10.3, -10.3], dtype=np.float32)]),
+               np.arange(-60, 61)):
+        x64 = xs.astype(np.float64)
+        v = ac_family_mod(xs, kp)
+        assert v.dtype == np.float64
+        assert np.array_equal(_bits(v), _bits(ac_family_mod(x64, kp)))
+        for a, b in zip(xs, x64.tolist()):
+            s = ac_family_mod(a, kp)
+            assert type(s) is float and _bits(s) == _bits(ac_family_mod(b, kp))
+    v = ac_family_mod(7, kp)
+    assert type(v) is float and _bits(v) == _bits(ac_family_mod(7.0, kp))
 
 
 @settings(max_examples=40, deadline=None)
