@@ -47,6 +47,8 @@ $BECIRCLE lipschitz --L 0.5 --eps $SWEEP_EPS | cmp - tests/golden/lipschitz_swee
 python -W error::RuntimeWarning -m becircle lipschitz --L 0.5 --eps $SWEEP_EPS | cmp - tests/golden/lipschitz_sweep.json
 $BECIRCLE two-node-scan --eps 0.02 --grid $SCAN_GRID | cmp - tests/golden/two_node_scan_grid.json
 python -W error::RuntimeWarning -m becircle two-node-scan --eps 0.02 --grid $SCAN_GRID | cmp - tests/golden/two_node_scan_grid.json
+# arcs of 15002 and 12503 half-grid points, each a chunk alone
+python -W error::RuntimeWarning -m becircle lipschitz --L 0.5 --eps 0.0025,0.003 > /dev/null
 echo "ok"
 
 echo "== bad input exits 1 with a typed error, not a traceback"
@@ -89,6 +91,7 @@ solve --L 0.5 --eps 0.05 --grid-per-eps 801
 lipschitz --L 0.5 --eps 0.02,1e-320
 gamma-sweep --nodes 0,0.5 --eps 0.02,1e-320
 lipschitz --L 0.5 --eps 0.01,nan
+lipschitz --L 0.5 --eps 0.01,0.2
 two-node-scan --eps nan --grid 0.5
 solve --L 0.5 --eps inf
 be --nodes 0,0.5 --eps inf

@@ -18,9 +18,9 @@ from .profiles import (ProfileConstants, ProfileFunction, ode_residual,
                        profile_rho, profile_tau_geom, profile_tau_lambda,
                        profile_w, solve_profile)
 from .solver_1d import (DirichletSolution, LipschitzScan, NodalSolution,
-                        arc_energy, dirichlet_pair, dirichlet_pairs,
-                        existence_threshold, intervals_for, lipschitz_scan,
-                        min_energy, nodal_solution, solve_dirichlet)
+                        arc_energy, dirichlet_pairs, existence_threshold,
+                        intervals_for, lipschitz_scan, nodal_solution,
+                        solve_dirichlet)
 from .balanced_energy import (BrokenTransition, HessianReport, NodeConfig,
                               ac_spectrum, broken_transition, broken_transitions,
                               dirichlet_gap, dtn_v, fd_first_variation,

@@ -21,9 +21,9 @@ BE is defined only where every arc is longer than pi*eps (eps below
 solver_1d.existence_threshold); a shorter arc raises ArcTooShort.
 The sweeps (broken_transitions over configurations and eps, gamma_sweep,
 the pinned energies of the finite-difference oracle) solve all their arcs
-in one solver_1d.dirichlet_pairs call: one block Newton per chunk of at
-most 8192 grid points, bit for bit one solve per arc, with memory bounded
-by the chunk.
+in one solver_1d.dirichlet_pairs call: one block Newton per chunk of whole
+arcs, at most 8192 half-grid points unless an arc alone is larger, bit for
+bit one solve per arc, with memory bounded by the chunk.
 The Gamma sweep's recovery comparator is the pure phase u = 1 outside the
 transition layers within rho0/2 of a node, where its energy density is
 exactly +0.0; comparator_energy evaluates the profile on the layers alone

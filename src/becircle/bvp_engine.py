@@ -1,10 +1,10 @@
 """Generic numerical machinery: grids, quadrature, Newton with full steps
 for the semilinear two-point problem (started from the closed form; the
-halves of a sweep's grids in one block tridiagonal system per chunk of at
-most 8192 points, bit for bit one solve per half, so the per-call cost of
-numpy and LAPACK is paid once per chunk: newton_halves takes the halves as
-arrays, lays them out in its own buffer and returns them solved, leaving
-its inputs as they are), and the linearized operator
+halves of a chunk of a sweep's whole arcs in one block tridiagonal system,
+bit for bit one solve per half, so the per-call cost of numpy and LAPACK is
+paid once per chunk: newton_halves takes the halves as arrays, lays them
+out in its own buffer and returns them solved, leaving its inputs as they
+are), and the linearized operator
 -eps^2 D^2 + W''(u) with its tridiagonal solve (LAPACK gtsv) and
 symmetric-tridiagonal eigensolver.  Every eigenproblem is
 bisected on Sturm counts by LAPACK (stebz, called directly), in one
@@ -234,10 +234,9 @@ def newton_halves(halves, c2, tol=1e-12, max_iter=100):
     if max_iter steps end above both.  A guess far from the closed form
     crawls (a cubic W' shrinks a large u by a third per step) or overflows
     W'(u): NonConvergence or SingularJacobian.  The residual is the full
-    arc's sup norm.  Each iteration works on the span from the first to the
-    last half still stepping.  DomainError, before any work, for a tol
-    outside (0, inf), no halves, a c2 count other than the half count, or a
-    half of fewer than 3 points.
+    arc's sup norm.  DomainError, before any work, for a tol outside
+    (0, inf), no halves, a c2 count other than the half count, or a half of
+    fewer than 3 points.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
@@ -247,66 +246,59 @@ def newton_halves(halves, c2, tol=1e-12, max_iter=100):
                           f"one per half, each of at least 3 points")
     starts = np.cumsum([0] + [p + 1 for p in points[:-1]])
     ghosts = starts + np.array(points)
-    rows = [(s + 1, s + p) for s, p in zip(starts.tolist(), points)]  # u_1..u_M
+    layout = list(zip(starts.tolist(), ghosts.tolist(), c2))  # half b is u[s:g]
     n = sum(points) + len(points)
     u = np.empty(n)
-    for (a, e), v in zip(rows, halves):
-        u[a - 1:e] = v
+    for (s, g, _), v in zip(layout, halves):
+        u[s:g] = v
     off = np.zeros(n - 1)
-    for (a, e), c in zip(rows, c2):
-        off[a:e - 1] = -c
+    for s, g, c in layout:
+        off[s + 1:g - 1] = -c
     d1, d2, r = np.empty(n), np.empty(n), np.empty(n)
     u[ghosts] = u[ghosts - 2]
     floors = [16.0 * _EPS_MACH * c * max(1.0, float(peak))
               for c, peak in zip(c2, np.maximum.reduceat(np.abs(u), starts))]
-    rnorm = np.empty(len(points))
 
-    def residual(first, last):
-        """The residual rows of halves first..last, and their sup norms."""
-        lo, hi = starts[first], ghosts[last] + 1
-        u[ghosts[first:last + 1]] = u[ghosts[first:last + 1] - 2]
-        w, t = u[lo:hi], r[lo + 1:hi - 1]
-        np.multiply(w[1:-1], 2.0, out=t)
-        np.subtract(w[2:], t, out=t)
-        t += w[:-2]
-        for (a, e), c in zip(rows[first:last + 1], c2[first:last + 1]):
-            r[a:e] *= c
-        _nonlinearity(w[1:-1], d1=d1[lo + 1:hi - 1])
-        t -= d1[lo + 1:hi - 1]
-        r[starts[first:last + 1]] = 0.0
-        r[ghosts[first:last + 1]] = 0.0
-        rnorm[first:last + 1] = np.maximum.reduceat(
-            np.abs(r[lo:hi], out=d1[lo:hi]), starts[first:last + 1] - lo)
+    def residual():
+        """The residual rows of every half, and their sup norms."""
+        u[ghosts] = u[ghosts - 2]
+        t = r[1:-1]
+        np.multiply(u[1:-1], 2.0, out=t)
+        np.subtract(u[2:], t, out=t)
+        t += u[:-2]
+        for s, g, c in layout:
+            r[s + 1:g] *= c
+        _nonlinearity(u[1:-1], d1=d1[1:-1])
+        t -= d1[1:-1]
+        r[starts] = 0.0
+        r[ghosts] = 0.0
+        return np.maximum.reduceat(np.abs(r, out=d1), starts)
 
     active = list(range(len(points)))
-    residual(0, len(points) - 1)
+    rnorm = residual()
     for _ in range(max_iter):
         active = [b for b in active if not rnorm[b] <= tol]
         if not active:
             break
-        first, last = active[0], active[-1]
-        lo, hi = starts[first], ghosts[last] + 1
-        _nonlinearity(u[lo + 1:hi - 1], d2=d2[lo + 1:hi - 1])
+        _nonlinearity(u[1:-1], d2=d2[1:-1])
         stepping = set(active)
-        for b in range(first, last + 1):
-            a, e = rows[b]
+        for b, (s, g, c) in enumerate(layout):
             if b in stepping:
-                d2[a:e] += 2.0 * c2[b]
-                d2[e - 1] *= 0.5
-                r[e - 1] *= 0.5
+                d2[s + 1:g] += 2.0 * c
+                d2[g - 1] *= 0.5
+                r[g - 1] *= 0.5
             else:   # stopped: an identity row, from now on
-                d2[a:e] = 1.0
-                r[a:e] = 0.0
-                off[a:e - 1] = 0.0
-        d2[starts[first:last + 1]] = 1.0
-        d2[ghosts[first:last + 1]] = 1.0
-        u[lo:hi] += solve_tridiagonal(
-            TridiagonalOperator(diag=d2[lo:hi], offdiag=off[lo:hi - 1]), r[lo:hi])
+                d2[s + 1:g] = 1.0
+                r[s + 1:g] = 0.0
+                off[s + 1:g - 1] = 0.0
+        d2[starts] = 1.0
+        d2[ghosts] = 1.0
+        u += solve_tridiagonal(TridiagonalOperator(diag=d2, offdiag=off), r)
         # a half whose residual was rounding noise stops after its step
         active = [b for b in active if not rnorm[b] <= floors[b]]
         if not active:
             break
-        residual(active[0], active[-1])
+        rnorm = residual()
     else:
         for b in active:
             if not rnorm[b] <= max(tol, floors[b]):
@@ -314,7 +306,7 @@ def newton_halves(halves, c2, tol=1e-12, max_iter=100):
                 raise NonConvergence(
                     f"newton: residual {res:.3e} on half {b} of {len(points)} "
                     f"after {max_iter} iterations", residual=res, iterations=max_iter)
-    return [u[a - 1:e] for a, e in rows]
+    return [u[s:g] for s, g, _ in layout]
 
 
 def newton_semilinear(grid, eps, tol=1e-12, max_iter=100):

@@ -44,7 +44,6 @@ from .errors import DomainError, NoPositiveSolution
 
 SQRT2 = math.sqrt(2.0)
 
-_LANDEN_TINY = 1e-15
 _IDENTITY_K = 2.0 ** -53   # half an ulp of 1.0: 1.0 + k rounds to 1.0
 _LANDEN_CAP = 32
 
@@ -93,12 +92,11 @@ def _landen_plan(kp):
     complementary modulus kp in (0, 1], in the order each pass reads it.
 
     Level j+1 from level j:  k_{j+1} = (1 - kp_j) / (1 + kp_j), until
-    k < 1e-15; the complement is tracked through 1 - k_{j+1} =
-    2 kp_j / (1 + kp_j) to avoid cancellation when kp_j is tiny.  A level
-    with k <= 2^-53 is left out: there 1 + k and 1 + k s^2 (|s| <= 1) round
-    to 1.0, so its descent and ascent steps return their operand bit for
-    bit.  Only the last level can be one (it is for most arcs at L/eps
-    3.2-1950, most often with k = 0.0), and at kp = 1 the chain is empty.
+    k <= 2^-53, where 1 + k and 1 + k s^2 (|s| <= 1) round to 1.0: that
+    level's descent and ascent steps would return their operand bit for
+    bit, so it is left out (at kp = 1 the chain is empty).  The complement
+    is tracked through 1 - k_{j+1} = 2 kp_j / (1 + kp_j) to avoid
+    cancellation when kp_j is tiny.
     """
     K = _complete_K_from_kp(kp)
     levels, kp_j = [], kp
@@ -107,8 +105,6 @@ def _landen_plan(kp):
         if k_next <= _IDENTITY_K:
             break
         levels.append((k_next, 1.0 + k_next))
-        if k_next < _LANDEN_TINY:
-            break
         one_minus = 2.0 * kp_j / (1.0 + kp_j)
         kp_j = math.sqrt(one_minus * (1.0 + k_next))
     # the descent from a list: tuple() over a generator grows and shrinks its

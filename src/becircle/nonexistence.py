@@ -10,7 +10,7 @@ import numpy as np
 from .balanced_energy import NodeConfig, transition_arcs
 from .errors import DomainError
 from .scalar_field import potential
-from .solver_1d import dirichlet_arc, dirichlet_pairs
+from .solver_1d import check_eps, dirichlet_arc, dirichlet_pairs
 
 _LOG_MAX = math.log(np.finfo(float).max)
 
@@ -123,8 +123,7 @@ def two_node_scan(eps, p_grid, points_per_eps=50):
     no point left raises `DomainError`, and so does an eps that is not
     positive and finite, before the grid is filtered.
     """
-    if not 0.0 < eps < math.inf:
-        raise DomainError(f"eps must be positive and finite, got {eps}")
+    check_eps(eps)
     p_grid = np.asarray(p_grid, dtype=float)
     if not np.all(np.isfinite(p_grid)):
         raise DomainError(f"grid points must be finite, got {p_grid.tolist()}")

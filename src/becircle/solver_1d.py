@@ -6,12 +6,14 @@ pairs over grids with m and 2m intervals: the raw O(h^2) quadrature and
 amplitude errors sit exactly at the exponentially small energy scales the
 experiments difference against, and the pairing removes them.
 
-A sweep solves its arcs in one dirichlet_pairs call: the halves of all its
-grids are solved as one block system per chunk of at most 8192 grid points,
-bit for bit one solve per half.  A chunk is one bvp_engine.newton_halves
-call on the halves of its closed-form guesses, which lays them out itself
-and returns them solved, without changing them.  The chunk bound keeps the
-working set in cache, and memory bounded by the chunk, not by the sweep.
+A sweep solves its arcs in one dirichlet_pairs call, in chunks of whole
+arcs of at most 8192 half-grid points in all (a larger arc is a chunk
+alone): the halves of a chunk's grids are solved as one block system, bit
+for bit one solve per half.  A chunk is one bvp_engine.newton_halves call
+on the coarse and fine halves of each arc's closed-form guess, which lays
+them out itself and returns them solved, without changing them.  The chunk
+bound keeps the working set in cache, and memory bounded by the chunk, not
+by the sweep.
 """
 import math
 import numbers
@@ -29,8 +31,8 @@ _TINY = np.finfo(float).tiny  # the smallest normal float64
 # to contract from 400 intervals up to here, and the 2m-interval grid of a
 # Richardson pair stays below 3.2e6 points at L/eps <= 1958
 _MAX_POINTS_PER_EPS = 800
-# the most grid points one newton_halves call solves together (see
-# dirichlet_pairs); a larger half is solved alone
+# the most half-grid points one newton_halves call solves together (see
+# dirichlet_pairs); a larger arc is solved alone
 _CHUNK_POINTS = 2 ** 13
 
 
@@ -123,65 +125,48 @@ def dirichlet_pairs(arcs, tol=1e-12):
 
     Every arc is checked, in input order, before this returns: its interval
     count, then modulus_for, which rejects L/eps past ~1958 before any grid
-    is built.  The halves, coarse then fine for each arc, are grouped in
-    input order into chunks of at most 8192 grid points (a larger half is a
-    chunk alone); the returned iterator solves a chunk, building its guesses
-    only then, when the first arc it completes is asked for.  A chunk is one
-    newton_halves call, bit for bit the halves' solves one at a time, with
-    the per-call cost of numpy and LAPACK paid once for all its halves; the
-    bound keeps its working set in cache, and memory bounded by the chunk,
-    not by the sweep.  Each solution u is the m-interval solution and
-    u_half the 2m-interval one, each half mirrored into an exact palindrome
-    on [0, L]; lam and the energy are their Richardson combination, and the
-    slopes follow from lam.
+    is built.  The arcs are grouped in input order into chunks of whole
+    arcs, each arc's two halves taking 3 m/2 + 2 grid points, up to 8192
+    points a chunk (a larger arc is a chunk alone); the returned iterator
+    solves a chunk, building its guesses only then, when its first arc is
+    asked for.  A chunk is one newton_halves call on [coarse, fine] per arc,
+    bit for bit the halves' solves one at a time, with the per-call cost of
+    numpy and LAPACK paid once for all its halves; the bound keeps its
+    working set in cache, and memory bounded by the chunk, not by the sweep.
+    Each solution u is the m-interval solution and u_half the 2m-interval
+    one, each half mirrored into an exact palindrome on [0, L]; lam and the
+    energy are their Richardson combination, and the slopes follow from lam.
     """
-    checked = []
+    chunks, size = [[]], 0
     for L, eps, m in arcs:
         if m % 2 or m < 8:
-            raise DomainError(f"dirichlet_pair needs an even interval count >= 8, got {m!r}")
-        checked.append((L, eps, m, modulus_for(eps, L)))
-    return _solved_pairs(checked, tol)
+            raise DomainError(f"dirichlet_pairs needs an even interval count >= 8, got {m!r}")
+        points = 3 * (m // 2) + 2
+        if chunks[-1] and size + points > _CHUNK_POINTS:
+            chunks.append([])
+            size = 0
+        chunks[-1].append((L, eps, m, modulus_for(eps, L)))
+        size += points
+    return (sol for chunk in chunks for sol in _solved_chunk(chunk, tol))
 
 
-def _solved_pairs(arcs, tol):
-    """dirichlet_pairs' solutions of the checked arcs (L, eps, m, kp), one
-    chunk of halves at a time."""
-    chunks, chunk, size = [], [], 0
-    for i, (_, _, m, _) in enumerate(arcs):
-        for points in (m // 2 + 1, m + 1):
-            if chunk and size + points > _CHUNK_POINTS:
-                chunks.append(chunk)
-                chunk, size = [], 0
-            chunk.append((i, points))
-            size += points
-    chunks.append(chunk)
-    guess, coarse = None, None   # the closed form and coarse solution of an open arc
-    for chunk in chunks:
-        halves, c2 = [], []
-        for i, points in chunk:
-            L, eps, m, kp = arcs[i]
-            if points == m // 2 + 1:
-                guess = ac_family_mod(np.linspace(0.0, L, 2 * m + 1)[:m + 1] / eps, kp)
-                guess[0] = 0.0
-            halves.append(guess[::2] if points == m // 2 + 1 else guess)
-            c2.append((eps / ((0.5 * L) / (points - 1))) ** 2)
-        for (i, points), v in zip(chunk, newton_halves(halves, c2, tol)):
-            L, eps, m, _ = arcs[i]
-            sol = GridFunction(L=L, values=np.concatenate((v, v[-2::-1])))
-            if points == m // 2 + 1:
-                coarse = sol
-                continue
-            pair = (coarse, sol)
-            lam = richardson(*(potential(float(np.max(g.values))) for g in pair))
-            energy = richardson(*(arc_energy(g, eps) for g in pair))
-            c = math.sqrt(max(0.0, 2.0 * (potential(0.0) - lam))) / eps
-            yield DirichletSolution(L=L, eps=eps, u=coarse, u_half=sol, lam=lam,
-                                    slope_left=c, slope_right=-c, energy=energy)
-
-
-def dirichlet_pair(L, eps, m, tol=1e-12):
-    """dirichlet_pairs of the one arc (L, eps, m): its DirichletSolution."""
-    return next(dirichlet_pairs([(L, eps, m)], tol))
+def _solved_chunk(chunk, tol):
+    """dirichlet_pairs' solutions of a chunk of checked arcs (L, eps, m, kp),
+    from one newton_halves call on [coarse, fine] per arc."""
+    halves, c2 = [], []
+    for L, eps, m, kp in chunk:
+        guess = ac_family_mod(np.linspace(0.0, L, 2 * m + 1)[:m + 1] / eps, kp)
+        guess[0] = 0.0
+        halves += [guess[::2], guess]
+        c2 += [(eps / ((0.5 * L) / k)) ** 2 for k in (m // 2, m)]
+    solved = iter(newton_halves(halves, c2, tol))
+    for (L, eps, _, _), coarse, fine in zip(chunk, solved, solved):
+        pair = [GridFunction(L=L, values=np.concatenate((v, v[-2::-1]))) for v in (coarse, fine)]
+        lam = richardson(*(potential(float(np.max(g.values))) for g in pair))
+        energy = richardson(*(arc_energy(g, eps) for g in pair))
+        c = math.sqrt(max(0.0, 2.0 * (potential(0.0) - lam))) / eps
+        yield DirichletSolution(L=L, eps=eps, u=pair[0], u_half=pair[1], lam=lam,
+                                slope_left=c, slope_right=-c, energy=energy)
 
 
 def dirichlet_arc(L, eps, points_per_eps=50):
@@ -205,7 +190,7 @@ def solve_dirichlet(L, eps, points_per_eps=50, tol=1e-12, refine_values=False):
     dirichlet_arc).
 
     The arc is solved once on each grid of its Richardson pair (see
-    dirichlet_pair), m = intervals_for(L, eps, points_per_eps) and 2m, both
+    dirichlet_pairs), m = intervals_for(L, eps, points_per_eps) and 2m, both
     started from one closed-form evaluation on the first half of the 2m
     grid, and both grids are returned: u on m intervals and u_half on 2m.
     With refine_values u holds the pointwise Richardson combination of the two
@@ -220,7 +205,7 @@ def solve_dirichlet(L, eps, points_per_eps=50, tol=1e-12, refine_values=False):
     0.0, where the true value is 2.7e-33 at 55 and 2.5e-294 at 480.
     first_variation, a difference of the arcs' lam, inherits that noise.
     """
-    sol = dirichlet_pair(*dirichlet_arc(L, eps, points_per_eps), tol)
+    sol = next(dirichlet_pairs([dirichlet_arc(L, eps, points_per_eps)], tol))
     if refine_values:
         refined = richardson(sol.u.values, sol.u_half.values[::2])
         sol = replace(sol, u=replace(sol.u, values=refined))
@@ -244,13 +229,6 @@ def nodal_solution(p, eps, points_per_eps=50):
     return NodalSolution(p=p, eps=eps, u=u, nodes=nodes, arc=arc)
 
 
-def min_energy(eps, L, points_per_eps=50):
-    """Energies of the positive Dirichlet minimizers at an array of eps, every
-    arc solved in one dirichlet_pairs call; the map g(eps) of the scans."""
-    arcs = (dirichlet_arc(L, e, points_per_eps) for e in np.asarray(eps, dtype=float).tolist())
-    return np.array([sol.energy for sol in dirichlet_pairs(arcs)])
-
-
 @dataclass(frozen=True)
 class LipschitzScan:
     eps: np.ndarray
@@ -260,16 +238,19 @@ class LipschitzScan:
 
 
 def lipschitz_scan(L, eps_grid, points_per_eps=50):
-    """Quotients of eps -> min-energy over the distinct eps (at least two)."""
+    """Quotients of eps -> g(eps), the energy of the positive Dirichlet
+    minimizer on [0, L], over the distinct eps (at least two), every arc
+    solved in one dirichlet_pairs call.  Every eps is checked before any
+    arc is solved: first that each is positive and finite (check_eps), so
+    an infinite or NaN eps is named as such, then dirichlet_arc's
+    NoPositiveSolution for an eps at or above the existence threshold."""
     eps = np.unique(np.asarray(eps_grid, dtype=float))
     if len(eps) < 2:
         raise DomainError("a Lipschitz scan needs at least two distinct eps")
     for e in eps.tolist():
         check_eps(e)
-    thr = existence_threshold(L)
-    if np.any(eps >= thr):
-        raise NoPositiveSolution(f"grid contains eps >= threshold {thr:.6g}")
-    g = min_energy(eps, L, points_per_eps)
+    arcs = (dirichlet_arc(L, e, points_per_eps) for e in eps.tolist())
+    g = np.array([sol.energy for sol in dirichlet_pairs(arcs)])
     q = np.abs(np.diff(g)) / np.diff(eps)
     return LipschitzScan(eps=eps, energies=g, quotients=q,
                          max_quotient=float(np.max(q)))

@@ -142,7 +142,7 @@ def test_grid_function_rejects(L, values, message):
 def test_grid_function_derives_the_old_fields_bit_for_bit(L, ratio, points_per_eps):
     # a grid used to store (a, b, n, values), with h = (b - a)/(n + 1) and
     # x = linspace(a, b, n + 2); every one was built at a = 0.0 with
-    # n = len(values) - 2.  On the grids dirichlet_pair builds, the halves
+    # n = len(values) - 2.  On the grids dirichlet_pairs builds, the halves
     # [0, L/2] that Newton solves and their mirrors on [0, L], of m and 2m
     # intervals, the derived n, h and x() are those doubles
     def bits(v):
@@ -275,7 +275,7 @@ def test_newton_solves_per_call(monkeypatch):
 @example(ratio=3.2, points_per_eps=100, halved=True)
 def test_newton_full_steps_contract_from_the_closed_form(ratio, points_per_eps, halved):
     # Newton takes every step whole, with no globalization: from the closed
-    # form, as dirichlet_pair starts it, each step must cut the sup-norm
+    # form, as dirichlet_pairs starts it, each step must cut the sup-norm
     # residual at least 10x or end below max(tol, floor) (measured worst
     # 0.054, at L/eps 4.9 on a 400-interval grid).  Points per eps run over
     # the whole accepted range: at or below 0.2, every grid up to L/eps 1958

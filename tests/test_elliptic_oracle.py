@@ -382,8 +382,12 @@ def _sn_cn_dn_per_call(x, kp):
     return s, c, d
 
 
-# kp = 1 has no level left; kp ~ 1e-299 keeps the longest chain, 13 levels
+# kp = 1 has no level left; kp ~ 1e-299 keeps the longest chain, 13 levels;
+# at L/eps 6 and 12 (L = 0.5) the last level kept has k = 2.78e-16 and
+# 3.33e-16, between 2^-53 and 1e-15, where the per-call chain stops
 @example(kp=1.0, frac=0.7)
+@example(kp=modulus_for(0.5 / 6, 0.5), frac=0.7)
+@example(kp=modulus_for(0.5 / 12, 0.5), frac=0.7)
 @example(kp=1e-299, frac=0.7)
 @example(kp=1e-299, frac=1.0)
 @settings(max_examples=200, deadline=None)

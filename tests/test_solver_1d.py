@@ -303,11 +303,11 @@ def test_dirichlet_pair_rejects_an_odd_or_small_interval_count(m):
     # for an odd m the coarse half misses the midpoint; below m = 8 it has
     # fewer than 5 points
     with pytest.raises(DomainError):
-        solver.dirichlet_pair(0.5, 0.05, m)
+        next(solver.dirichlet_pairs([(0.5, 0.05, m)]))
 
 
 def test_dirichlet_pair_accepts_the_smallest_even_count():
-    sol = solver.dirichlet_pair(0.5, 0.05, 8)
+    sol = next(solver.dirichlet_pairs([(0.5, 0.05, 8)]))
     assert (len(sol.u.values), len(sol.u_half.values)) == (9, 17)
 
 
@@ -326,9 +326,9 @@ def _newton_on_the_half(grid, eps, tol):
 
 
 def _pair_with_a_guess_per_grid(L, eps, m, tol, newton=_newton_on_the_half):
-    """dirichlet_pair's u, u_half, lam and energy, with the closed form
-    evaluated separately on the whole of each grid of the pair and solved by
-    newton, which takes and returns the whole grid."""
+    """dirichlet_pairs' u, u_half, lam and energy of one arc, with the
+    closed form evaluated separately on the whole of each grid of the pair
+    and solved by newton, which takes and returns the whole grid."""
     kp = modulus_for(eps, L)
     sols = []
     for k in (m, 2 * m):
@@ -350,7 +350,7 @@ def _pair_with_a_guess_per_grid(L, eps, m, tol, newton=_newton_on_the_half):
 def test_dirichlet_pair_matches_a_guess_per_grid(L, ratio, points_per_eps):
     eps = L / ratio
     m = solver.intervals_for(L, eps, points_per_eps)
-    sol = solver.dirichlet_pair(L, eps, m)
+    sol = next(solver.dirichlet_pairs([(L, eps, m)]))
     u, u_half, lam, energy = _pair_with_a_guess_per_grid(L, eps, m, 1e-12)
     assert np.array_equal(_bits(sol.u.values), _bits(u))
     assert np.array_equal(_bits(sol.u_half.values), _bits(u_half))
@@ -364,7 +364,7 @@ def test_dirichlet_pair_matches_a_guess_per_grid(L, ratio, points_per_eps):
 @example(L=0.5, ratio=200.0, points_per_eps=50)
 def test_dirichlet_pair_is_a_palindrome(L, ratio, points_per_eps):
     eps = L / ratio
-    sol = solver.dirichlet_pair(L, eps, solver.intervals_for(L, eps, points_per_eps))
+    sol = next(solver.dirichlet_pairs([(L, eps, solver.intervals_for(L, eps, points_per_eps))]))
     for v in (sol.u.values, sol.u_half.values):
         assert np.array_equal(_bits(v), _bits(v[::-1]))
 
@@ -400,8 +400,8 @@ def test_solve_dirichlet_matches_the_full_grid_newton(ratio, points_per_eps):
 
 
 def _pair_alone(L, eps, m):
-    """dirichlet_pair's u and u_half, each half solved by itself with the
-    one-half oracle Newton from the same closed-form guess."""
+    """dirichlet_pairs' u and u_half of one arc, each half solved by itself
+    with the one-half oracle Newton from the same closed-form guess."""
     half = ac_family_mod(np.linspace(0.0, L, 2 * m + 1)[:m + 1] / eps, modulus_for(eps, L))
     half[0] = 0.0
     out = []
@@ -439,13 +439,14 @@ def test_dirichlet_pairs_solve_each_half_bit_for_bit_as_alone(arcs):
     # the block Newton solves every half of a chunk in one gtsv call per
     # iteration; each half must get the bits of its own solve, also where
     # c2 < 1 (at 0.2 points per eps past L/eps 400), where gtsv can pivot,
-    # and across chunk boundaries, which can fall between an arc's halves
+    # and across chunk boundaries, which fall between whole arcs
     _assert_pairs_alone(arcs)
 
 
 def test_dirichlet_pairs_chunk_at_8192_points(monkeypatch):
-    # consecutive halves share a chunk up to 8192 points in all; a half of
-    # 8192 points fills one, and a larger one is a chunk by itself
+    # a chunk is whole arcs, each taking 3 m/2 + 2 points over its two
+    # halves: consecutive arcs share a chunk up to 8192 points in all, an arc
+    # of 8192 points fills one, and a larger one is a chunk by itself
     chunks = []
     real = solver.newton_halves
 
@@ -456,7 +457,12 @@ def test_dirichlet_pairs_chunk_at_8192_points(monkeypatch):
     monkeypatch.setattr(solver, "newton_halves", counted)
     arcs = [(0.5, 0.01, m) for m in (5460, 5462, 16382, 16384)]
     _assert_pairs_alone(arcs)
-    assert chunks == [[2731, 5461], [2732], [5463], [8192], [16383], [8193], [16385]]
+    assert chunks == [[2731, 5461], [2732, 5463], [8192, 16383], [8193, 16385]]
+    # four arcs of 2048 points fill a chunk exactly; the next opens another
+    chunks.clear()
+    arcs = [(0.5, 0.05, 1364)] * 4 + [(0.5, 0.05, 8)]
+    _assert_pairs_alone(arcs)
+    assert chunks == [[683, 1365] * 4, [5, 9]]
 
 
 def test_dirichlet_pairs_check_every_arc_before_solving(monkeypatch):
@@ -469,6 +475,16 @@ def test_dirichlet_pairs_check_every_arc_before_solving(monkeypatch):
         solver.dirichlet_pairs([(0.5, 0.05, 400), (0.5, 1e-5, 400), (0.5, 0.05, 401)])
     with pytest.raises(NoPositiveSolution):
         solver.dirichlet_pairs([(0.5, 0.05, 400), (0.5, 0.2, 400)])
+    assert calls == []
+
+
+def test_lipschitz_scan_checks_every_eps_before_solving(monkeypatch):
+    # the existence threshold L/pi = 0.159 is dirichlet_arc's check, which
+    # names the eps past it; no arc is solved, not even that of eps = 0.01
+    calls = []
+    monkeypatch.setattr(solver, "newton_halves", lambda *args, **kw: calls.append(1))
+    with pytest.raises(NoPositiveSolution, match=r"eps=0\.2 >= L/pi"):
+        lipschitz_scan(0.5, [0.01, 0.2])
     assert calls == []
 
 
