@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The CLI and benchmark checks of the CI workflow, runnable from any shell:
+# The CLI and benchmark checks of the CI workflow, then a code-line report
+# (ci/code_lines.py), runnable from any shell:
 #
 #     bash ci/check.sh                                        # installed console script
 #     BECIRCLE="python -m becircle" PYTHONPATH=src bash ci/check.sh   # source checkout
@@ -99,6 +100,11 @@ index --p 1 --eps inf
 gap-sweep --L 0.5 --eps 0.01,inf
 lipschitz --L 0.5 --eps 0.01,inf
 gamma-sweep --nodes 0,0.5 --eps 0.02,inf
+lipschitz --L 0.5 --eps nan
+lipschitz --L 0.5 --eps nan,nan
+lipschitz --L 0.5 --eps -1
+gamma-sweep --nodes 0,0.5 --eps nan
+gamma-sweep --nodes 0,0.5 --eps inf,inf
 ROWS
 echo "ok: $rows rows"
 
@@ -121,4 +127,7 @@ for w in spectral arc-sweeps thin-layer; do
   tail -n 1 "bench-$w-trace.log" | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read())["correct"] is True else 1)'
 done
 tail -n 1 bench-spectral-trace.log | python3 -c 'import json, sys; m = json.loads(sys.stdin.read())["metrics"]; sys.exit(0 if m["bvp_engine.eig.calls"]["value"] > 0 and m["bvp_engine.eig.banded_solves"]["value"] == 0 else 1)'
+
+echo "== code lines of src/becircle (a report, no threshold)"
+python3 ci/code_lines.py
 echo "ok: all checks passed"

@@ -390,8 +390,9 @@ def comparator_energy(config, eps):
 
 def gamma_sweep(config, eps_grid, points_per_eps=50):
     """BE over the distinct eps (at least two), first-order Richardson limit
-    from the two smallest, comparator check."""
-    eps_grid = sorted({float(e) for e in eps_grid})
+    from the two smallest, comparator check.  Each given eps is checked
+    (check_eps) before the distinct eps are counted."""
+    eps_grid = sorted({check_eps(float(e)) for e in eps_grid})
     if len(eps_grid) < 2:
         raise DomainError("a gamma sweep needs at least two distinct eps")
     rows = []

@@ -171,8 +171,11 @@ def linearized_operator(values, c2):
     """-eps^2 D^2 + W''(u) about the grid values u, c2 = (eps/h)^2, with zero
     Dirichlet data beyond both ends: diagonal 2 c2 + W''(u), couplings -c2.
 
-    This is Newton's Jacobian (negated), the transmission solve's matrix, and
-    the operator whose spectrum dirichlet_gap and ac_spectrum report.
+    This is the transmission solve's matrix and the operator whose spectrum
+    dirichlet_gap and ac_spectrum report.  It is not Newton's Jacobian:
+    newton_halves assembles the same entries, negated, in place in its own
+    slot buffer (W''(u) from _nonlinearity plus 2 c2, the midpoint rows
+    halved) and never calls it.
     """
     return TridiagonalOperator(diag=2.0 * c2 + potential_d2(values),
                                offdiag=np.full(len(values) - 1, -c2))

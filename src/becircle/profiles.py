@@ -21,15 +21,23 @@ constant feeding the node Dirichlet-to-Neumann asymptotics is
 Every profile of one window (T, h) reads one half-line: the grid t of
 n = round(T/h) steps with g, gdot and gddot on it, evaluated once and cached
 for the last window asked for (`_halfline(T, n)`, one entry).  The entry also
-keeps the two results that other window functions read again: w, once
-`profile_w` has solved it (rho and kappa_ode read it), and the four
-constants, once `profile_constants` has computed them.  It holds four arrays
-of n + 1 floats (t, g, gdot and gddot), about 2.6 MB at 80001 points, and two
-more once w is solved (its values and dvalues; its rhs_values is the cached
-gdot): 3.8 MB at 80001 points and 12 MB at the edge T ~ 251.2 with
-h = 1e-3.  All of them are read-only and are shared by the profiles built
-on them, and `ode_residual` reads g from the half-line of the profile's T
-and number of points.  The other profiles are solved on every call.
+keeps the results that other window functions read again: w and w', once
+`profile_w` has solved them (kappa_ode reads w, and rho reads w' as its
+source), and the four constants, once `profile_constants` has computed
+them.  It holds four arrays of n + 1 floats (t, g, gdot and gddot), about
+2.6 MB at 80001 points, and two more once w is solved (w's values and w';
+w's rhs_values is the cached gdot): 3.8 MB at 80001 points and 12 MB at the
+edge T ~ 251.2 with h = 1e-3.  All of them are read-only and are shared by
+the profiles built on them, and `ode_residual` reads g from the half-line
+of the profile's T and number of points.  The other profiles are solved on
+every call.
+
+A profile holds its values, its slope at 0 and its source, which is all
+the second variation reads of it: w' is the one derivative on the grid
+that is formed, once per window in `profile_w`.  The six profiles of a
+cold default window, held together, keep 15 arrays of 40001 floats alive
+under tracemalloc: the window's 4, w and w', rho's values, and the values
+and source of each of the other four.
 
 Every solve runs one variation-of-parameters core, `_vp_core`.
 `profile_constants` builds no profile: sigma2 reads tau_geom's values from
@@ -37,14 +45,13 @@ the core, and w'(0) and omega'(0) are tail totals (`_tail_total`), so at its
 peak it holds four arrays besides the window (tau_geom's source, r' and the
 bracket or r, and `cumulative_simpson`'s scratch): 4.9 MiB at 80001 points,
 window included.  A `spectral` bench pass evaluates `heteroclinic` 3 times
-and runs the core 8 times; traced, it reports `profiles.calls` 22.  The
+and runs the core 8 times; traced, it reports `profiles.calls` 21.  The
 kernels work in place, with the operands in the order of the plain
 expressions, so every result keeps its bits.
 
 The window ends where gdot(T)^2 leaves the normal float64 range; past it
-`bracket / gdot^2` and kappa's `/ s^2` lose every digit, so a longer T
-raises `DomainError`, as does a window of more than 10^6 steps,
-before any array is built.
+`bracket / gdot^2` loses every digit, so a longer T raises `DomainError`,
+as does a window of more than 10^6 steps, before any array is built.
 """
 import functools
 import math
@@ -72,13 +79,13 @@ _MAX_STEPS = 10 ** 6
 class ProfileFunction:
     """A solution of L f = rhs on the uniform grid of [0, T] with f(0) = 0.
 
-    values and dvalues are f and f' on the grid, slope0 = f'(0), and
-    rhs_values is the source the profile solves for.
+    values is f on the grid, slope0 = f'(0), and rhs_values is the source
+    the profile solves for.  No profile carries f' on the grid: the one
+    derivative a caller reads, w' for rho, is kept with the window.
     """
     T: float
     h: float
     values: np.ndarray
-    dvalues: np.ndarray
     slope0: float
     rhs_values: np.ndarray
 
@@ -97,14 +104,15 @@ class ProfileConstants:
 @dataclass(eq=False)
 class _Window:
     """The cached entry of one window: its half-line (read-only arrays) and,
-    once computed, w, the constants and the read-only W''(g) at the points
-    [2h, T - 2h] that ode_residual reads."""
+    once computed, w and the read-only w' (rho's source), the constants and
+    the read-only W''(g) at the points [2h, T - 2h] that ode_residual reads."""
     t: np.ndarray
     h: float
     g: np.ndarray
     gdot: np.ndarray
     gddot: np.ndarray
     w: ProfileFunction = None
+    wdot: np.ndarray = None
     constants: ProfileConstants = None
     w2_inner: np.ndarray = None
 
@@ -203,20 +211,12 @@ def _vp_core(rhs_values, line):
 
 
 def _vp_solve(rhs_values, line):
-    """The profile of L f = rhs from `_vp_core`, with its derivative.
-
-    Besides the core's arrays it allocates one, the profile's values; r'
-    becomes f' in place, with the operands in the order of f = r gdot and
-    f' = r' gdot + r gddot.
-    """
-    gdot = line.gdot
-    rprime, r, slope0 = _vp_core(rhs_values, line)
-    values = r * gdot
-    rprime *= gdot
-    r *= line.gddot
-    rprime += r
-    return ProfileFunction(T=line.t[-1], h=line.h, values=values, dvalues=rprime,
-                           slope0=slope0, rhs_values=rhs_values)
+    """The profile of L f = rhs from `_vp_core`: f = r gdot, formed in r's
+    buffer, and r' is dropped."""
+    _, values, slope0 = _vp_core(rhs_values, line)
+    values *= line.gdot
+    return ProfileFunction(T=line.t[-1], h=line.h, values=values, slope0=slope0,
+                           rhs_values=rhs_values)
 
 
 def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H):
@@ -227,8 +227,8 @@ def solve_profile(rhs, T=DEFAULT_T, h=DEFAULT_H):
     non-finite value `DomainError`, and data that fail exponential decay at
     the truncation boundary `TruncationError`.  The grid and heteroclinic
     values come from the cached `_window(T, h)`: t is read-only, and a
-    float64 array rhs is kept as given (for `profile_w` it is the cached
-    gdot).
+    float64 array rhs is kept as given (for `profile_rho` it is the
+    window's cached w').
     """
     line = _window(T, h)
     t = line.t
@@ -258,22 +258,32 @@ def _check_decay(rhs_values, T):
 def profile_w(T=DEFAULT_T, h=DEFAULT_H):
     """L w = gdot; the mean-curvature response profile.  w'(0) = -2/3.
 
-    Solved once per window, through `solve_profile`'s decay guard, and kept
-    with the window: the same read-only profile until the window leaves the
-    cache.
+    Solved once per window, through `solve_profile`'s guards, and kept with
+    the window, with w' = r' gdot + r gddot from the same core call, which
+    rho reads as its source: both read-only until the window leaves the
+    cache.  The operands are in the order of w = r gdot and that w'.
     """
     line = _window(T, h)
     if line.w is None:
-        w = solve_profile(line.gdot, T, h)
-        w.values.setflags(write=False)
-        w.dvalues.setflags(write=False)
-        line.w = w
+        gdot = line.gdot
+        _check_source(gdot, T)
+        wdot, r, slope0 = _vp_core(gdot, line)
+        values = r * gdot
+        wdot *= gdot
+        r *= line.gddot
+        wdot += r
+        for a in (values, wdot):
+            a.setflags(write=False)
+        line.w = ProfileFunction(T=line.t[-1], h=line.h, values=values, slope0=slope0,
+                                 rhs_values=gdot)
+        line.wdot = wdot
     return line.w
 
 
 def profile_rho(T=DEFAULT_T, h=DEFAULT_H):
-    """L rho = wdot, consuming the computed w profile."""
-    return solve_profile(profile_w(T, h).dvalues, T, h)
+    """L rho = wdot, consuming the window's w'."""
+    profile_w(T, h)
+    return solve_profile(_window(T, h).wdot, T, h)
 
 
 def profile_tau_geom(T=DEFAULT_T, h=DEFAULT_H):
@@ -314,39 +324,6 @@ def _kappa(t, g, gdot):
     return out
 
 
-def _kappa_prime(t, g, gdot):
-    """Analytic derivative of `_kappa`, from the same values:
-        dA = ((10 - 18 g g) / s + 4 g g (5 - 3 g g) / s^2) gdot,
-        dB = 3 sqrt2 (s - 2 t g gdot),
-        kappa'(t) = -(dA + dB) / 8,  s = sqrt2 gdot,
-    in place in three arrays besides s, with the operands in the order of
-    these expressions.
-    """
-    s = SQRT2 * gdot    # sech^2(t/sqrt2)
-    out = np.multiply(18.0, g)
-    out *= g
-    np.subtract(10.0, out, out=out)
-    out /= s
-    b = np.multiply(4.0, g)
-    b *= g
-    c = np.multiply(3.0, g)
-    c *= g
-    np.subtract(5.0, c, out=c)
-    b *= c
-    b /= np.square(s, out=c)
-    out += b
-    out *= gdot                               # dA
-    np.multiply(2.0, t, out=b)
-    b *= g
-    b *= gdot
-    np.subtract(s, b, out=b)
-    b *= 3.0 * SQRT2                          # dB
-    out += b
-    np.negative(out, out=out)
-    out /= 8.0
-    return out
-
-
 def profile_tau_lambda(T=DEFAULT_T, h=DEFAULT_H):
     """The positive lambda-direction profile tau_lambda = -kappa_lambda.
 
@@ -358,9 +335,7 @@ def profile_tau_lambda(T=DEFAULT_T, h=DEFAULT_H):
     t, g, gdot = line.t, line.g, line.gdot
     vals = _kappa(t, g, gdot)
     np.negative(vals, out=vals)
-    dvals = _kappa_prime(t, g, gdot)
-    np.negative(dvals, out=dvals)
-    return ProfileFunction(T=t[-1], h=line.h, values=vals, dvalues=dvals, slope0=SQRT2,
+    return ProfileFunction(T=t[-1], h=line.h, values=vals, slope0=SQRT2,
                            rhs_values=np.zeros_like(vals))
 
 

@@ -44,11 +44,12 @@ def existence_threshold(L):
 
 
 def check_eps(eps):
-    """DomainError unless eps is positive and finite: every eps meets this
-    before any comparison with an existence threshold, which an infinite or
-    NaN eps would pass or fail for the wrong reason."""
+    """eps itself, or DomainError unless it is positive and finite: every eps
+    meets this before any comparison with an existence threshold, which an
+    infinite or NaN eps would pass or fail for the wrong reason."""
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -241,14 +242,13 @@ def lipschitz_scan(L, eps_grid, points_per_eps=50):
     """Quotients of eps -> g(eps), the energy of the positive Dirichlet
     minimizer on [0, L], over the distinct eps (at least two), every arc
     solved in one dirichlet_pairs call.  Every eps is checked before any
-    arc is solved: first that each is positive and finite (check_eps), so
-    an infinite or NaN eps is named as such, then dirichlet_arc's
-    NoPositiveSolution for an eps at or above the existence threshold."""
-    eps = np.unique(np.asarray(eps_grid, dtype=float))
+    arc is solved: first that each given eps is positive and finite
+    (check_eps), before the distinct eps are counted, so an infinite or NaN
+    eps is named as such, then dirichlet_arc's NoPositiveSolution for an
+    eps at or above the existence threshold."""
+    eps = np.unique([check_eps(e) for e in np.asarray(eps_grid, dtype=float).tolist()])
     if len(eps) < 2:
         raise DomainError("a Lipschitz scan needs at least two distinct eps")
-    for e in eps.tolist():
-        check_eps(e)
     arcs = (dirichlet_arc(L, e, points_per_eps) for e in eps.tolist())
     g = np.array([sol.energy for sol in dirichlet_pairs(arcs)])
     q = np.abs(np.diff(g)) / np.diff(eps)

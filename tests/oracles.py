@@ -18,7 +18,7 @@ from becircle import (DomainError, GridFunction, NoPositiveSolution,
 from becircle.balanced_energy import _pinned_be
 from becircle.bvp_engine import (SpectrumReport, eig_sturm, linearized_operator,
                                  solve_tridiagonal)
-from becircle.profiles import _kappa, _kappa_prime
+from becircle.profiles import _kappa
 
 
 def periodic_residual(sol):
@@ -320,14 +320,20 @@ def kappa_lambda(t):
 
 
 def kappa_lambda_prime(t):
-    """Analytic derivative of kappa_lambda at any t, float or array.
+    """Analytic derivative of kappa_lambda at any t, float or array:
+        dA = ((10 - 18 g g) / s + 4 g g (5 - 3 g g) / s^2) gdot,
+        dB = 3 sqrt2 (s - 2 t g gdot),
+        kappa'(t) = -(dA + dB) / 8,  s = sqrt2 gdot.
 
-    The library reads this formula only on a profile window's cached
-    half-line (tau_lambda's dvalues); here it takes heteroclinic(t) itself.
+    The library forms no derivative of kappa: tau_lambda's slope sqrt2 at 0
+    is this at t = 0, negated.
     """
     x = np.atleast_1d(np.asarray(t, dtype=float))
     g, gdot, _ = heteroclinic(x)
-    out = _kappa_prime(x, g, gdot)
+    s = math.sqrt(2.0) * gdot
+    dA = ((10.0 - 18.0 * g * g) / s + 4.0 * g * g * (5.0 - 3.0 * g * g) / s ** 2) * gdot
+    dB = 3.0 * math.sqrt(2.0) * (s - 2.0 * x * g * gdot)
+    out = -(dA + dB) / 8.0
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

@@ -267,6 +267,21 @@ def test_a_nan_eps_is_named_as_given(argv, capsys):
     assert capsys.readouterr().err == "error: eps must be positive and finite, got nan\n"
 
 
+@pytest.mark.parametrize("argv, given", [
+    (["lipschitz", "--L", "0.5", "--eps", "nan"], "nan"),
+    (["lipschitz", "--L", "0.5", "--eps", "nan,nan"], "nan"),
+    (["lipschitz", "--L", "0.5", "--eps", "-1"], "-1.0"),
+    (["gamma-sweep", "--nodes", "0,0.5", "--eps", "nan"], "nan"),
+    (["gamma-sweep", "--nodes", "0,0.5", "--eps", "inf,inf"], "inf"),
+], ids=lambda v: "_".join(v).replace("--", "") if isinstance(v, list) else v)
+def test_a_sweep_names_a_bad_eps_before_counting_distinct_eps(argv, given, capsys):
+    # a sweep checks every eps it is given before it counts the distinct
+    # ones: one bad eps, or the same bad eps twice, is named, not reported
+    # as too few distinct eps
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: eps must be positive and finite, got {given}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--L", "0.5", "--eps", "inf"],
     ["be", "--nodes", "0,0.5", "--eps", "inf"],

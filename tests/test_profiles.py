@@ -301,7 +301,7 @@ WINDOW_FUNCTIONS = PROFILES + (profile_constants,)
 def _bits(result):
     if hasattr(result, "values"):
         return (result.T, result.h, result.slope0, result.values.tobytes(),
-                result.dvalues.tobytes(), result.rhs_values.tobytes())
+                result.rhs_values.tobytes())
     return (result.sigma1, result.sigma2, result.wdot0, result.omegadot0)
 
 
@@ -370,6 +370,22 @@ def test_constants_peak_memory():
         tracemalloc.stop()
         profiles_mod._halfline.cache_clear()
     assert peak <= 8.5 * 80001 * 8
+
+
+def test_window_profiles_hold_only_values_and_sources():
+    # the six profiles of a cold default window, held together, keep 15
+    # arrays of 40001 floats alive under tracemalloc: the window's 4, w and
+    # w', rho's values, and the values and source of the other four.  When
+    # every profile also carried its derivative they kept 20
+    profiles_mod._halfline.cache_clear()
+    tracemalloc.start()
+    try:
+        held = [fn() for fn in PROFILES]
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        profiles_mod._halfline.cache_clear()
+    assert len(held) == 6 and live <= 16 * 40001 * 8
 
 
 def test_constants_solve_only_tau_geom(vp_solves):
@@ -445,7 +461,7 @@ def test_cached_halfline_is_read_only():
     with pytest.raises(ValueError):
         w.values[0] = 1.0              # the cached w
     with pytest.raises(ValueError):
-        w.dvalues[0] = 1.0
+        profile_rho(T=20.0).rhs_values[0] = 1.0   # the cached w'
     assert _bits(profile_w(T=20.0)) == ref
 
 
@@ -459,7 +475,7 @@ def test_window_ends_where_gdot_squared_leaves_the_normal_range():
     T = edge - 0.01
     for fn in PROFILES:
         p = fn(T=T)
-        assert np.all(np.isfinite(p.values)) and np.all(np.isfinite(p.dvalues))
+        assert np.all(np.isfinite(p.values))
         assert math.isfinite(p.slope0)
     near = profile_constants(T=T)
     for a, b in zip(_bits(base), _bits(near)):
@@ -483,8 +499,7 @@ def test_ode_residual_needs_a_point_in_its_window(t_max):
 @pytest.mark.parametrize("points", [0, 1, 2, 4])
 def test_ode_residual_of_a_short_profile_is_a_domain_error(points):
     zeros = np.zeros(points)
-    prof = ProfileFunction(T=1.0, h=0.25, values=zeros, dvalues=zeros, slope0=0.0,
-                           rhs_values=zeros)
+    prof = ProfileFunction(T=1.0, h=0.25, values=zeros, slope0=0.0, rhs_values=zeros)
     with pytest.raises(DomainError):
         ode_residual(prof)
 
@@ -606,13 +621,6 @@ def _kappa_out_of_place(t, g, gdot):
     return -(2.0 * g * (5.0 - 3.0 * g * g) / s + 3.0 * SQRT2 * t * s) / 8.0
 
 
-def _kappa_prime_out_of_place(t, g, gdot):
-    s = SQRT2 * gdot
-    dA = ((10.0 - 18.0 * g * g) / s + 4.0 * g * g * (5.0 - 3.0 * g * g) / s ** 2) * gdot
-    dB = 3.0 * SQRT2 * (s - 2.0 * t * g * gdot)
-    return -(dA + dB) / 8.0
-
-
 def _omega_source_out_of_place(line):
     t, g, gdot = line.t, line.g, line.gdot
     return 6.0 * g * (-_kappa_out_of_place(t, g, gdot)) * gdot
@@ -656,9 +664,7 @@ def test_heteroclinic_keeps_its_scalar_path(t):
 def test_kappa_and_omega_source_in_place_match_out_of_place(window):
     line = profiles_mod._window(*window)
     t, g, gdot = line.t, line.g, line.gdot
-    for kernel, oracle in ((profiles_mod._kappa, _kappa_out_of_place),
-                           (profiles_mod._kappa_prime, _kappa_prime_out_of_place)):
-        assert _same_bits(kernel(t, g, gdot), oracle(t, g, gdot))
+    assert _same_bits(profiles_mod._kappa(t, g, gdot), _kappa_out_of_place(t, g, gdot))
     assert _same_bits(profiles_mod._omega_source(line), _omega_source_out_of_place(line))
 
 
