@@ -109,13 +109,16 @@ lipschitz --L 0.5 --eps nan,nan
 lipschitz --L 0.5 --eps -1
 gamma-sweep --nodes 0,0.5 --eps nan
 gamma-sweep --nodes 0,0.5 --eps inf,inf
+solve --L 0.5 --eps 0.05 --out /nonexistent/dir/x.json
 ROWS
 echo "ok: $rows rows"
 
 echo "== benchmark smoke run, one pass per workload"
+# each pass must be correct; its peak_rss_mb is reported, with no threshold
 for w in spectral arc-sweeps thin-layer; do
   python3 bench/run.py --workload "$w" --seed 1 --seconds 0 --trace 0 | tee "bench-$w.log"
   tail -n 1 "bench-$w.log" | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read())["correct"] is True else 1)'
+  tail -n 1 "bench-$w.log" | python3 -c 'import json, sys; print("%s: peak_rss_mb %.1f MiB (a report, no threshold)" % (sys.argv[1], json.load(sys.stdin)["metrics"]["peak_rss_mb"]["value"]))' "$w"
 done
 
 echo "== traced benchmark smoke run, one pass per workload"

@@ -61,8 +61,11 @@ def _write_text(args, lines):
     text = "\n".join(lines) + "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BECircleError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         print(text, end="")
 

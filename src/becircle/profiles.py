@@ -20,8 +20,12 @@ constant feeding the node Dirichlet-to-Neumann asymptotics is
 
 Every profile of one window (T, h) reads one half-line: the grid t of
 n = round(T/h) steps with g, gdot and gddot on it, evaluated once and cached
-for the last window asked for (`_halfline(T, n)`, one entry).  The entry also
-keeps the results that other window functions read again: w and w', once
+for the last window asked for (`_halfline(T, n)`, one entry).  The cache
+releases its entry before it builds the next window's, so two windows are
+alive together only while a caller holds the old one's arrays: a build
+peaks at the four arrays it keeps (t, and the three `heteroclinic` forms),
+where building before evicting peaked at nine.  The entry also keeps the
+results that other window functions read again: w and w', once
 `profile_w` has solved them (kappa_ode reads w, and rho reads w' as its
 source), and the four constants, once `profile_constants` has computed
 them.  It holds four arrays of n + 1 floats (t, g, gdot and gddot), about
@@ -45,16 +49,17 @@ Every solve runs one variation-of-parameters core, `_vp_core`.
 the core, and w'(0) and omega'(0) are tail totals (`_tail_total`), so at its
 peak it holds four arrays besides the window (tau_geom's source, r' and the
 bracket or r, and `cumulative_simpson`'s scratch): 4.9 MiB at 80001 points,
-window included.  A `spectral` bench pass evaluates `heteroclinic` 3 times
-and runs the core 8 times; traced, it reports `profiles.calls` 21.  The
-kernels work in place, with the operands in the order of the plain
-expressions, so every result keeps its bits.
+window included, also when it follows another window's constants (8.0
+arrays under tracemalloc, 9.0 while the old window outlived the build).  A
+`spectral` bench pass evaluates `heteroclinic` 3 times and runs the core 8
+times; traced, it reports `profiles.calls` 21.  The kernels work in place,
+with the operands in the order of the plain expressions, so every result
+keeps its bits.
 
 The window ends where gdot(T)^2 leaves the normal float64 range; past it
 `bracket / gdot^2` loses every digit, so a longer T raises `DomainError`,
 as does a window of more than 10^6 steps, before any array is built.
 """
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -140,22 +145,34 @@ def halfline(T=DEFAULT_T, h=DEFAULT_H):
     return line.t, line.g
 
 
-@functools.lru_cache(maxsize=1)
+_entry = {}        # `_halfline`'s one cached `_Window`, keyed by (T, n)
+
+
 def _halfline(T, n):
     """The `_Window` of t, the step, g, gdot and gddot on the grid of
     [0, T] with n steps.
 
     One entry is cached, so consecutive profile calls on one window evaluate
     `heteroclinic` once, and solve w and compute the constants at most once.
-    The arrays are read-only, so no caller can change the cached entry.
-    Callers pass T as a float, so 40 and 40.0 share an entry and the step is
-    always a float.
+    The entry of another window is released before this one is built, so
+    the two are never alive together unless a caller holds the old one:
+    the build then peaks at 4 arrays of n + 1 floats (t and `heteroclinic`'s
+    3), not 9 (the old window's 4, t, and 4 while `heteroclinic` ran).
+    `_halfline.cache_clear()` releases the entry.  The arrays are read-only,
+    so no caller can change the cached entry.  Callers pass T as a float,
+    so 40 and 40.0 share an entry and the step is always a float.
     """
-    t = np.linspace(0.0, T, n + 1)
-    g, gdot, gddot = heteroclinic(t)
-    for a in (t, g, gdot, gddot):
-        a.setflags(write=False)
-    return _Window(t, T / n, g, gdot, gddot)
+    if (T, n) not in _entry:
+        _entry.clear()
+        t = np.linspace(0.0, T, n + 1)
+        g, gdot, gddot = heteroclinic(t)
+        for a in (t, g, gdot, gddot):
+            a.setflags(write=False)
+        _entry[T, n] = _Window(t, T / n, g, gdot, gddot)
+    return _entry[T, n]
+
+
+_halfline.cache_clear = _entry.clear
 
 
 def _exp_tail(rg, h):

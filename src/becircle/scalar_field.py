@@ -33,9 +33,12 @@ def heteroclinic(t):
     Returns (g, gdot, gddot).  Accepts scalars or arrays.  sech^2 is formed
     from cosh directly: 1 - tanh^2 underflows to zero already near t = 26,
     far inside the default profile windows.  On an array, sech^2 is formed
-    in t / sqrt2's buffer and gddot in place, with the operands in the order
-    of the scalar expressions, so the bits are the same; the arrays built
-    are t / sqrt2 and the three returned.
+    in t / sqrt2's buffer, gdot from it, and then gddot = -(sech^2 g) in its
+    place; the product commutes and the negation is exact, so the bits are
+    those of the scalar expressions.  The only arrays built are the three
+    returned.  gddot, not gdot, takes the buffer: a caller that keeps g and
+    gdot only (the recovery comparator) drops that buffer as before, and its
+    heap use does not move.
     """
     s = np.asarray(t, dtype=float) / SQRT2
     g = np.tanh(s)
@@ -46,8 +49,8 @@ def heteroclinic(t):
     np.square(sech2, out=sech2)
     np.divide(1.0, sech2, out=sech2)
     gdot = sech2 / SQRT2
-    gddot = np.negative(g)
-    gddot *= sech2
+    gddot = np.multiply(sech2, g, out=sech2)
+    np.negative(gddot, out=gddot)
     return g, gdot, gddot
 
 

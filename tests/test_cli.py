@@ -244,6 +244,15 @@ def test_bad_input_is_a_typed_error(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_unwritable_out_is_a_typed_error(tmp_path, capsys):
+    # the record is computed, then cannot be written: an error line and
+    # exit 1, not a FileNotFoundError traceback
+    out = tmp_path / "missing" / "x.json"
+    assert main(["solve", "--L", "0.5", "--eps", "0.05", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["lipschitz", "--L", "0.5", "--eps", "0.02,1e-320"],
     ["gamma-sweep", "--nodes", "0,0.5", "--eps", "0.02,1e-320"],

@@ -360,16 +360,23 @@ def test_constants_peak_memory():
     # a cold T = 80 window and its constants peak at 8 arrays of 80001
     # floats under tracemalloc (4.89 MiB): the window's 4 and, at most, 4
     # while sigma2's core runs.  Solving tau_geom in full and forming both
-    # brackets peaked at 12 (7.33 MiB)
+    # brackets peaked at 12 (7.33 MiB).  The next 80001-point window
+    # (40, 5e-4) peaks at the same 8, because the T = 80 entry is released
+    # before it is built.  When the cache evicted the old entry only after
+    # building the new one, that build held 9: the old window's 4, t, and 4
+    # while heteroclinic ran
     profiles_mod._halfline.cache_clear()
     tracemalloc.start()
     try:
         profile_constants(T=80.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        cold = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        profile_constants(h=5e-4)
+        next_window = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         profiles_mod._halfline.cache_clear()
-    assert peak <= 8.5 * 80001 * 8
+    assert max(cold, next_window) <= 8.5 * 80001 * 8
 
 
 def test_window_profiles_hold_only_values_and_sources():
@@ -649,6 +656,23 @@ def test_heteroclinic_in_place_matches_out_of_place(window):
     t = np.linspace(0.0, T, int(round(T / h)) + 1)
     for x in (t, -t[::-1], t[::7]):
         assert all(map(_same_bits, heteroclinic(x), _heteroclinic_out_of_place(x)))
+
+
+def test_heteroclinic_on_an_array_builds_three_arrays():
+    # over t in [-40, 40], 0 included, g, gdot and gddot keep the
+    # out-of-place bits, and the call peaks at the 3 arrays it returns:
+    # gddot is formed in sech^2's buffer after gdot.  When gddot was a
+    # fourth array the call peaked at 4 arrays of n floats
+    t = np.linspace(-40.0, 40.0, 80001)
+    assert 0.0 in t
+    tracemalloc.start()
+    try:
+        out = heteroclinic(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(map(_same_bits, out, _heteroclinic_out_of_place(t)))
+    assert peak <= 3 * t.nbytes + 2 ** 16
 
 
 @settings(max_examples=60, deadline=None)
